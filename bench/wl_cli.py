@@ -38,7 +38,7 @@ def inputs(seed: int) -> dict:
     rng = random.Random(seed)
     a, b = wl_bseries.seeded_tableau(rng)
     word = _random_word(rng, 6)
-    v = np.random.default_rng(seed).normal(size=3)
+    v = np.random.default_rng(seed & wl_steppers.SEED_MASK).normal(size=3)
     return {"ab": (a, b), "word": word, "y0": v / np.linalg.norm(v)}
 
 

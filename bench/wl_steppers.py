@@ -28,6 +28,7 @@ TOL = {
     "toda": {"lie_euler": 1e-1, "lie_midpoint": 1e-3, "lie_rk4": 2e-7, "cf4": 2e-7, "rkmk:rk4": 2e-7},
 }
 PROBLEMS = ("rigid_body", "toda")
+SEED_MASK = (1 << 64) - 1  # numpy seeds must be non-negative; others pass unchanged
 
 
 def metric_name(method: str) -> str:
@@ -47,7 +48,7 @@ class _Counter:
 
 
 def seeded_states(seed: int):
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed & SEED_MASK)
     rb = []
     for _ in range(K):
         v = rng.normal(size=3)
