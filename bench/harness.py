@@ -3,12 +3,25 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import statistics
 import time
 from fractions import Fraction
 
 _NULL = contextlib.nullcontext()
+
+# Warm passes per worker; a traced worker runs as many untraced ones too.
+WARM_PASSES = 2
+
+
+def warm_plan(trace: bool) -> list[bool]:
+    """Whether each warm pass of a worker is traced. A traced worker pairs
+    every traced pass with an untraced one, in the order T U U T T U ...,
+    so that a steady drift within the worker cancels in the overhead."""
+    if not trace:
+        return [False] * WARM_PASSES
+    return [t for k in range(WARM_PASSES) for t in ((True, False) if k % 2 == 0 else (False, True))]
 
 
 class Tracer:
@@ -29,7 +42,7 @@ class Tracer:
         self.counts: dict[str, int] = {}
         self.probes: list[float] = []
         self.op_time = 0.0
-        self.op_scaled = 0.0
+        self.op_scaled: list[float] = []  # rescaled time of each operation
 
     def span(self, name: str):
         if not self.enabled and self.probe is None:
@@ -62,7 +75,7 @@ class Tracer:
                 after = self.probe()
                 self.probes += [before, after]
                 self.op_time += t1 - t0
-                self.op_scaled += rescale(t1 - t0, before, after)
+                self.op_scaled.append(rescale(t1 - t0, before, after))
 
     def scaled(self, wall: float) -> tuple[float, float]:
         """(raw, scaled) time of a pass that took ``wall`` seconds: raw
@@ -72,7 +85,7 @@ class Tracer:
             return wall, wall
         raw = wall - sum(self.probes)
         rest = raw - self.op_time
-        return raw, self.op_scaled + rest * PROBE_NOMINAL_S / statistics.median(self.probes)
+        return raw, sum(self.op_scaled) + rest * speed_factor(statistics.median(self.probes))
 
     def count(self, name: str, n: int = 1) -> None:
         self.counts[name] = self.counts.get(name, 0) + n
@@ -98,20 +111,34 @@ class Tracer:
 # What reference_loop takes at the usual speed of the 2-CPU container the
 # reference figures in bench/README.md come from.
 PROBE_NOMINAL_S = 0.010
+# A stretch's time follows the probe's only in part: system calls, page
+# faults and memory traffic do not slow down with a pure-Python loop. Over
+# ten runs per workload in each of several phases (bench/README.md), times
+# scaled by the probe ratio to this power spread least; the full ratio
+# over-corrected the fresh-process CLI calls.
+RESCALE_EXPONENT = 0.75
 
 
 def reference_loop() -> float:
     """Seconds taken by a fixed pure-Python computation (rationals, tuples,
-    dicts, strings); a probe of the CPU's current speed."""
-    t0 = time.perf_counter()
-    total = Fraction(0)
-    table: dict = {}
-    for k in range(1, 2000):
-        total += Fraction(k % 7 + 1, k % 97 + 1)
-        key = (k % 300, str(k % 41))
-        table[key] = table.get(key, 0) + k
-    "".join(f"{a}{b}" for a, b in sorted(table))
-    return time.perf_counter() - t0
+    dicts, strings); a probe of the CPU's current speed. The garbage
+    collector is off while it runs, so a collection that the measured
+    program's heap calls for falls in the program's own time, not here."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        total = Fraction(0)
+        table: dict = {}
+        for k in range(1, 2000):
+            total += Fraction(k % 7 + 1, k % 97 + 1)
+            key = (k % 300, str(k % 41))
+            table[key] = table.get(key, 0) + k
+        "".join(f"{a}{b}" for a, b in sorted(table))
+        return time.perf_counter() - t0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def announce_ready(first_probe: float) -> None:
@@ -120,10 +147,15 @@ def announce_ready(first_probe: float) -> None:
     print(f"READY {first_probe!r} {reference_loop()!r}", flush=True)
 
 
+def speed_factor(probe_s: float) -> float:
+    """What a time measured while a probe takes probe_s is multiplied by."""
+    return (PROBE_NOMINAL_S / probe_s) ** RESCALE_EXPONENT
+
+
 def rescale(seconds: float, before: float, after: float) -> float:
     """A time taken between two probes, at the speed where a probe takes
     PROBE_NOMINAL_S."""
-    return seconds * 2.0 * PROBE_NOMINAL_S / (before + after)
+    return seconds * speed_factor((before + after) / 2.0)
 
 
 def probed(fn):
@@ -133,6 +165,15 @@ def probed(fn):
     result = fn()
     raw = time.perf_counter() - t0
     return result, raw, rescale(raw, before, reference_loop())
+
+
+def overhead_pct(traced: list[list[float]], untraced: list[list[float]]) -> float:
+    """The tracer's overhead in one worker: the median, over the operations
+    of paired traced and untraced passes of the same work, of traced over
+    untraced rescaled time, less 1, in %. A median of per-operation ratios
+    shows a cost of a few percent, which pass totals drown in noise."""
+    ratios = [t / u for tp, up in zip(traced, untraced) for t, u in zip(tp, up, strict=True)]
+    return 100.0 * (statistics.median(ratios) - 1.0)
 
 
 def run_checks(checks: dict, plain, inp) -> dict[str, str]:

@@ -210,6 +210,42 @@ def _tree_serials(text: str) -> list[str]:
     return out
 
 
+@lru_cache(maxsize=None)
+def planar_words(n: int) -> tuple:
+    """The planar words of order n, as tuples of tree serials."""
+    if n == 0:
+        return ((),)
+    return tuple(
+        (t,) + rest for k in range(1, n + 1) for t in planar_tree_serials(k) for rest in planar_words(n - k)
+    )
+
+
+@lru_cache(maxsize=None)
+def planar_tree_serials(n: int) -> tuple:
+    """Serials of the planar trees of order n, sorted: B+ of every word of
+    order n - 1."""
+    return tuple(sorted("[" + "".join(w) + "]" for w in planar_words(n - 1)))
+
+
+@lru_cache(maxsize=None)
+def mkw_coproduct(word: tuple) -> dict:
+    """The MKW coproduct of a planar word (tuple of tree serials) as
+    {(left word, right word): coefficient}, by its defining recursion
+    Delta(w B+(v)) = w B+(v) (x) 1 + Delta(w) . (id (x) B+) Delta(v), where
+    the product shuffles the left factors and concatenates the right ones."""
+    if not word:
+        return {((), ()): 1}
+    body, last = word[:-1], word[-1]
+    out = {(word, ()): 1}
+    lifted = [(l, "[" + "".join(r) + "]", c) for (l, r), c in mkw_coproduct(words_of(last[1:-1])).items()]
+    for (l1, r1), c1 in mkw_coproduct(body).items():
+        for l2, tree, c2 in lifted:
+            right = r1 + (tree,)
+            for w, m in shuffle(l1, l2).items():
+                out[(w, right)] = out.get((w, right), 0) + c1 * c2 * m
+    return {k: c for k, c in out.items() if c}
+
+
 def bell_polynomials(n_max: int) -> list[dict]:
     """Non-commutative Bell polynomials as {letters tuple: coefficient}:
     B_0 = 1 and B_{n+1} = d_1 B_n + D(B_n), with D the derivation d_i ->

@@ -45,7 +45,6 @@ THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THRE
 os.environ.update(THREAD_ENV)
 
 WORKLOADS = ("bseries_order8", "lbseries_order6", "lie_steppers", "cli_session")
-WARM_PASSES = {"bseries_order8": 2, "lbseries_order6": 2, "lie_steppers": 2, "cli_session": 2}
 MIN_SETUP_SAMPLES = 5  # 11 when a set-up takes under half a second
 WORKER_TIMEOUT_S = 150.0
 # The console script's entry, bracketed by two speed probes whose times go
@@ -130,7 +129,7 @@ def spawn(cmd: list[str], env: dict, cwd: Path, deadline: float) -> dict:
 
 def worker_cmd(name: str, seed: int, trace: bool, setup_only: bool = False, check: bool = False) -> list[str]:
     cmd = [sys.executable, str(BENCH / "worker.py"), "--workload", name, "--seed", str(seed),
-           "--trace", str(int(trace)), "--warm", str(WARM_PASSES[name])]
+           "--trace", str(int(trace))]
     return cmd + (["--setup-only"] if setup_only else []) + (["--check"] if check else [])
 
 
@@ -161,11 +160,9 @@ def exact_round(name, seed, trace, root, env, first: dict | None) -> dict:
                 failures[f"{op}#pass{k}"] = "output differs from the checked cold output"
             elif op in checked:
                 failures[f"{op}#pass{k}"] = checked[op]
-    total = data["cold_s"] + statistics.median(data["warm_s"])
     return {
         "setup_samples": [res["ready"]],
         "raw_setup_s": [res["ready_raw"]],
-        "totals": {"traced" if trace else "untraced": [total]},
         "cold_s": data["cold_s"],
         "warm_s": data["warm_s"],
         "rss_mb": res["rss_mb"],
@@ -176,6 +173,7 @@ def exact_round(name, seed, trace, root, env, first: dict | None) -> dict:
         "failures": failures,
         "checked_failures": checked,
         "checksums": reference,
+        "overhead_pct": data.get("overhead_pct"),
         "layers": data.get("layers", {}),
         "spans": data.get("spans"),
     }
@@ -223,7 +221,6 @@ def cli_round(seed, trace, root, env) -> dict:
             if data["codes"].get(name) != 0 or data["checksums"].get(name) != checksums[name]:
                 failures[f"{name}#warm{tag}"] = "in-process stdout differs from the fresh-process one"
     warm = data_a["warm_s"] + data_b["warm_s"]
-    totals = {"traced": data_a["warm_s"], "untraced": data_b["warm_s"]} if trace else {"untraced": warm}
     raw_warm = data_a["raw_warm_s"] + data_b["raw_warm_s"]
     layers = {f"cli.{name}_s": t for name, t in raw_cold.items()}
     layers["cli.import_s"] = statistics.median(setups)
@@ -233,14 +230,15 @@ def cli_round(seed, trace, root, env) -> dict:
         "raw_setup_s": raw_setups,
         "cold_s": sum(cold.values()),
         "warm_s": warm,
+        "warm_calls_s": data_a["warm_calls_s"] + data_b["warm_calls_s"],
         "raw_cold_s": sum(raw_cold.values()),
         "raw_warm_s": raw_warm,
-        "totals": totals,
         "rss_mb": max(rss),
-        "attempted": len(wl_cli.CHECKS) * (1 + len(warm)),
+        "attempted": len(wl_cli.CHECKS) * 3,  # fresh processes, worker A, worker B
         "failures": failures,
         "checked_failures": failures,
         "checksums": checksums,
+        "overhead_pct": data_a.get("overhead_pct"),
         "layers": layers,
         "spans": {"cold": tr.spans} if trace else None,
     }
@@ -270,26 +268,22 @@ def main() -> int:
     deadline = start + args.seconds
     rounds, setups = [], []
     setup_est = 0.0
+    traced = bool(args.trace)
     try:
         while True:
-            traced = bool(args.trace) and len(rounds) % 2 == 0
             t0 = time.perf_counter()
             if args.workload == "cli_session":
                 r = cli_round(args.seed, traced, root, env)
             else:
                 r = exact_round(args.workload, args.seed, traced, root, env, rounds[0] if rounds else None)
-            r["traced"] = traced
             rounds.append(r)
             setups.extend(r["setup_samples"])
             setup_est = max(setup_est, max(r["setup_samples"]) + 0.2)
             took = time.perf_counter() - t0
             want_setups = 11 if setup_est < 0.5 else MIN_SETUP_SAMPLES
             probes = max(0, want_setups - len(setups) - 1) * setup_est
-            # A traced exact run needs an untraced round for the overhead; a
-            # cli_session round holds a traced and an untraced worker. Start
-            # another round if at least half of it fits.
-            enough = len(rounds) >= (2 if args.trace and args.workload != "cli_session" else 1)
-            if enough and time.perf_counter() + took / 2 + probes > deadline:
+            # Start another round if at least half of it fits.
+            if time.perf_counter() + took / 2 + probes > deadline:
                 break
         while len(setups) < want_setups and time.perf_counter() <= deadline + setup_est:
             res, _ = run_worker(args.workload, args.seed, False, root, env, setup_only=True)
@@ -302,12 +296,18 @@ def main() -> int:
     failures = [(i, op, msg) for i, r in enumerate(rounds) for op, msg in sorted(r["failures"].items())]
     for i, op, msg in failures:
         print(f"FAILED round {i} {op}: {msg}", file=sys.stderr)
-    plain = [r for r in rounds if not r["traced"]] or rounds
+    if args.workload == "cli_session":
+        # The sum over the script's calls of each call's median over the
+        # run's warm passes: one slow call in one pass does not move it.
+        passes = [p for r in rounds for p in r["warm_calls_s"]]
+        warm = sum(statistics.median(call) for call in zip(*passes))
+    else:
+        warm = statistics.median(w for r in rounds for w in r["warm_s"])
     e2e = {
         "setup_s": (statistics.median(setups), "s"),
-        "cold_s": (statistics.median(r["cold_s"] for r in plain), "s"),
-        "warm_s": (statistics.median(w for r in plain for w in r["warm_s"]), "s"),
-        "peak_rss_mb": (statistics.median(r["rss_mb"] for r in plain), "MB"),
+        "cold_s": (statistics.median(r["cold_s"] for r in rounds), "s"),
+        "warm_s": (warm, "s"),
+        "peak_rss_mb": (statistics.median(r["rss_mb"] for r in rounds), "MB"),
     }
     report = {
         "workload": args.workload,
@@ -348,16 +348,13 @@ def main() -> int:
 
 
 def trace_metrics(rounds: list[dict]) -> dict:
-    """Every per-layer metric: medians over the traced rounds. A layer the
-    workload never enters reads 0. The overhead compares the traced and the
-    untraced passes of the same run."""
-    traced = [r for r in rounds if r["traced"]]
+    """Every per-layer metric: medians over the rounds. A layer the
+    workload never enters reads 0. The overhead is each traced worker's
+    traced against its untraced warm passes."""
     out = {}
     for name, unit in per_layer_units().items():
-        out[name] = (statistics.median(r["layers"].get(name, 0.0) for r in traced), unit)
-    t = statistics.median(x for r in rounds for x in r["totals"].get("traced", []))
-    u = statistics.median(x for r in rounds for x in r["totals"].get("untraced", []))
-    out["trace.overhead_pct"] = (100.0 * (t - u) / u, "%")
+        out[name] = (statistics.median(r["layers"].get(name, 0.0) for r in rounds), unit)
+    out["trace.overhead_pct"] = (statistics.median(r["overhead_pct"] for r in rounds), "%")
     return out
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 import refs
 import wl_bseries
+import wl_lbseries
 import wl_steppers
 
 RK4_AB = wl_bseries.RK4_AB
@@ -123,18 +124,9 @@ def check_coproduct_bck(p, inp):
 
 
 def check_coproduct_mkw(p, inp):
-    word = " ".join(refs.words_of(inp["word"]))
-    terms = _terms(p["coproduct_mkw"].strip())
-    n = sum(refs.order(t) for t in refs.parse_word(word))
-    if [c for c, l, r in terms if l == "1"] != [1] or [c for c, l, r in terms if r == "1"] != [1]:
-        return "mkw coproduct breaks the counit"
-    if ("1", word) not in {(l, r) for _, l, r in terms}:
-        return "mkw coproduct lacks 1 (x) w"
-    for _, l, r in terms:
-        order = sum(refs.order(t) for t in refs.parse_word(l) + refs.parse_word(r))
-        if order != n:
-            return f"ungraded mkw term {l} (x) {r}"
-    return None
+    terms = [(l, r, c) for c, l, r in _terms(p["coproduct_mkw"].strip())]
+    diff = wl_lbseries.mkw_terms_differ(terms, refs.words_of(inp["word"]))
+    return f"mkw coproduct of {inp['word']}: {diff}" if diff else None
 
 
 def _bell_word(serial: str) -> tuple:
@@ -316,11 +308,13 @@ def tableau_path(seed: int) -> str:
     return f"bench/out/tableau-{seed}.txt"
 
 
-def worker_round(seed: int, trace: bool, warm: int, setup_only: bool, first_probe: float) -> dict | None:
+def worker_round(seed: int, trace: bool, setup_only: bool, first_probe: float) -> dict | None:
     """Set-up (a fresh ``import bflow.cli`` and the tableau file), then the
     script's argument lists passed to ``bflow.cli.main`` in process, after
-    one untimed call, with stdout captured."""
+    one untimed pass of them, with stdout captured: harness.WARM_PASSES passes, and
+    when traced as many untraced ones among them (harness.warm_plan)."""
     import contextlib
+    import gc
     import io
     import os
 
@@ -336,29 +330,42 @@ def worker_round(seed: int, trace: bool, warm: int, setup_only: bool, first_prob
     if setup_only:
         return None
     steps = script(inp, path)
+    # One untimed pass of the script, as the cold pass of the exact
+    # workloads: the calls that follow find every table full.
     with contextlib.redirect_stdout(io.StringIO()):
-        cli.main(["trees", "-N", "1"])
-    tr = harness.Tracer(trace)
-    times, raw_times, texts, codes = [], [], {}, {}
+        for _, argv in steps:
+            cli.main(argv)
+    times = {True: [], False: []}
+    raw_times = {True: [], False: []}
+    call_times = {True: [], False: []}  # rescaled time of each call, per pass
+    texts, codes = {}, {}
 
     def call(argv, buf):
         with contextlib.redirect_stdout(buf):
             return cli.main(argv)
 
-    for _ in range(warm):
-        total = raw_total = 0.0
+    for traced in harness.warm_plan(trace):
+        gc.collect()
+        tr = harness.Tracer(traced)
+        scaled_calls, raw_total = [], 0.0
         for name, argv in steps:
             buf = io.StringIO()
             with tr.span(f"cli.{name}"):
                 codes[name], raw, scaled = harness.probed(lambda: call(argv, buf))
-            total += scaled
+            scaled_calls.append(scaled)
             raw_total += raw
             texts[name] = buf.getvalue()
-        times.append(total)
-        raw_times.append(raw_total)
-    return {
-        "warm_s": times,
-        "raw_warm_s": raw_times,
+        times[traced].append(sum(scaled_calls))
+        raw_times[traced].append(raw_total)
+        call_times[traced].append(scaled_calls)
+    result = {
+        "warm_s": times[trace],
+        "warm_calls_s": call_times[trace],
+        "raw_warm_s": raw_times[trace],
         "codes": codes,
         "checksums": {name: harness.sha256(t) for name, t in sorted(texts.items())},
     }
+    if trace:
+        result["untraced_warm_s"] = times[False]
+        result["overhead_pct"] = harness.overhead_pct(call_times[True], call_times[False])
+    return result

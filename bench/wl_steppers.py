@@ -69,33 +69,42 @@ def setup(seed: int, tr) -> dict:
         "rigid_body": [it.rigid_body_problem(y0=y) for y in rb_states],
         "toda": [it.toda_problem(y0=y) for y in toda_states],
     }
-    counters = {}
+    counted, counters = {}, {}
     if tr.enabled:
-        # Count f and exp calls through wrappers the benchmark itself passes in.
+        # Count f and exp calls through wrappers the benchmark itself passes
+        # in; traced passes use these problems, untraced ones the plain ones.
         for name, plist in problems.items():
             a = plist[0].action
             f = _Counter(plist[0].f)
             exp = _Counter(a.exp)
             action = it.GroupAction(a.kind, a.n, a.algebra_dim, a.bracket, exp, a.act, a.inf_act, a.zero())
-            problems[name] = [it.LGProblem(action, f, p.y0) for p in plist]
+            counted[name] = [it.LGProblem(action, f, p.y0) for p in plist]
             counters[name] = (f, exp)
-    return {"it": it, "problems": problems, "counters": counters, "states": (rb_states, toda_states), "seed": seed}
+    return {
+        "it": it,
+        "problems": problems,
+        "counted": counted,
+        "counters": counters,
+        "states": (rb_states, toda_states),
+        "seed": seed,
+    }
 
 
 def run_pass(inp: dict, tr) -> dict:
     it = inp["it"]
     out: dict = {}
+    problems = inp["counted"] if tr.enabled else inp["problems"]
     for name in PROBLEMS:
         for method in METHODS:
             with tr.span(f"integrators.integrate.{name}.{metric_name(method)}"):
-                out[(name, method)] = [it.integrate(method, p, H, STEPS) for p in inp["problems"][name]]
-            if name in inp["counters"]:
+                out[(name, method)] = [it.integrate(method, p, H, STEPS) for p in problems[name]]
+            if tr.enabled:
                 f, exp = inp["counters"][name]
                 tr.count(f"f.{name}.{method}", f.calls)
                 tr.count(f"exp.{name}.{method}", exp.calls)
                 f.calls = exp.calls = 0
     with tr.span("integrators.convergence_order"):
-        slope, rows = it.convergence_order("lie_rk4", inp["problems"]["rigid_body"][0], 1.0, CONV_H)
+        slope, rows = it.convergence_order("lie_rk4", problems["rigid_body"][0], 1.0, CONV_H)
     out["convergence_order"] = (slope, rows)
     return out
 

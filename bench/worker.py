@@ -1,19 +1,23 @@
 """One round of a workload in a fresh interpreter.
 
 Usage: python3 bench/worker.py --workload NAME --seed N [--trace 0|1]
-       [--warm K] [--setup-only] [--check]
+       [--setup-only] [--check]
 
 The worker takes a speed probe, builds the workload's inputs, takes a
 second probe and prints ``READY`` with both probe times (the parent
-timestamps that line: it ends the set-up), runs one cold pass and K warm
-passes, checks the cold outputs when given --check, and prints one JSON
-line with the timings, the checksums of every pass's outputs and, when
-traced, per-layer figures and spans.
+timestamps that line: it ends the set-up), runs one cold pass and
+harness.WARM_PASSES warm passes, checks the cold outputs when given
+--check, and prints one JSON line with the timings, the checksums of every
+pass's outputs and, when traced, per-layer figures, spans and the tracer's
+overhead. A traced worker runs as many untraced warm passes as traced ones,
+in the order traced, untraced, untraced, traced, ...; the overhead compares
+the two kinds, so drift between processes does not enter it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import statistics
@@ -29,7 +33,12 @@ MODULES = {
 }
 
 
-def exact_round(name: str, seed: int, trace: bool, warm: int, setup_only: bool, check: bool,
+def pass_plan(trace: bool) -> list[tuple[str, bool]]:
+    """(label, traced) of every pass of a worker."""
+    return [("cold", trace)] + [("warm", t) for t in harness.warm_plan(trace)]
+
+
+def exact_round(name: str, seed: int, trace: bool, setup_only: bool, check: bool,
                 first_probe: float) -> dict | None:
     mod = importlib.import_module(MODULES[name])
     inp = mod.setup(seed, harness.Tracer(trace))
@@ -38,9 +47,11 @@ def exact_round(name: str, seed: int, trace: bool, warm: int, setup_only: bool, 
     harness.announce_ready(first_probe)
     if setup_only:
         return None
+    plan = pass_plan(trace)
     passes = []
-    for label in ["cold"] + ["warm"] * warm:
-        tr = harness.Tracer(trace, probe=harness.reference_loop)
+    for label, traced in plan:
+        gc.collect()  # each pass pays for the collections its own objects cause
+        tr = harness.Tracer(traced, probe=harness.reference_loop)
         t0 = time.perf_counter()
         with tr.span("pass." + label):
             out = mod.run_pass(inp, tr)
@@ -55,16 +66,23 @@ def exact_round(name: str, seed: int, trace: bool, warm: int, setup_only: bool, 
         if hasattr(mod, "prepare_checks"):
             mod.prepare_checks(inp)
         failures = harness.run_checks(mod.CHECKS, mod.extract(cold_out), inp)
+    # warm_s: the warm passes traced like the worker (untraced ones of a
+    # traced worker go to untraced_warm_s)
+    warm = [p for p, (label, traced) in zip(passes, plan) if label == "warm" and traced == trace]
     result = {
         "cold_s": passes[0][0][1],
-        "warm_s": [p[0][1] for p in passes[1:]],
+        "warm_s": [p[0][1] for p in warm],
         "raw_cold_s": passes[0][0][0],
-        "raw_warm_s": [p[0][0] for p in passes[1:]],
+        "raw_warm_s": [p[0][0] for p in warm],
         "probe_s": [statistics.median(p[1].probes) for p in passes],
         "failures": failures,
         "checksums": [{op: harness.sha256(t) for op, t in sorted(p[2].items())} for p in passes],
     }
     if trace:
+        untraced = [p for p, (_, traced) in zip(passes, plan) if not traced]
+        result["untraced_warm_s"] = [p[0][1] for p in untraced]
+        result["overhead_pct"] = harness.overhead_pct([p[1].op_scaled for p in warm],
+                                                      [p[1].op_scaled for p in untraced])
         result["layers"] = layer_figures(mod, passes)
         result["spans"] = {label: p[1].spans for label, p in zip(["cold", "warm"], passes)}
     return result
@@ -88,7 +106,6 @@ def main() -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--trace", type=int, default=0)
-    p.add_argument("--warm", type=int, default=1)
     p.add_argument("--setup-only", action="store_true")
     p.add_argument("--check", action="store_true", help="check the cold outputs")
     args = p.parse_args()
@@ -96,10 +113,10 @@ def main() -> int:
     if args.workload == "cli_session":
         import wl_cli
 
-        result = wl_cli.worker_round(args.seed, bool(args.trace), args.warm, args.setup_only, first_probe)
+        result = wl_cli.worker_round(args.seed, bool(args.trace), args.setup_only, first_probe)
     else:
-        result = exact_round(args.workload, args.seed, bool(args.trace), args.warm, args.setup_only,
-                             args.check, first_probe)
+        result = exact_round(args.workload, args.seed, bool(args.trace), args.setup_only, args.check,
+                             first_probe)
     if result is not None:
         print(json.dumps(result))
     return 0
