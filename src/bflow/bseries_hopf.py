@@ -599,8 +599,8 @@ def substitute_b(alpha: BCoeff, beta: BCoeff, N: int) -> BCoeff:
 
     def on_tree(tree: RootedTree) -> Fraction:
         total = Fraction(0)
-        for left, right in cefm_splits(tree):
-            total += _product_over_trees(alpha, left) * beta.tree_value(right)
+        for left, right, c in _tensor_pairs(delta_cefm(tree)):
+            total += c * _product_over_trees(alpha, left) * beta.tree_value(right.trees[0])
         return total
 
     if beta.kind == "plain":
@@ -638,19 +638,16 @@ def solve_modified(alpha: BCoeff, mode: str, N: int) -> BCoeff:
 
     values: dict[RootedTree, Fraction] = {}
 
-    def beta_tree(t: RootedTree) -> Fraction:
-        return values[t]
-
     for n in range(1, N + 1):
         for tree in enumerate_trees(n):
             total = Fraction(0)
-            for left, right in cefm_splits(tree):
-                if right == DOT:
+            for left, right, c in _tensor_pairs(delta_cefm(tree)):
+                if right == DOT_FOREST:
                     continue  # the unknown beta(tree) itself
-                prod = Fraction(1)
+                prod = c
                 for t in left.trees:
                     prod *= values[t]
-                total += prod * other.tree_value(right)
+                total += prod * other.tree_value(right.trees[0])
             values[tree] = (target.tree_value(tree) - total) / other.tree_value(DOT)
     return BCoeff.infinitesimal(dict(values), N)
 

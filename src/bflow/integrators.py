@@ -11,17 +11,19 @@ convergence-order harness; it works in 64-bit floats throughout.
 Algebra elements are numpy arrays: vectors for the rotation and
 translation actions, matrices for the isospectral action and for the
 affine action in its homogeneous embedding.
+
+sympy loads with the first polynomial field, and scipy with the first
+matrix action (isospectral or affine); the other steppers need neither.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-import sympy
-from scipy.linalg import expm
 
 from .bseries_hopf import BCoeff, RKTableau, builtin_tableau, order_of, rk_character
 from .errors import DomainError
@@ -48,6 +50,8 @@ class PolyVectorField:
     """
 
     def __init__(self, exprs, syms, params=()):
+        import sympy
+
         self.syms = tuple(sympy.sympify(s) for s in syms)
         self.params = tuple(sympy.sympify(p) for p in params)
         self.exprs = tuple(sympy.expand(sympy.sympify(e)) for e in exprs)
@@ -71,6 +75,8 @@ class PolyVectorField:
     @classmethod
     def from_strings(cls, texts: Sequence[str], prefix: str = "y") -> "PolyVectorField":
         """Parse components like ``"y0**2 - y1"`` over symbols y0..y_{n-1}."""
+        import sympy
+
         n = len(texts)
         syms = sympy.symbols(f"{prefix}0:{n}")
         local = {str(s): s for s in syms}
@@ -84,6 +90,8 @@ class PolyVectorField:
         if self.params:
             raise DomainError("cannot compile a field with free parameters")
         if self._fn is None:
+            import sympy
+
             compiled = sympy.lambdify(self.syms, sympy.Matrix(self.exprs), "numpy")
 
             def fn(y, _c=compiled, _n=self.n):
@@ -97,6 +105,8 @@ class PolyVectorField:
         # f^i_{j1..jk}; symmetric in the lower indices, so sort the key.
         key = (i, tuple(sorted(indices)))
         if key not in self._diff_cache:
+            import sympy
+
             expr = self.exprs[i]
             for j in key[1]:
                 expr = sympy.diff(expr, self.syms[j])
@@ -111,6 +121,8 @@ class PolyVectorField:
         """
         if tree in self._elem_cache:
             return self._elem_cache[tree]
+        import sympy
+
         children = [self.elementary_symbolic(c) for c in tree.children]
         m = len(children)
         out = []
@@ -138,25 +150,87 @@ def _exact(value):
         return Fraction(value)
     if value.free_symbols:
         return value
+    import sympy
+
     r = sympy.Rational(value)
     return Fraction(int(r.p), int(r.q))
 
 
-def _point_subs(field: PolyVectorField, y) -> dict:
+def _differentials_at(field: PolyVectorField, y: list[Fraction]) -> Callable:
+    """Elementary differentials at the rational point y, as Fractions.
+
+    F(B+(t1..tm))(y) = f^(m)(y)[F(t1)(y), ..., F(tm)(y)]. Each entry of a
+    derivative tensor at y is summed once from the field's monomials and
+    each tree is contracted once from its children's values, both in
+    memos that live as long as the returned function.
+    """
+    import sympy
+
+    monomials = [
+        {exps: Fraction(int(c.p), int(c.q)) for exps, c in sympy.Poly(e, *field.syms).terms() if c}
+        for e in field.exprs
+    ]
+    n = field.n
+    entries: dict[tuple, Fraction] = {}
+    values: dict[RootedTree, tuple] = {}
+
+    def entry(i: int, counts: tuple[int, ...]) -> Fraction:
+        # component i differentiated counts[k] times in y_k, at y
+        key = (i, counts)
+        if key not in entries:
+            total = Fraction(0)
+            for exps, c in monomials[i].items():
+                if all(e >= d for e, d in zip(exps, counts)):
+                    term = c
+                    for e, d, v in zip(exps, counts, y):
+                        term *= math.perm(e, d) * v ** (e - d)
+                    total += term
+            entries[key] = total
+        return entries[key]
+
+    def differential(tree: RootedTree) -> tuple:
+        if tree in values:
+            return values[tree]
+        children = [differential(c) for c in tree.children]
+        out = []
+        for i in range(n):
+            total = Fraction(0)
+            for jtuple in itertools.product(range(n), repeat=len(children)):
+                term = entry(i, tuple(jtuple.count(k) for k in range(n)))
+                if not term:
+                    continue
+                for j, child in zip(jtuple, children):
+                    term *= child[j]
+                total += term
+            out.append(total)
+        values[tree] = tuple(out)
+        return values[tree]
+
+    return differential
+
+
+def _differentials(field: PolyVectorField, y, h=0) -> Callable:
+    """tree -> F(tree)(y). Rational y and h on a parameter-free field take
+    the derivative tensors at y; otherwise the symbolic differentials are
+    expanded and y substituted, so the values may stay symbolic."""
+    import sympy
+
     if len(y) != field.n:
         raise DomainError(
             f"state has dimension {len(y)}, field expects {field.n}"
         )
-    subs = {}
-    for s, v in zip(field.syms, y):
-        subs[s] = v if isinstance(v, sympy.Expr) else sympy.Rational(Fraction(v))
-    return subs
+    if not field.params and not any(isinstance(v, sympy.Expr) for v in (h, *y)):
+        return _differentials_at(field, [Fraction(v) for v in y])
+    subs = {
+        s: v if isinstance(v, sympy.Expr) else sympy.Rational(Fraction(v))
+        for s, v in zip(field.syms, y)
+    }
+    return lambda tree: [_exact(e.subs(subs)) for e in field.elementary_symbolic(tree)]
 
 
 def elementary_differential(tree: RootedTree, field: PolyVectorField, y) -> list:
     """Exact value of the elementary differential F(tree) at the point y."""
-    subs = _point_subs(field, y)
-    return [_exact(e.subs(subs)) for e in field.elementary_symbolic(tree)]
+    return list(_differentials(field, y)(tree))
 
 
 def eval_bseries(alpha: BCoeff, field: PolyVectorField, y, h, N: int) -> list:
@@ -164,13 +238,14 @@ def eval_bseries(alpha: BCoeff, field: PolyVectorField, y, h, N: int) -> list:
     order at most N, h^|t| alpha(t)/sigma(t) times the elementary
     differential at y. Exact in rational arithmetic; a symbolic h (or a
     parametric field) produces symbolic components instead."""
+    import sympy
+
     if alpha.N < N:
         raise DomainError(
             f"series evaluation to order {N} needs coefficients at that order "
             f"(map truncated at {alpha.N})"
         )
-    if len(y) != field.n:
-        raise DomainError(f"state has dimension {len(y)}, field expects {field.n}")
+    differential = _differentials(field, y, h)
     hval = h if isinstance(h, sympy.Expr) else Fraction(h)
     unit = alpha.unit_value()
     acc = [unit * (v if isinstance(v, sympy.Expr) else Fraction(v)) for v in y]
@@ -181,7 +256,7 @@ def eval_bseries(alpha: BCoeff, field: PolyVectorField, y, h, N: int) -> list:
             if not c:
                 continue
             weight = hn * c / tree_stats(tree)[1]
-            vec = elementary_differential(tree, field, y)
+            vec = differential(tree)
             acc = [a + weight * v for a, v in zip(acc, vec)]
     return [_exact(a) for a in acc]
 
@@ -191,6 +266,8 @@ def modified_field(beta: BCoeff, field: PolyVectorField, h, N: int) -> PolyVecto
     over trees of h^{|t|-1} beta(t)/sigma(t) F(t), as a new polynomial
     field in the same state symbols. Pass h as an exact rational to get a
     concrete field, or as a sympy symbol to keep it parametric."""
+    import sympy
+
     if beta.unit_value() != 0:
         raise DomainError("a vector field series must vanish on the empty forest")
     if beta.N < N:
@@ -433,6 +510,8 @@ def make_action(kind: str, n: int) -> GroupAction:
     """
     if kind == "rotation":
         kind = "rotation_s2"
+    if kind in ("isospectral", "affine"):
+        from scipy.linalg import expm
     if kind == "rotation_s2":
         if n != 3:
             raise DomainError("the rotation action lives on R^3")

@@ -8,9 +8,14 @@ contract (0 ok, 1 usage, 2 domain) is pinned on representative errors.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import bflow
 from bflow.algebra import render_sum
 from bflow.bseries_hopf import builtin_tableau, convolve_bck, rk_character
 from bflow.cli import main
@@ -314,6 +319,39 @@ class TestRunCommands:
         assert code == 0
         state = [float(v) for v in out.splitlines()[1].split(",")[2:]]
         assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
+
+    def test_y0_with_a_negative_first_component(self, capsys):
+        base = ["integrate", "--method", "lie_rk4", "--action", "rotation"]
+        base += ["--h", "0.01", "--steps", "2"]
+        code, spaced, err = run(capsys, *base, "--y0", "-0.6,0.8,0")
+        assert code == 0, err
+        code, joined, _ = run(capsys, *base, "--y0=-0.6,0.8,0")
+        assert code == 0
+        assert spaced == joined
+        assert joined.splitlines()[1].split(",")[2].startswith("-0.6")
+
+
+_HEAVY = ("numpy", "scipy", "sympy")
+
+
+@pytest.mark.parametrize(
+    "code, absent",
+    [
+        ("import bflow.cli", _HEAVY),
+        ("from bflow.cli import main; main(['trees', '-N', '3'])", _HEAVY),
+        ("import bflow.integrators", ("scipy", "sympy")),
+    ],
+)
+def test_start_up_leaves_heavy_modules_unloaded(code, absent):
+    """The exact commands run without numpy, sympy or scipy, and the float
+    layer loads sympy and scipy only when a field or matrix action needs
+    them."""
+    probe = f"{code}\nimport sys\nprint(sorted(set({absent!r}) & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bflow.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestExitCodes:

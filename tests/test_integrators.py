@@ -79,6 +79,11 @@ def quadratic_1d() -> PolyVectorField:
     return PolyVectorField.from_strings(["y0**2"])
 
 
+def _fraction(value) -> Fraction:
+    r = sympy.Rational(value)
+    return Fraction(int(r.p), int(r.q))
+
+
 # ---------------------------------------------------------------------------
 # Polynomial vector fields
 # ---------------------------------------------------------------------------
@@ -210,6 +215,25 @@ class TestElementaryDifferential:
         with pytest.raises(DomainError):
             elementary_differential(DOT, quadratic_1d(), [1, 2])
 
+    @pytest.mark.parametrize(
+        "field, points",
+        [
+            (quadratic_1d, ([Fraction(3, 7)], [Fraction(-5, 2)])),
+            (cubic_2d, ([Fraction(1, 3), Fraction(-2, 5)], [Fraction(-7, 4), Fraction(3)])),
+        ],
+    )
+    def test_point_values_equal_symbolic_substitution(self, field, points):
+        """Contracting derivative tensors at y gives the symbolic
+        differential with y substituted, exactly, on every tree of order
+        at most 5."""
+        F = field()
+        for y in points:
+            subs = {s: sympy.Rational(v.numerator, v.denominator) for s, v in zip(F.syms, y)}
+            for n in range(1, 6):
+                for tree in enumerate_trees(n):
+                    want = [_fraction(e.subs(subs)) for e in F.elementary_symbolic(tree)]
+                    assert elementary_differential(tree, F, y) == want, tree
+
 
 # ---------------------------------------------------------------------------
 # Series evaluation and modified fields
@@ -244,6 +268,19 @@ class TestEvalBseries:
     def test_dimension_guard(self):
         with pytest.raises(DomainError):
             eval_bseries(exact_gamma(3), cubic_2d(), [Fraction(1)], Fraction(1), 3)
+
+    def test_rational_point_skips_symbolic_expansion(self, monkeypatch):
+        F = cubic_2d()
+        y = [Fraction(1, 2), Fraction(-1, 3)]
+        h = sympy.Symbol("h")
+        symbolic = eval_bseries(exact_gamma(5), F, y, h, 5)
+
+        def expand(tree):
+            raise AssertionError("rational evaluation expanded a differential")
+
+        monkeypatch.setattr(F, "elementary_symbolic", expand)
+        point = eval_bseries(exact_gamma(5), F, y, Fraction(1, 10), 5)
+        assert point == [_fraction(v.subs(h, sympy.Rational(1, 10))) for v in symbolic]
 
 
 class TestModifiedField:
