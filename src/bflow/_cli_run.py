@@ -79,7 +79,7 @@ def _build_problem(args):
     if args.y0 is not None:
         if problem.y0.ndim != 1:
             raise DomainError("--y0 override applies to vector states only")
-        values = [float(v) for v in args.y0.split(",")]
+        values = args.y0
         if len(values) != len(problem.y0):
             raise DomainError(
                 f"--y0 needs {len(problem.y0)} components, got {len(values)}"
@@ -158,7 +158,7 @@ def converge_command(args) -> int:
     problem = _build_problem(args)
     if args.method in BUILTIN_TABLEAUS:
         raise DomainError("converge drives the Lie group methods; see integrate")
-    h_list = [float(v) for v in args.h.split(",")]
+    h_list = args.h
     tableau = None
     if args.tableau:
         with open(args.tableau, "r", encoding="utf-8") as fh:

@@ -338,7 +338,7 @@ def convolve_bck(alpha: BCoeff, beta: BCoeff, N: int) -> BCoeff:
 class RKTableau:
     """An s-stage Runge-Kutta scheme with exact rational coefficients."""
 
-    __slots__ = ("name", "s", "a", "b", "c", "_weights")
+    __slots__ = ("name", "s", "a", "b", "c", "floats", "_weights")
 
     def __init__(self, a, b, c=None, name: str = ""):
         self._weights: dict = {}
@@ -354,6 +354,12 @@ class RKTableau:
                 raise DomainError("tableau abscissae must equal the row sums exactly")
         self.c = derived
         self.name = name
+        # a, b and c as floats, for the numerical steppers
+        self.floats = (
+            tuple(tuple(float(x) for x in row) for row in self.a),
+            tuple(float(x) for x in self.b),
+            tuple(float(x) for x in self.c),
+        )
 
     @property
     def is_explicit(self) -> bool:

@@ -51,6 +51,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _numbers(text: str) -> list[float]:
+    """argparse type for a comma-separated list of numbers."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}"
+        ) from None
+
+
 def _tensor_key(t):
     return (-t.left.order, t.left.serial, t.right.serial)
 
@@ -278,7 +288,7 @@ def build_parser() -> _Parser:
             required=True,
         )
         p.add_argument("--f", help="named field or comma-separated components")
-        p.add_argument("--y0", help="comma-separated initial state")
+        p.add_argument("--y0", type=_numbers, help="comma-separated initial state")
         p.add_argument("--tableau", metavar="FILE")
         p.add_argument("-m", type=int, help="dexpinv truncation for rkmk")
         p.add_argument("--out", metavar="FILE", help="write CSV here instead of stdout")
@@ -292,7 +302,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("converge", help="measure a convergence slope, CSV per step size")
     add_run_options(p)
-    p.add_argument("--h", required=True, help="comma-separated step sizes")
+    p.add_argument("--h", type=_numbers, required=True, help="comma-separated step sizes")
     p.add_argument("--t-end", dest="t_end", type=float, default=1.0)
     p.set_defaults(fn=cmd_converge)
 

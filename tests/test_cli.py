@@ -340,12 +340,17 @@ _HEAVY = ("numpy", "scipy", "sympy")
         ("import bflow.cli", _HEAVY),
         ("from bflow.cli import main; main(['trees', '-N', '3'])", _HEAVY),
         ("import bflow.integrators", ("scipy", "sympy")),
+        (
+            "from bflow.integrators import integrate, toda_problem\n"
+            "integrate('lie_rk4', toda_problem(), 0.01, 10)",
+            ("scipy", "sympy"),
+        ),
     ],
 )
 def test_start_up_leaves_heavy_modules_unloaded(code, absent):
     """The exact commands run without numpy, sympy or scipy, and the float
-    layer loads sympy and scipy only when a field or matrix action needs
-    them."""
+    layer loads sympy only for a polynomial field and scipy only for an
+    exponential the closed forms do not cover."""
     probe = f"{code}\nimport sys\nprint(sorted(set({absent!r}) & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bflow.__file__)))
     done = subprocess.run(
@@ -417,6 +422,30 @@ class TestExitCodes:
             "--h", "0.1,0.05",
         )
         assert code == 2 and "three" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("integrate", "--method", "lie_euler", "--action", "rotation",
+             "--h", "0.1", "--steps", "1", "--y0=a,b,c"),
+            ("converge", "--method", "lie_rk4", "--action", "rotation",
+             "--h", "0.1,x,0.2"),
+        ],
+        ids=["y0", "step_sizes"],
+    )
+    def test_malformed_number_list_is_usage(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and "usage error" in err
+        assert "comma-separated numbers" in err
+        assert out == ""
+
+    def test_zero_step_size_is_domain(self, capsys):
+        code, _, err = run(
+            capsys,
+            "converge", "--method", "lie_rk4", "--action", "rotation",
+            "--h", "0,0.1,0.2",
+        )
+        assert code == 2 and "positive" in err
 
     def test_bad_choice_is_usage(self, capsys):
         code, _, err = run(capsys, "coproduct", "nope", "[]")

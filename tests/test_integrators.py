@@ -16,6 +16,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from scipy.linalg import expm
+
+from bflow import integrators
 
 from bflow.bseries_hopf import (
     BCoeff,
@@ -28,12 +31,14 @@ from bflow.bseries_hopf import (
     solve_modified,
     substitute_b,
 )
-from bflow.errors import DomainError
+from bflow.errors import ConvergenceError, DomainError
 from bflow.forest_core import enumerate_trees, parse_tree, tree_stats
 from bflow.integrators import (
     GroupAction,
     LGProblem,
     PolyVectorField,
+    _hat,
+    _rodrigues,
     affine_element,
     bell_frechet_word,
     composed_taylor_oracle,
@@ -44,6 +49,7 @@ from bflow.integrators import (
     integrate,
     lg_step,
     make_action,
+    make_stepper,
     modified_field,
     rigid_body_problem,
     rk_step,
@@ -402,6 +408,26 @@ class TestRkStep:
             rk_step(IMID, lambda y: -100.0 * y, np.array([1.0]), 1.0)
 
 
+def _stiff_decay() -> LGProblem:
+    # y' = -100 y at h = 1: every stage fixed point below diverges
+    return LGProblem(make_action("translation", 1), lambda t, y: -100.0 * y, np.array([1.0]))
+
+
+STALLING_SOLVES = {
+    "rk_step": lambda: rk_step(IMID, lambda y: -100.0 * y, np.array([1.0]), 1.0),
+    "lie_midpoint": lambda: lg_step("lie_midpoint", _stiff_decay(), 0.0, np.array([1.0]), 1.0),
+    "rkmk": lambda: lg_step("rkmk", _stiff_decay(), 0.0, np.array([1.0]), 1.0, m=1, tableau=IMID),
+}
+
+
+@pytest.mark.parametrize("solve", STALLING_SOLVES.values(), ids=STALLING_SOLVES.keys())
+def test_stalled_fixed_point_raises_convergence_error(solve):
+    with pytest.raises(ConvergenceError) as exc:
+        solve()
+    assert exc.value.residual is not None
+    assert exc.value.residual > 1e-14
+
+
 # ---------------------------------------------------------------------------
 # Group actions
 # ---------------------------------------------------------------------------
@@ -495,6 +521,30 @@ class TestGroupActions:
             make_action(kind, n)
 
 
+class TestSo3Kernels:
+    """The closed-form so(3) exponentials against scipy's expm."""
+
+    # 9e-4 is the largest angle the series branch (t < 1e-3) takes
+    @pytest.mark.parametrize("theta", [0.0, 1e-9, 1e-5, 9e-4, 1e-3, 1.0, np.pi, 3.0])
+    def test_rodrigues_equals_expm(self, theta):
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            axis = rng.normal(size=3)
+            v = theta * axis / np.linalg.norm(axis)
+            assert np.max(np.abs(_rodrigues(v) - expm(_hat(v)))) <= 1e-14
+
+    def test_isospectral_3x3_exp_equals_expm_on_skew_inputs(self):
+        exp = make_action("isospectral", 3).exp
+        rng = np.random.default_rng(37)
+        # rotation angles up to 3, where expm itself is good to about 3e-15
+        for theta in (0.0, 1e-9, 1e-4, 0.1, 1.0, 3.0):
+            for _ in range(5):
+                w = rng.normal(size=(3, 3))
+                V = w - w.T
+                V *= theta / np.linalg.norm([V[2, 1], V[0, 2], V[1, 0]])
+                assert np.max(np.abs(exp(V) - expm(V))) <= 1e-14
+
+
 class TestDexpinv:
     def test_first_three_truncations(self):
         rng = np.random.default_rng(17)
@@ -559,6 +609,26 @@ class TestLgStepBasics:
         by_name = lg_step("rkmk:rk4", p, 0.0, p.y0, 0.2)
         by_parts = lg_step("rkmk", p, 0.0, p.y0, 0.2, m=3, tableau=RK4)
         assert np.array_equal(by_name, by_parts)
+
+    def test_rkmk_resolves_its_truncation_once_per_run(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return rk_character(*args)
+
+        monkeypatch.setattr(integrators, "rk_character", counting)
+        p = rigid_body_problem()
+        integrate("rkmk:rk4", p, 0.01, 50)
+        assert len(calls) <= 1
+        calls.clear()
+        convergence_order("rkmk:rk4", p, 1.0, [0.2, 0.1, 0.05])
+        assert len(calls) <= 1
+
+    def test_stepper_is_the_one_step_map_of_lg_step(self):
+        p = rigid_body_problem()
+        step = make_stepper("cf4", p.action)
+        assert np.array_equal(step(p.f, 0.1, p.y0, 0.2), lg_step("cf4", p, 0.1, p.y0, 0.2))
 
     def test_integrate_returns_initial_state_first(self):
         p = rigid_body_problem()
@@ -634,6 +704,45 @@ class TestConservation:
                 for y in traj
             )
             assert drift <= 1e-10, (method, drift)
+
+
+def _reference_routes() -> dict:
+    """The stock problems through np.cross, scipy's expm and the triangle
+    slices, the routes the closed-form kernels replace."""
+    rb, toda = rigid_body_problem(), toda_problem()
+    rotation = GroupAction(
+        "rotation_s2", 3, 3,
+        bracket=np.cross,
+        exp=lambda v: expm(_hat(v)),
+        act=lambda g, y: g @ y,
+        inf_act=np.cross,
+        zero=np.zeros(3),
+    )
+    conjugation = GroupAction(
+        "isospectral", 3, 3,
+        bracket=lambda u, v: u @ v - v @ u,
+        exp=expm,
+        act=lambda g, y: g @ y @ g.T,
+        inf_act=lambda v, y: v @ y - y @ v,
+        zero=np.zeros((3, 3)),
+    )
+    return {
+        "rigid_body": (rb, LGProblem(rotation, rb.f, rb.y0)),
+        "toda": (
+            toda,
+            LGProblem(conjugation, lambda t, y: np.triu(y, 1) - np.tril(y, -1), toda.y0),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["rigid_body", "toda"])
+def test_trajectories_match_the_reference_routes(name):
+    problem, reference = _reference_routes()[name]
+    for method in ("lie_euler", "lie_midpoint", "lie_rk4", "cf4", "rkmk:rk4"):
+        got = np.array(integrate(method, problem, 0.01, 1000))
+        want = np.array(integrate(method, reference, 0.01, 1000))
+        rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert rel <= 1e-13, (method, rel)
 
 
 class TestConvergence:
