@@ -4,6 +4,14 @@ Every graded computation in the package runs through :class:`FormalSum`:
 coproducts, grafting products, antipodes, series coefficients. Instances
 are treated as immutable values; arithmetic returns fresh sums and zero
 coefficients are pruned eagerly, so equality is plain dict equality.
+
+There is one accumulation path, ``_accumulate``: it adds ``c * image``,
+where the image is a basis element or a sum, into a dict under
+construction. The constructor, ``+``, ``map_basis`` and ``bilinear`` build
+their result through it, so callers feed ``FormalSum((image, coeff) for
+...)`` and a sum of n terms is collected in one dict, not copied once per
+term. Only that dict is ever written: a sum, once returned, is never
+mutated, because memo tables hand the same instance to every caller.
 """
 
 from __future__ import annotations
@@ -25,16 +33,21 @@ class FormalSum:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Hashable, Scalar] | Iterable[tuple[Hashable, Scalar]] = ()):
+    def __init__(self, terms: Mapping[Hashable, Scalar] | Iterable[tuple[Any, Scalar]] = ()):
+        """Collect ``(image, coeff)`` pairs; an image that is itself a sum is
+        added in, scaled by its coefficient."""
         data: dict[Hashable, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for basis, coeff in items:
-            c = data.get(basis, _ZERO) + _as_fraction(coeff)
-            if c:
-                data[basis] = c
-            else:
-                data.pop(basis, None)
+        for image, coeff in items:
+            _accumulate(data, image, _as_fraction(coeff))
         self._terms = data
+
+    @classmethod
+    def _wrap(cls, data: dict[Hashable, Fraction]) -> "FormalSum":
+        """Adopt a dict already built by ``_accumulate`` (no copy)."""
+        result = cls.__new__(cls)
+        result._terms = data
+        return result
 
     @classmethod
     def zero(cls) -> "FormalSum":
@@ -81,15 +94,8 @@ class FormalSum:
         if not isinstance(other, FormalSum):
             return NotImplemented
         out = dict(self._terms)
-        for basis, coeff in other._terms.items():
-            c = out.get(basis, _ZERO) + coeff
-            if c:
-                out[basis] = c
-            else:
-                out.pop(basis, None)
-        result = FormalSum.__new__(FormalSum)
-        result._terms = out
-        return result
+        _accumulate(out, other, 1)
+        return FormalSum._wrap(out)
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
         return self + (-1) * other
@@ -101,9 +107,7 @@ class FormalSum:
         c = _as_fraction(scalar)
         if not c:
             return FormalSum()
-        result = FormalSum.__new__(FormalSum)
-        result._terms = {b: c * v for b, v in self._terms.items()}
-        return result
+        return FormalSum._wrap({b: c * v for b, v in self._terms.items()})
 
     def __mul__(self, scalar: Scalar) -> "FormalSum":
         return self.__rmul__(scalar)
@@ -115,20 +119,35 @@ class FormalSum:
 
     def map_basis(self, fn: Callable[[Hashable], Any]) -> "FormalSum":
         """Linear extension of ``fn``; ``fn`` may return a basis element or a FormalSum."""
-        out = FormalSum()
+        out: dict[Hashable, Fraction] = {}
         for basis, coeff in self._terms.items():
-            image = fn(basis)
-            if isinstance(image, FormalSum):
-                out = out + coeff * image
-            else:
-                out = out + FormalSum.term(image, coeff)
-        return out
+            _accumulate(out, fn(basis), coeff)
+        return FormalSum._wrap(out)
 
     def filter(self, keep: Callable[[Hashable], bool]) -> "FormalSum":
         return FormalSum((b, c) for b, c in self._terms.items() if keep(b))
 
 
 _ZERO = Fraction(0)
+
+
+def _accumulate(data: dict[Hashable, Fraction], image: Any, coeff: Scalar) -> None:
+    """Add ``coeff * image`` into ``data``, pruning zeros; the image is a
+    basis element or a FormalSum, and only ``data`` is written."""
+    if not coeff:
+        return
+    if not isinstance(image, FormalSum):
+        items = ((image, coeff),)
+    elif coeff == 1:
+        items = image._terms.items()
+    else:
+        items = [(basis, coeff * value) for basis, value in image._terms.items()]
+    for basis, value in items:
+        c = data.get(basis, _ZERO) + value
+        if c:
+            data[basis] = c
+        else:
+            del data[basis]
 
 
 def as_sum(x: Any) -> FormalSum:
@@ -143,15 +162,11 @@ def bilinear(fn: Callable[[Any, Any], Any]) -> Callable[[Any, Any], FormalSum]:
 
     def lifted(x: Any, y: Any) -> FormalSum:
         xs, ys = as_sum(x), as_sum(y)
-        out = FormalSum()
+        out: dict[Hashable, Fraction] = {}
         for bx, cx in xs:
             for by, cy in ys:
-                image = fn(bx, by)
-                if isinstance(image, FormalSum):
-                    out = out + (cx * cy) * image
-                else:
-                    out = out + FormalSum.term(image, cx * cy)
-        return out
+                _accumulate(out, fn(bx, by), cx * cy)
+        return FormalSum._wrap(out)
 
     return lifted
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Union
 
-from .algebra import FormalSum, Tensor, tensor_sum
+from .algebra import FormalSum, tensor_sum
 from .errors import CapacityError, DomainError, ParseError
 from .forest_core import (
     EMPTY_FOREST,
@@ -280,23 +280,18 @@ def antipode_bck(omega: Forest | RootedTree) -> FormalSum:
 
 
 def _forest_mul(x: FormalSum, y: FormalSum) -> FormalSum:
-    out = FormalSum.zero()
-    for f1, c1 in x:
-        for f2, c2 in y:
-            out = out + FormalSum.term(f1 * f2, c1 * c2)
-    return out
+    return FormalSum((f1 * f2, c1 * c2) for f1, c1 in x for f2, c2 in y)
 
 
 def _antipode_tree(tree: RootedTree) -> FormalSum:
     if tree in _ANTIPODE_CACHE:
         return _ANTIPODE_CACHE[tree]
-    out = FormalSum.term(Forest((tree,)), -1)
+    terms = [(Forest((tree,)), -1)]
     for pruned, rest in _tree_cuts(tree):
-        if not pruned:
-            continue
-        s_pruned = antipode_bck(Forest(pruned))
-        out = out - s_pruned.map_basis(lambda f: f * Forest((rest,)))
-    _ANTIPODE_CACHE[tree] = out
+        if pruned:
+            rest_forest = Forest((rest,))
+            terms.extend((f * rest_forest, -c) for f, c in antipode_bck(Forest(pruned)))
+    out = _ANTIPODE_CACHE[tree] = FormalSum(terms)
     return out
 
 

@@ -28,9 +28,9 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
-from .algebra import FormalSum, as_sum, bilinear
+from .algebra import FormalSum, bilinear
 from .errors import CapacityError, DomainError, ParseError
 
 DEFAULT_MAX_ORDER = 8
@@ -430,20 +430,22 @@ def prelie_graft(t1: RootedTree, t2: RootedTree) -> FormalSum:
 
 @functools.lru_cache(maxsize=None)
 def _prelie(t1: RootedTree, t2: RootedTree) -> FormalSum:
-    out = FormalSum.term(RootedTree(t2.children + (t1,), t2.color))
-    for i, child in enumerate(t2.children):
-        rest = t2.children[:i] + t2.children[i + 1 :]
-        for sub, coeff in _prelie(t1, child):
-            out = out + FormalSum.term(RootedTree(rest + (sub,), t2.color), coeff)
-    return out
+    kids = t2.children
+    below = (
+        (RootedTree(kids[:i] + kids[i + 1 :] + (sub,), t2.color), coeff)
+        for i, child in enumerate(kids)
+        for sub, coeff in _prelie(t1, child)
+    )
+    return FormalSum([(RootedTree(kids + (t1,), t2.color), 1), *below])
 
 
 def _as_word(x) -> PlanarForest:
+    """A planar forest, or a planar tree as a one-letter word."""
     if isinstance(x, PlanarForest):
         return x
     if isinstance(x, PlanarTree):
         return PlanarForest((x,))
-    raise TypeError(f"expected a planar forest, got {type(x)}")
+    raise DomainError(f"expected a planar forest, got {type(x).__name__}")
 
 
 @functools.lru_cache(maxsize=None)

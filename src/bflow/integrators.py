@@ -33,11 +33,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bseries_hopf import BCoeff, RKTableau, builtin_tableau, order_of, rk_character
+from .bseries_hopf import DOT, BCoeff, RKTableau, builtin_tableau, order_of, rk_character
 from .errors import ConvergenceError, DomainError
-from .forest_core import Forest, RootedTree, bplus, enumerate_trees, single, tree_stats
-
-DOT = single()
+from .forest_core import Forest, RootedTree, bplus, enumerate_trees, tree_stats
 
 
 # ---------------------------------------------------------------------------

@@ -17,35 +17,28 @@ rationals.
 from __future__ import annotations
 
 import itertools
+import math
 import weakref
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping
 
-from .algebra import FormalSum, Tensor, as_sum, tensor_sum
+from .algebra import FormalSum, Tensor, tensor_sum
 from .errors import BflowError, CapacityError, DomainError
 from .forest_core import (
     EMPTY_WORD,
     PlanarForest,
     PlanarTree,
+    _as_word,
     bminus,
     bplus,
     concat,
     enumerate_forests,
-    left_graft,
     psingle,
     shuffle,
 )
 
 PDOT = psingle()
 DOT_WORD = PlanarForest((PDOT,))
-
-
-def _as_word(x) -> PlanarForest:
-    if isinstance(x, PlanarForest):
-        return x
-    if isinstance(x, PlanarTree):
-        return PlanarForest((x,))
-    raise DomainError(f"expected a planar forest, got {type(x).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +171,7 @@ def delta_mkw(omega: PlanarForest | PlanarTree) -> FormalSum:
     if omega in _MKW_CACHE:
         return _MKW_CACHE[omega]
     trees = omega.word
-    terms = FormalSum.term(Tensor(omega, EMPTY_WORD))
+    terms = [(Tensor(omega, EMPTY_WORD), 1)]
     for i in range(0, len(trees)):
         head = (PlanarForest(trees[:i]),) if i else ()
         per_child = [_tree_cut_structures(t) for t in trees[i:]]
@@ -190,13 +183,12 @@ def delta_mkw(omega: PlanarForest | PlanarTree) -> FormalSum:
                 remaining.append(rem)
             if not blocks:
                 if i == 0:
-                    terms = terms + FormalSum.term(Tensor(EMPTY_WORD, omega))
+                    terms.append((Tensor(EMPTY_WORD, omega), 1))
                 continue
             right = PlanarForest(remaining)
-            left = _multi_shuffle(blocks)
-            terms = terms + left.map_basis(lambda w: Tensor(w, right))
-    _MKW_CACHE[omega] = terms
-    return terms
+            terms.extend((Tensor(w, right), c) for w, c in _multi_shuffle(blocks))
+    out = _MKW_CACHE[omega] = FormalSum(terms)
+    return out
 
 
 _MKW_REC_CACHE: dict[PlanarForest, FormalSum] = {}
@@ -211,19 +203,15 @@ def delta_mkw_recursive(omega: PlanarForest | PlanarTree) -> FormalSum:
         return _MKW_REC_CACHE[omega]
     body, last = PlanarForest(omega.word[:-1]), omega.word[-1]
     left_part = delta_mkw_recursive(body)
-    inner = delta_mkw_recursive(bminus(last))
-    lifted = FormalSum.zero()
-    for t, c in inner:
-        lifted = lifted + FormalSum.term(
-            Tensor(t.left, PlanarForest((bplus(t.right, last.color),))), c
-        )
-    out = FormalSum.term(Tensor(omega, EMPTY_WORD))
+    lifted = delta_mkw_recursive(bminus(last)).map_basis(
+        lambda t: Tensor(t.left, PlanarForest((bplus(t.right, last.color),)))
+    )
+    terms = [(Tensor(omega, EMPTY_WORD), 1)]
     for t1, c1 in left_part:
         for t2, c2 in lifted:
-            mixed = shuffle(t1.left, t2.left)
             right = t1.right * t2.right
-            out = out + c1 * c2 * mixed.map_basis(lambda w: Tensor(w, right))
-    _MKW_REC_CACHE[omega] = out
+            terms.extend((Tensor(w, right), c1 * c2 * c) for w, c in shuffle(t1.left, t2.left))
+    out = _MKW_REC_CACHE[omega] = FormalSum(terms)
     return out
 
 
@@ -237,12 +225,11 @@ def antipode_mkw(omega: PlanarForest | PlanarTree) -> FormalSum:
         return FormalSum.term(EMPTY_WORD)
     if omega in _S_MKW_CACHE:
         return _S_MKW_CACHE[omega]
-    out = FormalSum.term(omega, -1)
+    terms = [(omega, -1)]
     for t, c in delta_mkw(omega):
-        if not t.left.word or not t.right.word:
-            continue
-        out = out - c * antipode_mkw(t.left).map_basis(lambda w: shuffle(w, t.right))
-    _S_MKW_CACHE[omega] = out
+        if t.left.word and t.right.word:
+            terms.extend((shuffle(w, t.right), -c * a) for w, a in antipode_mkw(t.left))
+    out = _S_MKW_CACHE[omega] = FormalSum(terms)
     return out
 
 
@@ -303,12 +290,11 @@ class BellWord:
 
 def _bell_derive(x: FormalSum) -> FormalSum:
     """The derivation sending d_i to d_{i+1}, extended by Leibniz."""
-    out = FormalSum.zero()
-    for w, c in x:
-        for pos in range(len(w.word)):
-            bumped = w.word[:pos] + (w.word[pos] + 1,) + w.word[pos + 1 :]
-            out = out + FormalSum.term(BellWord(bumped), c)
-    return out
+    return FormalSum(
+        (BellWord(w.word[:pos] + (w.word[pos] + 1,) + w.word[pos + 1 :]), c)
+        for w, c in x
+        for pos in range(len(w.word))
+    )
 
 
 _BELL_CACHE: list[FormalSum] = [FormalSum.term(BellWord())]
@@ -343,14 +329,12 @@ def _fdb_prepend_tensor(x: FormalSum) -> FormalSum:
 
 
 def _fdb_derive_tensor(x: FormalSum) -> FormalSum:
-    out = FormalSum.zero()
+    terms = []
     for t, c in x:
-        for u, a in _bell_derive(FormalSum.term(t.left)):
-            out = out + FormalSum.term(Tensor(u, t.right), c * a)
+        terms.extend((Tensor(u, t.right), c * a) for u, a in _bell_derive(FormalSum.term(t.left)))
         lifted = BellWord((1,) + t.left.word)
-        for v, a in _bell_derive(FormalSum.term(t.right)):
-            out = out + FormalSum.term(Tensor(lifted, v), c * a)
-    return out
+        terms.extend((Tensor(lifted, v), c * a) for v, a in _bell_derive(FormalSum.term(t.right)))
+    return FormalSum(terms)
 
 
 def _fdb_words(n: int) -> list[BellWord]:
@@ -420,12 +404,7 @@ def _fdb_fill_grade(n: int) -> None:
         tensors.append(replay)
     inverse = _invert_rational(columns)
     for w, j in index.items():
-        total = FormalSum.zero()
-        for r in range(size):
-            c = inverse[r][j]
-            if c:
-                total = total + c * tensors[r]
-        _FDB_CACHE[w] = total
+        _FDB_CACHE[w] = FormalSum((tensors[r], inverse[r][j]) for r in range(size))
 
 
 def fdb_coproduct(x: BellWord | FormalSum) -> FormalSum:
@@ -440,10 +419,7 @@ def fdb_coproduct(x: BellWord | FormalSum) -> FormalSum:
     from which it first differs at d_3.d_1.
     """
     if isinstance(x, FormalSum):
-        out = FormalSum.zero()
-        for w, c in x:
-            out = out + c * fdb_coproduct(w)
-        return out
+        return x.map_basis(fdb_coproduct)
     if x not in _FDB_CACHE:
         _fdb_fill_grade(x.grade)
     return _FDB_CACHE[x]
@@ -454,93 +430,98 @@ def fdb_coproduct(x: BellWord | FormalSum) -> FormalSum:
 # ---------------------------------------------------------------------------
 
 
-_JPOW_CACHE: dict[tuple[int, PlanarForest], FormalSum] = {}
+def _convolution_series(x, coeffs: list[Fraction], kind: str, N: int) -> LBCoeff:
+    """w -> sum_k coeffs[k] x^{*k}(w) under the planar convolution, x^{*0} the unit.
+
+    x is read only on nonempty words, as if it vanished on the empty word,
+    so x^{*k} vanishes below order k and x^{*k}(w) = sum c x^{*(k-1)}(left)
+    x(right) over the terms of delta_mkw(w) with both sides nonempty. The
+    memo of powers belongs to the returned map.
+    """
+    memo: dict[tuple[int, PlanarForest], Fraction] = {}
+
+    def power(k: int, w: PlanarForest) -> Fraction:
+        if k == 1:
+            return x(w)
+        if (k, w) not in memo:
+            total = Fraction(0)
+            for t, c in delta_mkw(w):
+                if t.left.order >= k - 1 and t.right.word:
+                    total += c * power(k - 1, t.left) * x(t.right)
+            memo[k, w] = total
+        return memo[k, w]
+
+    def fn(w: PlanarForest) -> Fraction:
+        if not w.word:
+            return coeffs[0]
+        return sum((coeffs[k] * power(k, w) for k in range(1, w.order + 1)), Fraction(0))
+
+    return LBCoeff(kind, N, fn)
 
 
-def _j_power(k: int, w: PlanarForest) -> FormalSum:
-    """k-th convolution power of (Id - unit counit), at a basis word."""
-    if k == 1:
-        return FormalSum.term(w) if w.word else FormalSum.zero()
-    key = (k, w)
-    if key in _JPOW_CACHE:
-        return _JPOW_CACHE[key]
-    out = FormalSum.zero()
-    for t, c in delta_mkw(w):
-        if not t.left.word or not t.right.word:
-            continue
-        prev = _j_power(k - 1, t.left)
-        out = out + c * prev.map_basis(lambda u: shuffle(u, t.right))
-    _JPOW_CACHE[key] = out
-    return out
+def eulerian_idempotent(w: PlanarForest | PlanarTree) -> FormalSum:
+    """log of the identity under convolution, at a basis word: the sum of
+    (-1)^(k+1)/k J^{*k}(w), J = Id - unit counit, expanded word by word
+    with a memo local to the call. eulerian_apply reaches the same values
+    without expanding the idempotent."""
+    w = _as_word(w)
+    memo: dict[tuple[int, PlanarForest], FormalSum] = {}
 
+    def power(k: int, u: PlanarForest) -> FormalSum:
+        if k == 1:
+            return FormalSum.term(u)
+        if (k, u) not in memo:
+            memo[k, u] = FormalSum(
+                (shuffle(v, t.right), c * a)
+                for t, c in delta_mkw(u)
+                if t.left.word and t.right.word
+                for v, a in power(k - 1, t.left)
+            )
+        return memo[k, u]
 
-def eulerian_idempotent(w: PlanarForest) -> FormalSum:
-    """log of the identity under convolution, at a basis word."""
-    if not w.word:
-        return FormalSum.zero()
-    out = FormalSum.zero()
-    for k in range(1, w.order + 1):
-        out = out + Fraction((-1) ** (k + 1), k) * _j_power(k, w)
-    return out
+    return FormalSum(
+        (power(k, w), Fraction((-1) ** (k + 1), k)) for k in range(1, w.order + 1)
+    )
 
 
 def eulerian_apply(alpha: LBCoeff, N: int) -> LBCoeff:
     """Backward-error form of a flow character: compose with the
     eulerian idempotent. The result vanishes on the empty word and on
-    shuffles of nonempty words."""
+    shuffles of nonempty words.
+
+    For a character this is the convolution logarithm
+    log*(alpha) = sum_{k>=1} (-1)^(k+1)/k (alpha - eta)^{*k}.
+    """
     if alpha.kind != "character":
         raise DomainError("the eulerian logarithm is defined for characters")
     if alpha.N < N:
         raise DomainError(f"character truncated at {alpha.N}, need {N}")
-
-    def fn(w: PlanarForest) -> Fraction:
-        if not w.word:
-            return Fraction(0)
-        return alpha(eulerian_idempotent(w))
-
-    return LBCoeff("infinitesimal", N, fn)
+    coeffs = [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, N + 1)]
+    return _convolution_series(alpha, coeffs, "infinitesimal", N)
 
 
 def gl_exp(beta: LBCoeff, N: int) -> LBCoeff:
     """Exponential of a field along the Grossman-Larson pairing: the
-    convolution exponential. Inverse of eulerian_apply."""
+    convolution exponential exp*(beta) = sum_{k>=0} beta^{*k} / k!.
+    Inverse of eulerian_apply."""
     if beta(EMPTY_WORD) != 0:
         raise DomainError("gl_exp needs a field: beta(1) must be 0")
     if beta.N < N:
         raise DomainError(f"field truncated at {beta.N}, need {N}")
-    powers: list[LBCoeff] = [eta_mkw(N), beta]
-    while len(powers) <= N:
-        powers.append(convolve_mkw(powers[-1], beta, N))
-
-    def fn(w: PlanarForest) -> Fraction:
-        total = Fraction(1) if not w.word else Fraction(0)
-        fact = 1
-        for k in range(1, w.order + 1):
-            fact *= k
-            total += powers[k](w) / fact
-        return total
-
-    return LBCoeff("character", N, fn)
+    coeffs = [Fraction(1, math.factorial(k)) for k in range(N + 1)]
+    return _convolution_series(beta, coeffs, "character", N)
 
 
-def _reverse_sign(w: PlanarForest) -> FormalSum:
-    return FormalSum.term(PlanarForest(w.word[::-1]), (-1) ** len(w.word))
-
-
-def dynkin_map(w: PlanarForest) -> FormalSum:
+def dynkin_map(w: PlanarForest | PlanarTree) -> FormalSum:
     """The Dynkin convolution S * Y on the shuffle algebra of words:
     sum over deconcatenations of shuffle(sign-reversed prefix, graded
     suffix)."""
-    out = FormalSum.zero()
-    parts = w.word
-    for i in range(len(parts) + 1):
-        left = PlanarForest(parts[:i])
+    parts = _as_word(w).word
+    terms = []
+    for i in range(len(parts)):
         right = PlanarForest(parts[i:])
-        if right.order == 0:
-            continue
-        for u, c in _reverse_sign(left):
-            out = out + c * right.order * shuffle(u, right)
-    return out
+        terms.append((shuffle(PlanarForest(parts[:i][::-1]), right), (-1) ** i * right.order))
+    return FormalSum(terms)
 
 
 def dynkin_apply(alpha: LBCoeff, N: int) -> LBCoeff:
@@ -742,7 +723,7 @@ def _astar(alpha, omega: PlanarForest, memo: dict) -> FormalSum:
         return FormalSum.term(EMPTY_WORD)
     if omega in memo:
         return memo[omega]
-    out = FormalSum.zero()
+    terms = []
     parts = omega.word
     for i in range(len(parts)):
         w1 = PlanarForest(parts[:i])
@@ -757,9 +738,8 @@ def _astar(alpha, omega: PlanarForest, memo: dict) -> FormalSum:
                 grafted = _astar(alpha, p, memo).map_basis(
                     lambda u: PlanarForest((bplus(u),))
                 )
-                piece = concat(left, grafted)
-                out = out + (c * weight) * piece
-    memo[omega] = out
+                terms.append((concat(left, grafted), c * weight))
+    out = memo[omega] = FormalSum(terms)
     return out
 
 

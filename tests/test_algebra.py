@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from bflow import FormalSum, Tensor, as_sum, bilinear, render_sum, tensor_sum
+from bflow import FormalSum, Tensor, as_sum, bilinear, enumerate_forests, render_sum, tensor_sum
+from bflow.lbseries import antipode_mkw, delta_mkw, eulerian_apply, exact_flow_lb, q_apply
 
 
 def test_zero_terms_are_pruned():
@@ -35,6 +36,26 @@ def test_map_basis_linear_and_flattening():
     spread = s.map_basis(lambda b: FormalSum([(b + "1", 1), (b + "2", 1)]))
     assert spread.coeff("y2") == 3
 
+    # An image the callback hands out (a memo entry, say) is read, never written.
+    shared = FormalSum([("p", 1), ("q", -1)])
+    out = FormalSum([("x", 1), ("y", 3)]).map_basis(lambda b: shared)
+    assert out == 4 * shared
+    assert shared == FormalSum([("p", 1), ("q", -1)])
+
+    # A basis that cancels to zero part-way and comes back ends right.
+    images = {"x": FormalSum.term("u"), "y": FormalSum.term("u", -1), "z": "u"}
+    back = FormalSum([("x", 1), ("y", 1), ("z", 4)]).map_basis(images.__getitem__)
+    assert back == FormalSum.term("u", 4)
+    assert FormalSum([("u", 1), ("u", -1), ("u", 3)]) == FormalSum.term("u", 3)
+
+    # The memoised coproduct survives the maps that iterate over it.
+    log = eulerian_apply(q_apply(exact_flow_lb(4), 4), 4)
+    for w in enumerate_forests(4, planar=True):
+        snapshot = dict(delta_mkw(w))
+        antipode_mkw(w)
+        log(w)
+        assert dict(delta_mkw(w)) == snapshot
+
 
 def test_bilinear_lift():
     mul = bilinear(lambda a, b: FormalSum.term(a + b))
@@ -44,6 +65,18 @@ def test_bilinear_lift():
     assert out.coeff("ab") == Fraction(2, 3)
     assert out.coeff("ac") == 2
     assert mul("a", "b") == FormalSum.term("ab")
+
+    shared = FormalSum([("p", 2), ("q", 1)])
+    pinned = bilinear(lambda a, b: shared)
+    assert pinned(left, right) == Fraction(8, 3) * shared
+    assert shared == FormalSum([("p", 2), ("q", 1)])
+
+    # "ab" cancels against "a" * "-b" and is then added again.
+    def signed(a, b):  # "-b" stands for -1 times "b"
+        return FormalSum.term(a + b.lstrip("-"), -1 if b.startswith("-") else 1)
+
+    out = bilinear(signed)("a", FormalSum([("b", 1), ("-b", 1), ("c", 1), ("-b", -3)]))
+    assert out == FormalSum([("ab", 3), ("ac", 1)])
 
 
 def test_as_sum_wraps_bare_values():

@@ -548,6 +548,15 @@ def test_gl_unit():
         assert gl_product(w, EMPTY_WORD) == FormalSum.term(w)
 
 
+@pytest.mark.parametrize("product", [shuffle, concat, left_graft, gl_product])
+def test_planar_products_reject_nonplanar_input(product):
+    for bad in (DOT, Forest((DOT,))):
+        with pytest.raises(DomainError):
+            product(bad, word(PDOT))
+        with pytest.raises(DomainError):
+            product(word(PDOT), bad)
+
+
 def test_gl_associativity():
     small = all_words_up_to(2)
     for a in small:

@@ -26,6 +26,7 @@ from bflow.forest_core import (
     forest_sigma,
     left_graft,
     parse_forest,
+    parse_tree,
     project_nonplanar,
     shuffle,
 )
@@ -570,6 +571,29 @@ def test_euler_method_backward_error_coefficient():
     assert beta(EMPTY_WORD) == 0
     assert beta(DOT_WORD) == 1
     assert beta(pword("[[]]")) == Fraction(-1, 2)
+
+
+@pytest.mark.parametrize("source", ["flow", 1, 2, 3])
+def test_eulerian_apply_matches_the_idempotent_expansion(source):
+    # eulerian_apply sums the convolution logarithm, gl_exp the exponential,
+    # through one power recursion; their roundtrip would survive a wrong
+    # recursion, so the word-by-word idempotent is the independent route.
+    if source == "flow":
+        alpha = q_apply(exact_flow_lb(5), 5)
+    else:
+        alpha = random_lb_character(random.Random(source), 5)
+    log = eulerian_apply(alpha, 5)
+    for w in words_up_to(5):
+        assert log(w) == alpha(eulerian_idempotent(w))
+
+
+def test_idempotent_and_dynkin_map_read_trees_as_words():
+    tree = pword("[[][]]").word[0]
+    for fn in (eulerian_idempotent, dynkin_map):
+        assert fn(tree) == fn(PlanarForest((tree,)))
+        assert fn(tree)
+        with pytest.raises(DomainError):
+            fn(parse_tree("[[][]]"))
 
 
 # ---------------------------------------------------------------------------
