@@ -8,6 +8,16 @@ convolution inverse (antipode); convolution against the second gives
 backward error analysis and modifying integrators. Everything is exact
 rational arithmetic.
 
+The contraction coproduct is built by a recursion over the children of a
+tree (memoised per subtree), not by enumerating the 2^(n-1) edge subsets
+one at a time; ``cefm_splits`` keeps that enumeration as the independent
+route. The antipode of the pruning Hopf algebra is read off the
+contraction coproduct: S(t) = sum of c (-1)^|r| l over its terms c l (x) r,
+the edge-subset form of the Connes-Kreimer antipode (Calaque,
+Ebrahimi-Fard & Manchon, "Two interacting Hopf algebras of trees", Adv.
+Appl. Math. 2011). The pruning coproduct of a tree is memoised, so
+convolution sums over stored tensors.
+
 Runge-Kutta tableaus and their elementary weights connect the algebra to
 actual methods: the weight map of a tableau is a character, and order
 conditions are equalities against the exact-flow coefficients 1/tree!.
@@ -16,6 +26,7 @@ conditions are equalities against the exact-flow coefficients 1/tree!.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -37,6 +48,7 @@ Scalar = Union[int, Fraction]
 
 DOT = single()
 DOT_FOREST = Forest((DOT,))
+_SERIAL = operator.attrgetter("serial")
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +219,17 @@ def _tree_cuts(tree: RootedTree) -> list[tuple[tuple[RootedTree, ...], RootedTre
     return out
 
 
+_BCK_CACHE: dict[RootedTree, FormalSum] = {}
+
+
 def _delta_bck_tree(tree: RootedTree) -> FormalSum:
+    if tree in _BCK_CACHE:
+        return _BCK_CACHE[tree]
     terms = [(Forest((tree,)), EMPTY_FOREST, 1)]
     for pruned, rest in _tree_cuts(tree):
         terms.append((Forest(pruned), Forest((rest,)), 1))
-    return tensor_sum(terms)
+    out = _BCK_CACHE[tree] = tensor_sum(terms)
+    return out
 
 
 def _tensor_pairs(x: FormalSum) -> Iterable[tuple[Forest, Forest, Fraction]]:
@@ -236,11 +254,17 @@ def delta_bck(omega: Forest | RootedTree) -> FormalSum:
     Returns a formal sum of Forest (x) Forest tensors; the pruned part
     sits in the left slot. Multiplicative on forests.
     """
-    omega = _as_forest(omega)
-    out = _UNIT_TENSOR
+    return _tensor_product(_delta_bck_tree, _as_forest(omega))
+
+
+def _tensor_product(delta_tree, omega: Forest) -> FormalSum:
+    """The product over the trees of a forest of their memoised
+    coproducts; a single tree gets its memo entry itself."""
+    out = None
     for tree in omega.trees:
-        out = _tensor_mul(out, _delta_bck_tree(tree))
-    return out
+        part = delta_tree(tree)
+        out = part if out is None else _tensor_mul(out, part)
+    return _UNIT_TENSOR if out is None else out
 
 
 _DELTA_REC_CACHE: dict[RootedTree, FormalSum] = {}
@@ -271,12 +295,20 @@ _ANTIPODE_CACHE: dict[RootedTree, FormalSum] = {}
 
 
 def antipode_bck(omega: Forest | RootedTree) -> FormalSum:
-    """Antipode of the pruning Hopf algebra, multiplicative on forests."""
-    omega = _as_forest(omega)
-    out = FormalSum.term(EMPTY_FOREST)
-    for tree in omega.trees:
-        out = _forest_mul(out, _antipode_tree(tree))
-    return out
+    """Antipode of the pruning Hopf algebra, multiplicative on forests.
+
+    On a tree it is read off the contraction coproduct: S(t) is the sum
+    of c (-1)^|r| l over the terms c l (x) r of delta_cefm(t). The left
+    side l is the forest of components left by cutting the edges outside
+    one subset, and |r| - 1 is the number of cut edges, so this is the
+    sum over edge subsets of the Connes-Kreimer antipode (Calaque,
+    Ebrahimi-Fard & Manchon, Adv. Appl. Math. 2011).
+    """
+    out = None
+    for tree in _as_forest(omega).trees:
+        part = _antipode_tree(tree)
+        out = part if out is None else _forest_mul(out, part)
+    return FormalSum.term(EMPTY_FOREST) if out is None else out
 
 
 def _forest_mul(x: FormalSum, y: FormalSum) -> FormalSum:
@@ -286,12 +318,10 @@ def _forest_mul(x: FormalSum, y: FormalSum) -> FormalSum:
 def _antipode_tree(tree: RootedTree) -> FormalSum:
     if tree in _ANTIPODE_CACHE:
         return _ANTIPODE_CACHE[tree]
-    terms = [(Forest((tree,)), -1)]
-    for pruned, rest in _tree_cuts(tree):
-        if pruned:
-            rest_forest = Forest((rest,))
-            terms.extend((f * rest_forest, -c) for f, c in antipode_bck(Forest(pruned)))
-    out = _ANTIPODE_CACHE[tree] = FormalSum(terms)
+    out = _ANTIPODE_CACHE[tree] = FormalSum(
+        (left, -c if right.order % 2 else c)
+        for left, right, c in _tensor_pairs(_delta_cefm_tree(tree))
+    )
     return out
 
 
@@ -308,10 +338,10 @@ def convolve_bck(alpha: BCoeff, beta: BCoeff, N: int) -> BCoeff:
         )
 
     def on_tree(tree: RootedTree) -> Fraction:
-        total = alpha(Forest((tree,))) * beta.unit_value()
-        for pruned, rest in _tree_cuts(tree):
-            total += alpha(Forest(pruned)) * beta(Forest((rest,)))
-        return total
+        return sum(
+            (c * alpha(l) * beta(r) for l, r, c in _tensor_pairs(_delta_bck_tree(tree))),
+            Fraction(0),
+        )
 
     if alpha.kind == "character" and beta.kind == "character":
         return BCoeff.character(on_tree, N)
@@ -557,22 +587,72 @@ def cefm_splits(tree: RootedTree) -> list[tuple[Forest, RootedTree]]:
 
 
 _CEFM_CACHE: dict[RootedTree, FormalSum] = {}
+_CEFM_PARTS: dict[RootedTree, dict[tuple, int]] = {}
+
+
+def _by_serial(trees: tuple[RootedTree, ...]) -> tuple[RootedTree, ...]:
+    return tuple(sorted(trees, key=_SERIAL))
+
+
+def _cefm_parts(tree: RootedTree) -> dict[tuple, int]:
+    """The edge subsets of a tree, collected as triples (L, C, Q) with
+    multiplicities: L the components without the root, C the children of
+    the root's component, Q the children of the quotient's root, each a
+    tuple sorted by serial. Built by folding in one child at a time."""
+    if tree in _CEFM_PARTS:
+        return _CEFM_PARTS[tree]
+    parts: dict[tuple, int] = {((), (), ()): 1}
+    for child in tree.children:
+        options = []
+        for (lc, cc, qc), m in _cefm_parts(child).items():
+            top = RootedTree(cc, child.color)
+            # cut the edge to the child: its root component joins L and
+            # its quotient hangs below the quotient root
+            options.append((lc + (top,), (), (RootedTree(qc, child.color),), m))
+            # keep it: the child's root component merges into the root's
+            options.append((lc, (top,), qc, m))
+        folded: dict[tuple, int] = {}
+        for (l, c, q), m in parts.items():
+            for la, ca, qa, mo in options:
+                key = (
+                    _by_serial(l + la) if la else l,
+                    _by_serial(c + ca) if ca else c,
+                    _by_serial(q + qa) if qa else q,
+                )
+                folded[key] = folded.get(key, 0) + m * mo
+        parts = folded
+    _CEFM_PARTS[tree] = parts
+    return parts
+
+
+def _delta_cefm_tree(tree: RootedTree) -> FormalSum:
+    if tree in _CEFM_CACHE:
+        return _CEFM_CACHE[tree]
+    out = _CEFM_CACHE[tree] = tensor_sum(
+        (Forest(l + (RootedTree(c, tree.color),)), Forest((RootedTree(q, tree.color),)), m)
+        for (l, c, q), m in _cefm_parts(tree).items()
+    )
+    return out
 
 
 def delta_cefm(omega: Forest | RootedTree) -> FormalSum:
-    """Contraction coproduct as a sum over spanning subforests."""
-    omega = _as_forest(omega)
-    if not omega.trees:
-        return _UNIT_TENSOR
-    out = None
-    for tree in omega.trees:
-        if tree not in _CEFM_CACHE:
-            _CEFM_CACHE[tree] = tensor_sum(
-                (left, Forest((right,)), 1) for left, right in cefm_splits(tree)
-            )
-        part = _CEFM_CACHE[tree]
-        out = part if out is None else _tensor_mul(out, part)
-    return out
+    """Contraction coproduct as a sum over spanning subforests.
+
+    On a tree, each subset of kept edges gives the forest of its
+    components on the left and the quotient tree, each component shrunk
+    to a vertex, on the right. The subsets are not enumerated one by one:
+    a memo per subtree holds them as triples (components without the
+    root, children of the root's component, children of the quotient's
+    root), and a tree folds in its children one at a time. Cutting the
+    edge to a child sends the child's root component to the left side and
+    makes its quotient a child of the quotient root; keeping it merges
+    the child's root component into the root's and lifts its quotient
+    children. Then delta(t) is the sum of L (B+(C)) (x) B+(Q) (Calaque,
+    Ebrahimi-Fard & Manchon, Adv. Appl. Math. 2011). ``cefm_splits`` is
+    the edge-subset enumeration, kept as the independent route.
+    Multiplicative on forests.
+    """
+    return _tensor_product(_delta_cefm_tree, _as_forest(omega))
 
 
 def _product_over_trees(alpha: BCoeff, forest: Forest) -> Fraction:

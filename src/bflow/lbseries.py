@@ -29,6 +29,7 @@ from .forest_core import (
     PlanarForest,
     PlanarTree,
     _as_word,
+    _shuffle,
     bminus,
     bplus,
     concat,
@@ -68,9 +69,13 @@ class LBCoeff:
 
     @classmethod
     def from_table(cls, values: Mapping, N: int, kind: str = "plain") -> "LBCoeff":
+        """Word values, missing means 0. A ``character`` table is checked
+        once, here: it must be 1 on the empty word and shuffle
+        multiplicative on the words up to order N, else DomainError."""
         table = {_as_word(k): Fraction(v) for k, v in values.items()}
         if kind == "character":
             table.setdefault(EMPTY_WORD, Fraction(1))
+            _check_shuffle_character(table, N)
         return cls(kind, N, lambda w: table.get(w, Fraction(0)))
 
     @classmethod
@@ -96,6 +101,27 @@ class LBCoeff:
             for w in enumerate_forests(n, planar=True):
                 out[w] = self(w)
         return out
+
+
+def _check_shuffle_character(table: dict[PlanarForest, Fraction], N: int) -> None:
+    """Raise DomainError at the first pair of nonempty words u <= v (in
+    enumeration order) with |u| + |v| <= N where alpha(u) alpha(v) differs
+    from alpha(u sh v)."""
+    value = lambda w: table.get(w, Fraction(0))
+    if value(EMPTY_WORD) != 1:
+        raise DomainError(f"a character is 1 on the empty word, got {value(EMPTY_WORD)}")
+    words = [w for n in range(1, N) for w in enumerate_forests(n, planar=True)]
+    for i, u in enumerate(words):
+        for v in words[i:]:
+            if u.order + v.order > N:
+                break
+            lhs = value(u) * value(v)
+            rhs = sum((c * value(w) for w, c in _shuffle(u, v)), Fraction(0))
+            if lhs != rhs:
+                raise DomainError(
+                    f"not a shuffle character: alpha({u.serial}) alpha({v.serial}) = {lhs}, "
+                    f"but alpha of their shuffle is {rhs}"
+                )
 
 
 def eta_mkw(N: int) -> LBCoeff:

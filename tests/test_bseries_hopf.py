@@ -8,12 +8,14 @@ small orders and on seeded random characters.
 
 from __future__ import annotations
 
+import collections
 import random
 from fractions import Fraction
 
 import pytest
 
-from bflow.algebra import FormalSum, Tensor, render_sum
+from bflow import bseries_hopf
+from bflow.algebra import FormalSum, Tensor, render_sum, tensor_sum
 from bflow.bseries_hopf import (
     BCoeff,
     RKTableau,
@@ -428,6 +430,109 @@ def test_cefm_split_count_is_edge_powerset():
     for n in range(1, 7):
         for tree in enumerate_trees(n):
             assert len(cefm_splits(tree)) == 2 ** (tree.order - 1)
+
+
+def random_tree(rng: random.Random, n: int) -> RootedTree:
+    """A tree of order n: each vertex hangs below a uniformly chosen earlier
+    one, and every vertex takes a colour in 0-2."""
+    kids: list[list[int]] = [[] for _ in range(n)]
+    for v in range(1, n):
+        kids[rng.randrange(v)].append(v)
+    colors = [rng.randrange(3) for _ in range(n)]
+
+    def build(v: int) -> RootedTree:
+        return RootedTree([build(w) for w in kids[v]], colors[v])
+
+    return build(0)
+
+
+TREES_TO_8 = [t for n in range(1, 9) for t in enumerate_trees(n)]
+_rng = random.Random(6061)
+RANDOM_TREES = [random_tree(_rng, _rng.randint(1, 9)) for _ in range(60)]
+
+
+def antipode_by_cuts(omega: Forest, memo: dict) -> FormalSum:
+    """The antipode through its defining recursion over admissible cuts,
+    S(t) = -t - sum S(P) R over the cuts P, R with P nonempty."""
+    out = FormalSum.term(Forest())
+    for tree in omega.trees:
+        if tree not in memo:
+            terms = [(Forest((tree,)), -1)]
+            for pruned, rest in bseries_hopf._tree_cuts(tree):
+                if pruned:
+                    rest_forest = Forest((rest,))
+                    s_pruned = antipode_by_cuts(Forest(pruned), memo)
+                    terms.extend((f * rest_forest, -c) for f, c in s_pruned)
+            memo[tree] = FormalSum(terms)
+        out = FormalSum(
+            (f1 * f2, c1 * c2) for f1, c1 in out for f2, c2 in memo[tree]
+        )
+    return out
+
+
+def test_delta_cefm_matches_the_edge_subsets():
+    assert any(t.order == 9 for t in RANDOM_TREES)
+    assert {c for t in RANDOM_TREES for c in t.serial if c in "12"} == {"1", "2"}
+    for tree in TREES_TO_8 + RANDOM_TREES:
+        want = tensor_sum((left, Forest((right,)), 1) for left, right in cefm_splits(tree))
+        assert delta_cefm(tree) == want, tree.serial
+
+
+def test_antipode_matches_the_cut_recursion():
+    memo: dict = {}
+    for tree in TREES_TO_8 + RANDOM_TREES:
+        assert antipode_bck(tree) == antipode_by_cuts(Forest((tree,)), memo), tree.serial
+    forest = parse_forest("[[]] [1:[2:]] []")
+    assert antipode_bck(forest) == antipode_by_cuts(forest, memo)
+
+
+def test_contraction_and_antipode_run_without_the_enumerations(monkeypatch):
+    def refuse(tree):
+        raise AssertionError(f"enumeration called on {tree.serial}")
+
+    for memo in ("_CEFM_CACHE", "_CEFM_PARTS", "_ANTIPODE_CACHE"):
+        monkeypatch.setattr(bseries_hopf, memo, {})
+    monkeypatch.setattr(bseries_hopf, "cefm_splits", refuse)
+    monkeypatch.setattr(bseries_hopf, "_tree_cuts", refuse)
+    for tree in TREES_TO_8:
+        delta_cefm(tree)
+        antipode_bck(tree)
+    rk4 = rk_character(builtin_tableau("rk4"), 8)
+    be = solve_modified(rk4, "backward_error", 8)
+    mi = solve_modified(rk4, "modifying_integrator", 8)
+    back = substitute_b(be, exact_gamma(8), 8)
+    forward = substitute_b(mi, rk4, 8)
+    gamma = exact_gamma(8)
+    for tree in TREES_TO_8:
+        assert back(tree) == rk4(tree)
+        assert forward(tree) == gamma(tree)
+
+
+def test_convolve_bck_enumerates_cuts_once_per_tree(monkeypatch):
+    calls: collections.Counter = collections.Counter()
+    depth = [0]
+    enumerate_cuts = bseries_hopf._tree_cuts
+
+    def counting(tree):
+        # count the calls from outside; the recursion visits subtrees
+        if not depth[0]:
+            calls[tree] += 1
+        depth[0] += 1
+        try:
+            return enumerate_cuts(tree)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(bseries_hopf, "_BCK_CACHE", {})
+    monkeypatch.setattr(bseries_hopf, "_tree_cuts", counting)
+    rk4 = rk_character(builtin_tableau("rk4"), 6)
+    trees = [t for n in range(1, 7) for t in enumerate_trees(n)]
+    first = [convolve_bck(rk4, rk4, 6)(t) for t in trees]
+    after_first = sum(calls.values())
+    second = [convolve_bck(rk4, rk4, 6)(t) for t in trees]
+    assert first == second
+    assert after_first and max(calls.values()) == 1
+    assert sum(calls.values()) == after_first
 
 
 # ---------------------------------------------------------------------------

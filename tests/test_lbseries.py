@@ -587,6 +587,31 @@ def test_eulerian_apply_matches_the_idempotent_expansion(source):
         assert log(w) == alpha(eulerian_idempotent(w))
 
 
+def test_character_tables_are_checked_at_construction():
+    # alpha([]) alpha([]) = 1 but alpha([] sh []) = alpha(2 [] []) = 10:
+    # unchecked, eulerian_apply gave 9/2 on [] [], where the idempotent
+    # route gives 0.
+    with pytest.raises(DomainError, match="shuffle"):
+        LBCoeff.from_table({pword("[]"): 1, pword("[] []"): 5}, 2, kind="character")
+    with pytest.raises(DomainError, match="empty word"):
+        LBCoeff.from_table({EMPTY_WORD: 2}, 2, kind="character")
+    # the same table passes as a plain map, and a true character passes
+    LBCoeff.from_table({pword("[]"): 1, pword("[] []"): 5}, 2)
+    flow = q_apply(exact_flow_lb(5), 5)
+    alpha = LBCoeff.from_table(flow.table(), 5, kind="character")
+    log = eulerian_apply(alpha, 5)
+    for w in words_up_to(5):
+        assert log(w) == alpha(eulerian_idempotent(w))
+    # a failure at the top order is found; a one-tree word is no shuffle
+    # of nonempty words, so it is free and stays unchecked
+    table = dict(flow.table())
+    table[pword("[[[[[]]]]]")] += 1
+    LBCoeff.from_table(table, 5, kind="character")
+    table[pword("[[]] [[[]]]")] += 1
+    with pytest.raises(DomainError):
+        LBCoeff.from_table(table, 5, kind="character")
+
+
 def test_idempotent_and_dynkin_map_read_trees_as_words():
     tree = pword("[[][]]").word[0]
     for fn in (eulerian_idempotent, dynkin_map):
