@@ -10,27 +10,36 @@ backward-error field (the eulerian logarithm), and the Lie element whose
 exponential is the flow (Dynkin form), together with the substitution
 law for replacing the vector field by a series.
 
+Both coproducts are built by memoised recursion. Their coefficients are
+integers: each recursion step adds them as ints, read off the memoised
+sums of smaller elements, and wraps the result in exact rationals once.
+The planar (MKW) coproduct recurses over the last tree of a word,
+Delta(omega t) = omega t (x) 1 + Delta(omega) * Delta'(t) with
+Delta'(t) = (id (x) B+) Delta(B-(t)), where * shuffles the left slots and
+concatenates the right ones; the antipode and the substitution law read
+the same memo. The Faa di Bruno coproduct recurses on the first letter
+of a Bell word: d_1 passes as prepend (x) prepend, and
+d_a u = D(d_{a-1} u) - d_{a-1} D(u) reduces d_a to d_{a-1}.
+
 Words are PlanarForest values throughout; coefficients are exact
 rationals.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import weakref
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .algebra import FormalSum, Tensor, tensor_sum
-from .errors import BflowError, CapacityError, DomainError
+from .errors import CapacityError, DomainError
 from .forest_core import (
     EMPTY_WORD,
     PlanarForest,
     PlanarTree,
     _as_word,
     _shuffle,
-    bminus,
     bplus,
     concat,
     enumerate_forests,
@@ -73,10 +82,11 @@ class LBCoeff:
         once, here: it must be 1 on the empty word and shuffle
         multiplicative on the words up to order N, else DomainError."""
         table = {_as_word(k): Fraction(v) for k, v in values.items()}
+        value = lambda w: table.get(w, Fraction(0))
         if kind == "character":
             table.setdefault(EMPTY_WORD, Fraction(1))
-            _check_shuffle_character(table, N)
-        return cls(kind, N, lambda w: table.get(w, Fraction(0)))
+            _check_kind(value, kind, N)
+        return cls(kind, N, value)
 
     @classmethod
     def from_function(cls, fn, N: int, kind: str = "plain") -> "LBCoeff":
@@ -102,25 +112,36 @@ class LBCoeff:
                 out[w] = self(w)
         return out
 
+    def validate(self) -> None:
+        """Check the claimed kind on the words up to the truncation order,
+        raising DomainError at the first failure. A ``character`` must be
+        1 on the empty word and shuffle multiplicative, an
+        ``infinitesimal`` 0 on the empty word and on shuffles of nonempty
+        words; ``plain`` claims nothing. No constructor calls this."""
+        if self.kind != "plain":
+            _check_kind(self, self.kind, self.N)
 
-def _check_shuffle_character(table: dict[PlanarForest, Fraction], N: int) -> None:
-    """Raise DomainError at the first pair of nonempty words u <= v (in
-    enumeration order) with |u| + |v| <= N where alpha(u) alpha(v) differs
-    from alpha(u sh v)."""
-    value = lambda w: table.get(w, Fraction(0))
-    if value(EMPTY_WORD) != 1:
-        raise DomainError(f"a character is 1 on the empty word, got {value(EMPTY_WORD)}")
+
+def _check_kind(value: Callable[[PlanarForest], Fraction], kind: str, N: int) -> None:
+    """Raise DomainError at the first word pair that breaks the kind: the
+    value on the empty word, then nonempty words u <= v (in enumeration
+    order) with |u| + |v| <= N where alpha(u sh v) differs from
+    alpha(u) alpha(v) for a character, or from 0 for an infinitesimal."""
+    character = kind == "character"
+    unit = 1 if character else 0
+    if value(EMPTY_WORD) != unit:
+        raise DomainError(f"{kind} must be {unit} on the empty word, got {value(EMPTY_WORD)}")
     words = [w for n in range(1, N) for w in enumerate_forests(n, planar=True)]
     for i, u in enumerate(words):
         for v in words[i:]:
             if u.order + v.order > N:
                 break
-            lhs = value(u) * value(v)
+            lhs = value(u) * value(v) if character else 0
             rhs = sum((c * value(w) for w, c in _shuffle(u, v)), Fraction(0))
             if lhs != rhs:
                 raise DomainError(
-                    f"not a shuffle character: alpha({u.serial}) alpha({v.serial}) = {lhs}, "
-                    f"but alpha of their shuffle is {rhs}"
+                    f"not a shuffle {kind}: alpha of the shuffle of {u.serial} and "
+                    f"{v.serial} is {rhs}, want {lhs}"
                 )
 
 
@@ -148,114 +169,69 @@ def deconcat(omega: PlanarForest | PlanarTree) -> FormalSum:
     )
 
 
-def _tree_cut_structures(
-    tree: PlanarTree,
-) -> list[tuple[tuple[PlanarForest, ...], PlanarTree]]:
-    """Left admissible cut structures of a planar tree.
+_MKW_CACHE: dict[PlanarForest, FormalSum] = {
+    EMPTY_WORD: tensor_sum([(EMPTY_WORD, EMPTY_WORD, 1)])
+}
+_MKW_LIFTED: dict[PlanarTree, list] = {}
 
-    Each structure is (pruned blocks, remaining tree). A block is the
-    word of subtrees removed by one elementary cut (a prefix of some
-    vertex's children); blocks from distinct cuts are kept separate so
-    the caller can shuffle them. The no-cut structure ((), tree) is
-    included; cutting above the root is not.
-    """
-    kids = tree.children
-    out = []
-    for i in range(0, len(kids) + 1):
-        head: tuple[PlanarForest, ...]
-        head = (PlanarForest(kids[:i]),) if i else ()
-        per_child = [_tree_cut_structures(k) for k in kids[i:]]
-        for combo in itertools.product(*per_child):
-            blocks = head
-            remaining = []
-            for bl, rem in combo:
-                blocks += bl
-                remaining.append(rem)
-            out.append((blocks, PlanarTree(remaining, tree.color)))
+
+def _mkw_lifted(tree: PlanarTree) -> list[tuple[PlanarForest, PlanarForest, int]]:
+    """Delta'(t) = (id (x) B+) Delta(B-(t)), B+ with the colour of t, as
+    (left, right, multiplicity) triples."""
+    out = _MKW_LIFTED.get(tree)
+    if out is None:
+        out = _MKW_LIFTED[tree] = [
+            (t.left, PlanarForest((PlanarTree(t.right.word, tree.color),)), c.numerator)
+            for t, c in delta_mkw(PlanarForest(tree.children))
+        ]
     return out
-
-
-def _multi_shuffle(blocks: tuple[PlanarForest, ...]) -> FormalSum:
-    out = FormalSum.term(EMPTY_WORD)
-    for block in blocks:
-        out = out.map_basis(lambda w: shuffle(w, block))
-    return out
-
-
-_MKW_CACHE: dict[PlanarForest, FormalSum] = {}
 
 
 def delta_mkw(omega: PlanarForest | PlanarTree) -> FormalSum:
     """Planar-forest coproduct via left admissible cuts.
 
     The pruned parts land in the left slot, combined by shuffling one
-    block per cut; the right slot keeps the rooted remainder.
+    block per cut; the right slot keeps the rooted remainder. Built by
+    recursion over the last tree, Delta(omega t) = omega t (x) 1 +
+    Delta(omega) * Delta'(t) with Delta'(t) = (id (x) B+) Delta(B-(t)),
+    where * shuffles the left slots and concatenates the right ones
+    (Munthe-Kaas & Wright 2008). The multiplicities are integers, so the
+    recursion adds them as ints, reading the memoised sums' numerators.
     """
     omega = _as_word(omega)
-    if not omega.word:
-        return tensor_sum([(EMPTY_WORD, EMPTY_WORD, 1)])
-    if omega in _MKW_CACHE:
-        return _MKW_CACHE[omega]
-    trees = omega.word
-    terms = [(Tensor(omega, EMPTY_WORD), 1)]
-    for i in range(0, len(trees)):
-        head = (PlanarForest(trees[:i]),) if i else ()
-        per_child = [_tree_cut_structures(t) for t in trees[i:]]
-        for combo in itertools.product(*per_child):
-            blocks = head
-            remaining = []
-            for bl, rem in combo:
-                blocks += bl
-                remaining.append(rem)
-            if not blocks:
-                if i == 0:
-                    terms.append((Tensor(EMPTY_WORD, omega), 1))
-                continue
-            right = PlanarForest(remaining)
-            terms.extend((Tensor(w, right), c) for w, c in _multi_shuffle(blocks))
-    out = _MKW_CACHE[omega] = FormalSum(terms)
+    out = _MKW_CACHE.get(omega)
+    if out is None:
+        acc = {(omega, EMPTY_WORD): 1}
+        lifted = _mkw_lifted(omega.word[-1])
+        for t, c1 in delta_mkw(PlanarForest(omega.word[:-1])):
+            l1, r1, c1 = t.left, t.right, c1.numerator
+            for l2, r2, c2 in lifted:
+                right = r1 * r2
+                for left, m in _shuffle(l1, l2):
+                    key = (left, right)
+                    acc[key] = acc.get(key, 0) + c1 * c2 * m.numerator
+        out = _MKW_CACHE[omega] = tensor_sum((l, r, c) for (l, r), c in acc.items())
     return out
 
 
-_MKW_REC_CACHE: dict[PlanarForest, FormalSum] = {}
-
-
-def delta_mkw_recursive(omega: PlanarForest | PlanarTree) -> FormalSum:
-    """The same coproduct through its defining recursion (second route)."""
-    omega = _as_word(omega)
-    if not omega.word:
-        return tensor_sum([(EMPTY_WORD, EMPTY_WORD, 1)])
-    if omega in _MKW_REC_CACHE:
-        return _MKW_REC_CACHE[omega]
-    body, last = PlanarForest(omega.word[:-1]), omega.word[-1]
-    left_part = delta_mkw_recursive(body)
-    lifted = delta_mkw_recursive(bminus(last)).map_basis(
-        lambda t: Tensor(t.left, PlanarForest((bplus(t.right, last.color),)))
-    )
-    terms = [(Tensor(omega, EMPTY_WORD), 1)]
-    for t1, c1 in left_part:
-        for t2, c2 in lifted:
-            right = t1.right * t2.right
-            terms.extend((Tensor(w, right), c1 * c2 * c) for w, c in shuffle(t1.left, t2.left))
-    out = _MKW_REC_CACHE[omega] = FormalSum(terms)
-    return out
-
-
-_S_MKW_CACHE: dict[PlanarForest, FormalSum] = {}
+_S_MKW_CACHE: dict[PlanarForest, FormalSum] = {EMPTY_WORD: FormalSum.term(EMPTY_WORD)}
 
 
 def antipode_mkw(omega: PlanarForest | PlanarTree) -> FormalSum:
-    """Antipode for the planar coproduct (graded-connected recursion)."""
+    """Antipode for the planar coproduct (graded-connected recursion):
+    S(omega) = -omega - sum c S(l) sh r over the terms c l (x) r of
+    Delta(omega) with both sides nonempty, on integer coefficients."""
     omega = _as_word(omega)
-    if not omega.word:
-        return FormalSum.term(EMPTY_WORD)
-    if omega in _S_MKW_CACHE:
-        return _S_MKW_CACHE[omega]
-    terms = [(omega, -1)]
-    for t, c in delta_mkw(omega):
-        if t.left.word and t.right.word:
-            terms.extend((shuffle(w, t.right), -c * a) for w, a in antipode_mkw(t.left))
-    out = _S_MKW_CACHE[omega] = FormalSum(terms)
+    out = _S_MKW_CACHE.get(omega)
+    if out is None:
+        acc = {omega: -1}
+        for t, c in delta_mkw(omega):
+            if t.left.word and t.right.word:
+                for u, a in antipode_mkw(t.left):
+                    ca = c.numerator * a.numerator
+                    for w, m in _shuffle(u, t.right):
+                        acc[w] = acc.get(w, 0) - ca * m.numerator
+        out = _S_MKW_CACHE[omega] = FormalSum(acc)
     return out
 
 
@@ -314,13 +290,14 @@ class BellWord:
         return f"BellWord({self.serial!r})"
 
 
+def _raised(word: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
+    """The terms of the raising derivation D at a word, one per letter."""
+    return (word[:pos] + (word[pos] + 1,) + word[pos + 1 :] for pos in range(len(word)))
+
+
 def _bell_derive(x: FormalSum) -> FormalSum:
     """The derivation sending d_i to d_{i+1}, extended by Leibniz."""
-    return FormalSum(
-        (BellWord(w.word[:pos] + (w.word[pos] + 1,) + w.word[pos + 1 :]), c)
-        for w, c in x
-        for pos in range(len(w.word))
-    )
+    return FormalSum((BellWord(u), c) for w, c in x for u in _raised(w.word))
 
 
 _BELL_CACHE: list[FormalSum] = [FormalSum.term(BellWord())]
@@ -344,25 +321,6 @@ def bell_partial(n: int, k: int) -> FormalSum:
     return bell(n).filter(lambda w: len(w) == k)
 
 
-def _fdb_prepend(x: FormalSum) -> FormalSum:
-    return x.map_basis(lambda w: BellWord((1,) + w.word))
-
-
-def _fdb_prepend_tensor(x: FormalSum) -> FormalSum:
-    return x.map_basis(
-        lambda t: Tensor(BellWord((1,) + t.left.word), BellWord((1,) + t.right.word))
-    )
-
-
-def _fdb_derive_tensor(x: FormalSum) -> FormalSum:
-    terms = []
-    for t, c in x:
-        terms.extend((Tensor(u, t.right), c * a) for u, a in _bell_derive(FormalSum.term(t.left)))
-        lifted = BellWord((1,) + t.left.word)
-        terms.extend((Tensor(lifted, v), c * a) for v, a in _bell_derive(FormalSum.term(t.right)))
-    return FormalSum(terms)
-
-
 def _fdb_words(n: int) -> list[BellWord]:
     out: list[BellWord] = []
 
@@ -377,78 +335,56 @@ def _fdb_words(n: int) -> list[BellWord]:
     return out
 
 
-def _invert_rational(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    size = len(matrix)
-    aug = [
-        row[:] + [Fraction(1 if i == j else 0) for j in range(size)]
-        for i, row in enumerate(matrix)
-    ]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise BflowError("operator words failed to span a Bell grade")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        head = aug[col][col]
-        aug[col] = [entry / head for entry in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[size:] for row in aug]
-
-
-_FDB_CACHE: dict[BellWord, FormalSum] = {
-    BellWord(): FormalSum.term(Tensor(BellWord(), BellWord()))
-}
-
-
-def _fdb_fill_grade(n: int) -> None:
-    """Compute the coproduct of every grade-n word at once.
-
-    Each word is expanded over the images P(prepend, derive) d_1 with P
-    ranging over the 2^(n-1) operator words, and the same P is replayed
-    on d_1 (x) d_1 with the moves prepend -> prepend (x) prepend and
-    derive -> derive (x) id + prepend (x) derive.
-    """
-    words = _fdb_words(n)
-    index = {w: i for i, w in enumerate(words)}
-    size = len(words)
-    columns: list[list[Fraction]] = [[Fraction(0)] * size for _ in range(size)]
-    tensors: list[FormalSum] = []
-    for r, ops in enumerate(itertools.product((0, 1), repeat=n - 1)):
-        image = FormalSum.term(BellWord((1,)))
-        replay = FormalSum.term(Tensor(BellWord((1,)), BellWord((1,))))
-        for op in reversed(ops):
-            if op == 0:
-                image = _fdb_prepend(image)
-                replay = _fdb_prepend_tensor(replay)
-            else:
-                image = _bell_derive(image)
-                replay = _fdb_derive_tensor(replay)
-        for w, c in image:
-            columns[index[w]][r] = c
-        tensors.append(replay)
-    inverse = _invert_rational(columns)
-    for w, j in index.items():
-        _FDB_CACHE[w] = FormalSum((tensors[r], inverse[r][j]) for r in range(size))
+_FDB_CACHE: dict[tuple[int, ...], FormalSum] = {(): tensor_sum([(BellWord(), BellWord(), 1)])}
 
 
 def fdb_coproduct(x: BellWord | FormalSum) -> FormalSum:
     """Faa di Bruno coproduct on Bell words.
 
     The letter d_1 is group-like and the raising derivation d_i -> d_{i+1}
-    passes across the coproduct as derive (x) id + prepend (x) derive,
+    passes across the coproduct as D~ = derive (x) id + prepend (x) derive,
     while prepending d_1 passes as prepend (x) prepend.  Those two rules
     propagate Delta from d_1 (x) d_1 to every word, and on the letters
     they reproduce Delta(d_n) = sum_k B_{n,k} (x) d_k.  The result is
     coassociative; it is not the termwise product of the letter rows,
     from which it first differs at d_3.d_1.
+
+    Built by recursion on the first letter: Delta(d_1 u) = (prepend (x)
+    prepend) Delta(u), and for a > 1, from d_a u = D(d_{a-1} u) -
+    d_{a-1} D(u), Delta(d_a u) = D~ Delta(d_{a-1} u) - sum Delta(d_{a-1} v)
+    over the terms v of D(u). Every word on the right has a lower grade,
+    or the same grade and a smaller first letter.
     """
     if isinstance(x, FormalSum):
         return x.map_basis(fdb_coproduct)
-    if x not in _FDB_CACHE:
-        _fdb_fill_grade(x.grade)
-    return _FDB_CACHE[x]
+    return _fdb(x.word)
+
+
+def _fdb(word: tuple[int, ...]) -> FormalSum:
+    """The recursion of fdb_coproduct on letter tuples, memoised; the
+    coefficients are integers and are added as ints."""
+    out = _FDB_CACHE.get(word)
+    if out is None:
+        a, rest = word[0], word[1:]
+        acc: dict = {}
+        if a == 1:
+            for t, c in _fdb(rest):
+                acc[(1,) + t.left.word, (1,) + t.right.word] = c
+        else:
+            for t, c in _fdb((a - 1,) + rest):
+                l, r, c = t.left.word, t.right.word, c.numerator
+                for u in _raised(l):
+                    acc[u, r] = acc.get((u, r), 0) + c
+                for v in _raised(r):
+                    acc[(1,) + l, v] = acc.get(((1,) + l, v), 0) + c
+            for v in _raised(rest):
+                for t, c in _fdb((a - 1,) + v):
+                    key = t.left.word, t.right.word
+                    acc[key] = acc.get(key, 0) - c.numerator
+        out = _FDB_CACHE[word] = tensor_sum(
+            (BellWord(l), BellWord(r), c) for (l, r), c in acc.items() if c
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -715,18 +651,6 @@ def method_series(method: str, representation: str, N: int) -> LBCoeff:
 _ASTAR_CACHES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def _inner_cut_structures(word: PlanarForest):
-    """Cut structures of B+(word) with no cut at the added root."""
-    per_child = [_tree_cut_structures(t) for t in word.word]
-    for combo in itertools.product(*per_child):
-        blocks: tuple[PlanarForest, ...] = ()
-        remaining = []
-        for bl, rem in combo:
-            blocks += bl
-            remaining.append(rem)
-        yield blocks, PlanarForest(remaining)
-
-
 def lb_substitution_character(alpha, omega: PlanarForest | PlanarTree) -> FormalSum:
     """The dual substitution map: expand a word in terms of the words
     whose substituted series hit it.
@@ -745,6 +669,12 @@ def lb_substitution_character(alpha, omega: PlanarForest | PlanarTree) -> Formal
 
 
 def _astar(alpha, omega: PlanarForest, memo: dict) -> FormalSum:
+    """Over the splits omega = w1 w2 (w2 nonempty) and the terms
+    c pruned (x) rest of the product of Delta'(t) over the trees of w2:
+    c alpha(rest) times A(w1) concatenated with B+ of A(pruned). Unrolled,
+    Delta(t1..tk) = sum_i (t1..ti (x) 1) * Delta'(t_{i+1}) ... Delta'(t_k),
+    and each Delta' puts one tree on the right, so that product is the
+    part of Delta(w2) whose right word has as many trees as w2."""
     if not omega.word:
         return FormalSum.term(EMPTY_WORD)
     if omega in memo:
@@ -755,13 +685,13 @@ def _astar(alpha, omega: PlanarForest, memo: dict) -> FormalSum:
         w1 = PlanarForest(parts[:i])
         w2 = PlanarForest(parts[i:])
         left = _astar(alpha, w1, memo)
-        for blocks, rest in _inner_cut_structures(w2):
-            weight = alpha(rest)
-            if not weight:
+        for t, c in delta_mkw(w2):
+            pruned, rest = t.left, t.right
+            if len(rest.word) != len(w2.word):
                 continue
-            pruned = _multi_shuffle(blocks)
-            for p, c in pruned:
-                grafted = _astar(alpha, p, memo).map_basis(
+            weight = alpha(rest)
+            if weight:
+                grafted = _astar(alpha, pruned, memo).map_basis(
                     lambda u: PlanarForest((bplus(u),))
                 )
                 terms.append((concat(left, grafted), c * weight))

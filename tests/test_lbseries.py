@@ -1,15 +1,20 @@
 """Tests for the planar-forest Hopf algebra and flow representations.
 
-Frozen coproduct and antipode tables are checked against both the cut
-description and the defining recursion; the flow-representation maps are
-checked against each other through the stated roundtrips, against the
-non-planar exact character under the forgetful projection, and against
-hand-derived small values.  The substitution law is checked against an
-independent oracle built from grafting.
+Frozen coproduct and antipode tables are checked against the library,
+which builds them by recursion, and against the routes kept here as
+independent references: left admissible cuts for the planar coproduct,
+the graded recursion over formal sums for its antipode, and the
+operator-word replay with a rational inverse for the Faa di Bruno
+coproduct. The flow-representation maps are checked against each other
+through the stated roundtrips, against the non-planar exact character
+under the forgetful projection, and against hand-derived small values.
+The substitution law is checked against an independent oracle built from
+grafting.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,6 +27,8 @@ from bflow.errors import CapacityError, DomainError
 from bflow.forest_core import (
     EMPTY_WORD,
     PlanarForest,
+    PlanarTree,
+    _shuffle,
     enumerate_forests,
     forest_sigma,
     left_graft,
@@ -31,6 +38,10 @@ from bflow.forest_core import (
     shuffle,
 )
 from bflow.lbseries import (
+    _FDB_CACHE,
+    _MKW_CACHE,
+    _MKW_LIFTED,
+    _S_MKW_CACHE,
     BellWord,
     DOT_WORD,
     LBCoeff,
@@ -40,7 +51,6 @@ from bflow.lbseries import (
     convolve_mkw,
     deconcat,
     delta_mkw,
-    delta_mkw_recursive,
     dot_lb,
     dynkin_apply,
     dynkin_map,
@@ -129,6 +139,71 @@ MKW_TABLE = [
 ]
 
 
+def tree_cut_structures(tree: PlanarTree) -> list:
+    """Left admissible cut structures of a planar tree.
+
+    Each structure is (pruned blocks, remaining tree). A block is the
+    word of subtrees removed by one elementary cut (a prefix of some
+    vertex's children); blocks from distinct cuts are kept separate so
+    the caller can shuffle them. The no-cut structure ((), tree) is
+    included; cutting above the root is not.
+    """
+    kids = tree.children
+    out = []
+    for i in range(0, len(kids) + 1):
+        head = (PlanarForest(kids[:i]),) if i else ()
+        per_child = [tree_cut_structures(k) for k in kids[i:]]
+        for combo in itertools.product(*per_child):
+            blocks = head + tuple(b for bl, _ in combo for b in bl)
+            out.append((blocks, PlanarTree([rem for _, rem in combo], tree.color)))
+    return out
+
+
+def multi_shuffle(blocks) -> FormalSum:
+    out = FormalSum.term(EMPTY_WORD)
+    for block in blocks:
+        out = out.map_basis(lambda w: shuffle(w, block))
+    return out
+
+
+def delta_mkw_by_cuts(omega: PlanarForest) -> FormalSum:
+    """The planar coproduct from its definition: a prefix of whole trees
+    as one block, then a left admissible cut structure of every other
+    tree, the blocks shuffled into the left slot."""
+    trees = omega.word
+    if not trees:
+        return FormalSum.term(Tensor(EMPTY_WORD, EMPTY_WORD))
+    terms = [(Tensor(omega, EMPTY_WORD), 1)]
+    for i in range(0, len(trees)):
+        head = (PlanarForest(trees[:i]),) if i else ()
+        for combo in itertools.product(*(tree_cut_structures(t) for t in trees[i:])):
+            blocks = head + tuple(b for bl, _ in combo for b in bl)
+            right = PlanarForest([rem for _, rem in combo])
+            terms.extend((Tensor(w, right), c) for w, c in multi_shuffle(blocks))
+    return FormalSum(terms)
+
+
+def random_planar_tree(rng: random.Random, n: int) -> PlanarTree:
+    """A seeded planar tree of order n with vertex colours 0-2."""
+    kids = []
+    rest = n - 1
+    while rest:
+        k = rng.randint(1, rest)
+        kids.append(random_planar_tree(rng, k))
+        rest -= k
+    return PlanarTree(kids, rng.randint(0, 2))
+
+
+def random_coloured_words(seed: int, count: int) -> list[PlanarForest]:
+    rng = random.Random(seed)
+    return [
+        PlanarForest(
+            [random_planar_tree(rng, rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+        )
+        for _ in range(count)
+    ]
+
+
 @pytest.mark.parametrize("serial, expected", MKW_TABLE, ids=lambda x: x[:20])
 def test_delta_mkw_table(serial, expected):
     assert show(delta_mkw(pword(serial))) == expected
@@ -136,12 +211,20 @@ def test_delta_mkw_table(serial, expected):
 
 @pytest.mark.parametrize("serial, expected", MKW_TABLE, ids=lambda x: x[:20])
 def test_delta_mkw_recursive_table(serial, expected):
-    assert show(delta_mkw_recursive(pword(serial))) == expected
+    # The frozen table read through the cut enumeration, the second route.
+    assert show(delta_mkw_by_cuts(pword(serial))) == expected
 
 
 def test_delta_mkw_routes_agree_to_order_five():
     for w in words_up_to(5):
-        assert delta_mkw(w) == delta_mkw_recursive(w)
+        assert delta_mkw(w) == delta_mkw_by_cuts(w)
+
+
+def test_delta_mkw_matches_the_cut_enumeration():
+    # Every word of order <= 7, and coloured words up to order 12: the
+    # lifted coproduct must keep the colour of each root it re-attaches.
+    for w in words_up_to(7) + random_coloured_words(20261018, 60):
+        assert delta_mkw(w) == delta_mkw_by_cuts(w), w
 
 
 def test_delta_mkw_vertex_grading():
@@ -203,7 +286,7 @@ def word_pool(max_order: int) -> list[PlanarForest]:
 @given(st.sampled_from(word_pool(5)))
 @settings(max_examples=40)
 def test_delta_mkw_routes_agree_random(w):
-    assert delta_mkw(w) == delta_mkw_recursive(w)
+    assert delta_mkw(w) == delta_mkw_by_cuts(w)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +310,27 @@ ANTIPODE_TABLE = [
 def test_antipode_mkw_table(serial, expected):
     out = antipode_mkw(pword(serial))
     assert render_sum(out, sort_key=lambda w: (-w.order, w.serial)) == expected
+
+
+def antipode_by_recursion(omega: PlanarForest, memo: dict) -> FormalSum:
+    """S(omega) = -omega - sum c S(l) sh r over the terms of the cut
+    coproduct with both sides nonempty, in formal sums."""
+    if not omega.word:
+        return FormalSum.term(EMPTY_WORD)
+    if omega not in memo:
+        terms = [(omega, -1)]
+        for t, c in delta_mkw_by_cuts(omega):
+            if t.left.word and t.right.word:
+                left = antipode_by_recursion(t.left, memo)
+                terms.extend((shuffle(w, t.right), -c * a) for w, a in left)
+        memo[omega] = FormalSum(terms)
+    return memo[omega]
+
+
+def test_antipode_mkw_matches_the_formal_sum_recursion():
+    memo: dict = {}
+    for w in words_up_to(6):
+        assert antipode_mkw(w) == antipode_by_recursion(w, memo), w
 
 
 def random_lb_character(rng: random.Random, N: int) -> LBCoeff:
@@ -428,6 +532,83 @@ def bell_words(n: int) -> list[BellWord]:
     return out
 
 
+def bell_derive(x: FormalSum) -> FormalSum:
+    return FormalSum(
+        (BellWord(w.word[:pos] + (w.word[pos] + 1,) + w.word[pos + 1 :]), c)
+        for w, c in x
+        for pos in range(len(w.word))
+    )
+
+
+def prepend_tensor(x: FormalSum) -> FormalSum:
+    return x.map_basis(
+        lambda t: Tensor(BellWord((1,) + t.left.word), BellWord((1,) + t.right.word))
+    )
+
+
+def derive_tensor(x: FormalSum) -> FormalSum:
+    terms = []
+    for t, c in x:
+        terms.extend((Tensor(u, t.right), c * a) for u, a in bell_derive(FormalSum.term(t.left)))
+        lifted = BellWord((1,) + t.left.word)
+        terms.extend((Tensor(lifted, v), c * a) for v, a in bell_derive(FormalSum.term(t.right)))
+    return FormalSum(terms)
+
+
+def invert_rational(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
+    size = len(matrix)
+    aug = [
+        row[:] + [Fraction(1 if i == j else 0) for j in range(size)]
+        for i, row in enumerate(matrix)
+    ]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        head = aug[col][col]
+        aug[col] = [entry / head for entry in aug[col]]
+        for r in range(size):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [row[size:] for row in aug]
+
+
+def fdb_by_operator_words(n: int) -> dict[BellWord, FormalSum]:
+    """The coproduct of every grade-n word at once: each word is expanded
+    over the images P(prepend, derive) d_1 with P ranging over the 2^(n-1)
+    operator words, and the same P is replayed on d_1 (x) d_1 with the
+    moves prepend -> prepend (x) prepend and derive -> derive (x) id +
+    prepend (x) derive; a rational inverse reads off each word."""
+    words = bell_words(n)
+    index = {w: i for i, w in enumerate(words)}
+    columns = [[Fraction(0)] * len(words) for _ in words]
+    tensors: list[FormalSum] = []
+    for r, ops in enumerate(itertools.product((0, 1), repeat=n - 1)):
+        image = FormalSum.term(BellWord((1,)))
+        replay = FormalSum.term(Tensor(BellWord((1,)), BellWord((1,))))
+        for op in reversed(ops):
+            if op == 0:
+                image = image.map_basis(lambda w: BellWord((1,) + w.word))
+                replay = prepend_tensor(replay)
+            else:
+                image = bell_derive(image)
+                replay = derive_tensor(replay)
+        for w, c in image:
+            columns[index[w]][r] = c
+        tensors.append(replay)
+    inverse = invert_rational(columns)
+    return {
+        w: FormalSum((tensors[r], inverse[r][j]) for r in range(len(words)))
+        for w, j in index.items()
+    }
+
+
+def test_fdb_matches_the_operator_word_inverse():
+    for n in range(1, 9):
+        for w, expected in fdb_by_operator_words(n).items():
+            assert fdb_coproduct(w) == expected, w
+
+
 def test_fdb_lemma_to_grade_six():
     # Delta(B_{n,k}) recombines as sum over l of B_{n,l} (x) B_{l,k}.
     for n in range(1, 7):
@@ -507,6 +688,30 @@ def test_fdb_on_sums_is_linear():
     assert fdb_coproduct(x) == 3 * fdb_coproduct(BellWord((2,))) - fdb_coproduct(
         BellWord((1, 1))
     )
+
+
+def test_coproduct_kernels_stay_integer_and_exact():
+    # The recursions add coefficients as ints read with .numerator, off
+    # the shuffle multiplicities and the memoised sums; that is exact
+    # only while every one of them is an integer.
+    words = words_up_to(7)
+    for u in words:
+        for v in words:
+            if u.order + v.order <= 7:
+                assert all(c.denominator == 1 for _, c in _shuffle(u, v))
+    for w in words:
+        delta_mkw(w)
+    for w in words_up_to(6):
+        antipode_mkw(w)
+    for n in range(0, 9):
+        for w in bell_words(n):
+            fdb_coproduct(w)
+    memos = [_MKW_CACHE, _S_MKW_CACHE, _FDB_CACHE]
+    assert all(len(memo) > 150 for memo in memos)
+    for memo in memos:
+        for out in memo.values():
+            assert all(c.denominator == 1 for _, c in out)
+    assert all(type(c) is int for triples in _MKW_LIFTED.values() for _, _, c in triples)
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +815,36 @@ def test_character_tables_are_checked_at_construction():
     table[pword("[[]] [[[]]]")] += 1
     with pytest.raises(DomainError):
         LBCoeff.from_table(table, 5, kind="character")
+
+
+def test_validate_checks_the_claimed_kind():
+    # from_function takes its kind on trust; validate is the opt-in check.
+    values = {pword("[]"): 1, pword("[] []"): 5}
+    fn = lambda w: Fraction(1) if not w.word else Fraction(values.get(w, 0))
+    claimed = LBCoeff.from_function(fn, 2, kind="character")
+    assert eulerian_apply(claimed, 2)(pword("[] []")) == Fraction(9, 2)
+    with pytest.raises(DomainError, match="shuffle"):
+        claimed.validate()
+    # The check runs at the map's own truncation: at order 1 the same
+    # values are a character.
+    LBCoeff.from_function(fn, 1, kind="character").validate()
+    field = LBCoeff.from_function(lambda w: Fraction(values.get(w, 0)), 2, kind="infinitesimal")
+    with pytest.raises(DomainError, match="shuffle"):
+        field.validate()
+    with pytest.raises(DomainError, match="empty word"):
+        LBCoeff.from_function(lambda w: Fraction(1), 2, kind="infinitesimal").validate()
+    LBCoeff.from_function(lambda w: Fraction(values.get(w, 0)), 2).validate()
+    # The package's own maps are what they claim, at N = 6.
+    flow = q_apply(exact_flow_lb(6), 6)
+    log = eulerian_apply(flow, 6)
+    for alpha in (
+        flow,
+        log,
+        dynkin_apply(flow, 6),
+        gl_exp(log, 6),
+        method_series("lie_implicit_midpoint", "type3", 6),
+    ):
+        alpha.validate()
 
 
 def test_idempotent_and_dynkin_map_read_trees_as_words():
