@@ -19,9 +19,11 @@ so(3) kernels are closed-form scalar code: the Rodrigues exponential
 serves the rotation action and the 3x3 isospectral action, and the cross
 product is written out.
 
-sympy loads with the first polynomial field. scipy loads with the first
-exponential of an isospectral action with n != 3 or of an affine action;
-the other steppers need neither.
+Polynomial fields are exact sparse polynomials (``bflow.poly``, standard
+library only), imported with the first field; no part of the package
+imports sympy. scipy loads with the first exponential of an isospectral
+action with n != 3 or of an affine action; the other steppers need
+neither.
 """
 
 from __future__ import annotations
@@ -47,33 +49,34 @@ class PolyVectorField:
     """A vector field whose components are polynomials with rational
     coefficients.
 
-    Components are sympy expressions in the state symbols, so partial
-    derivatives and point evaluations stay exact. Extra symbols may be
-    declared as parameters; they pass through evaluation untouched, which
-    lets a modified field keep its step size symbolic. ``as_callable``
-    compiles a float version for the steppers (parameter-free fields
-    only).
+    Components are ``Poly``s over the state names followed by the declared
+    parameters, so partial derivatives and point evaluations stay exact.
+    A parameter (a symbolic step size, say) is one more named variable
+    that passes through evaluation untouched. Components may be given as
+    ``Poly``s or as text for ``parse``; anything else is read through its
+    ``str()``, so sympy expressions and symbols are accepted as input.
+    Each field memoises its derivatives and elementary differentials.
+    ``as_callable`` compiles a float version for the steppers
+    (parameter-free fields only).
     """
 
     def __init__(self, exprs, syms, params=()):
-        import sympy
+        from .poly import Poly, parse
 
-        self.syms = tuple(sympy.sympify(s) for s in syms)
-        self.params = tuple(sympy.sympify(p) for p in params)
-        self.exprs = tuple(sympy.expand(sympy.sympify(e)) for e in exprs)
+        self.syms = tuple(str(s) for s in syms)
+        self.params = tuple(str(p) for p in params)
+        names = self.syms + self.params
+        if len(set(names)) != len(names):
+            raise DomainError(f"state and parameter names must be distinct, got {names}")
+        self.exprs = tuple(
+            e.over(names) if isinstance(e, Poly) else parse(str(e), names) for e in exprs
+        )
         self.n = len(self.exprs)
         if len(self.syms) != self.n:
             raise DomainError(
                 f"field needs one state symbol per component, got {len(self.syms)} "
                 f"symbols for {self.n} components"
             )
-        allowed = set(self.syms) | set(self.params)
-        for e in self.exprs:
-            if not e.free_symbols <= allowed:
-                stray = e.free_symbols - allowed
-                raise DomainError(f"unexpected symbols in field component: {stray}")
-            if not e.is_polynomial(*self.syms):
-                raise DomainError(f"field component is not polynomial: {e}")
         self._diff_cache: dict = {}
         self._elem_cache: dict[RootedTree, tuple] = {}
         self._fn = None
@@ -81,24 +84,18 @@ class PolyVectorField:
     @classmethod
     def from_strings(cls, texts: Sequence[str], prefix: str = "y") -> "PolyVectorField":
         """Parse components like ``"y0**2 - y1"`` over symbols y0..y_{n-1}."""
-        import sympy
-
-        n = len(texts)
-        syms = sympy.symbols(f"{prefix}0:{n}")
-        local = {str(s): s for s in syms}
-        try:
-            exprs = [sympy.sympify(t, locals=local, rational=True) for t in texts]
-        except (sympy.SympifyError, SyntaxError, TypeError) as exc:
-            raise DomainError(f"cannot parse field component: {exc}") from None
-        return cls(exprs, syms)
+        return cls(texts, [f"{prefix}{k}" for k in range(len(texts))])
 
     def as_callable(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The field in floats, each component compiled once and evaluated
+        in the order sympy's lambdify prints it (``Poly.float_source``)."""
         if self.params:
             raise DomainError("cannot compile a field with free parameters")
         if self._fn is None:
-            import sympy
-
-            compiled = sympy.lambdify(self.syms, sympy.Matrix(self.exprs), "numpy")
+            args = [f"x{k}" for k in range(self.n)]
+            body = ", ".join(e.float_source(args) for e in self.exprs)
+            # The source holds only float literals and the names in args.
+            compiled = eval(f"lambda {', '.join(args)}: ({body},)", {})
 
             def fn(y, _c=compiled, _n=self.n):
                 arr = np.asarray(y, dtype=float).reshape(_n)
@@ -107,59 +104,55 @@ class PolyVectorField:
             self._fn = fn
         return self._fn
 
-    def _derivative(self, i: int, indices: tuple[int, ...]):
+    def _derivative(self, i: int, indices: tuple[int, ...]) -> Poly:
         # f^i_{j1..jk}; symmetric in the lower indices, so sort the key.
         key = (i, tuple(sorted(indices)))
         if key not in self._diff_cache:
-            import sympy
-
             expr = self.exprs[i]
             for j in key[1]:
-                expr = sympy.diff(expr, self.syms[j])
-            self._diff_cache[key] = sympy.expand(expr)
+                expr = expr.diff(self.syms[j])
+            self._diff_cache[key] = expr
         return self._diff_cache[key]
 
     def elementary_symbolic(self, tree: RootedTree) -> tuple:
-        """The elementary differential of ``tree`` as symbolic components.
+        """The elementary differential of ``tree`` as polynomial components.
 
         F(.) = f, and on B+(t1..tm) the m-th derivative tensor of f is
         contracted against the children's differentials.
         """
         if tree in self._elem_cache:
             return self._elem_cache[tree]
-        import sympy
+        from .poly import Poly
 
         children = [self.elementary_symbolic(c) for c in tree.children]
         m = len(children)
         out = []
         for i in range(self.n):
-            total = sympy.Integer(0)
+            total = Poly.const(0, self.exprs[i].names)
             for jtuple in itertools.product(range(self.n), repeat=m):
-                d = self._derivative(i, jtuple)
-                if d == 0:
+                term = self._derivative(i, jtuple)
+                if not term:
                     continue
-                term = d
                 for j, child in zip(jtuple, children):
                     term = term * child[j]
                 total = total + term
-            out.append(sympy.expand(total))
+            out.append(total)
         result = tuple(out)
         self._elem_cache[tree] = result
         return result
 
 
 def _exact(value):
-    """Rational sympy scalar -> Fraction; anything symbolic passes through."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
+    """A number as a Fraction. A Poly, or anything else read through its
+    ``str()`` (a sympy symbol, say), becomes a Poly unless it is constant."""
+    if isinstance(value, (int, float, Fraction)):
         return Fraction(value)
-    if value.free_symbols:
-        return value
-    import sympy
+    from .poly import Poly, parse
 
-    r = sympy.Rational(value)
-    return Fraction(int(r.p), int(r.q))
+    if not isinstance(value, Poly):
+        value = parse(str(value))
+    c = value.constant()
+    return value if c is None else c
 
 
 def _differentials_at(field: PolyVectorField, y: list[Fraction]) -> Callable:
@@ -170,12 +163,7 @@ def _differentials_at(field: PolyVectorField, y: list[Fraction]) -> Callable:
     each tree is contracted once from its children's values, both in
     memos that live as long as the returned function.
     """
-    import sympy
-
-    monomials = [
-        {exps: Fraction(int(c.p), int(c.q)) for exps, c in sympy.Poly(e, *field.syms).terms() if c}
-        for e in field.exprs
-    ]
+    monomials = [e.terms for e in field.exprs]
     n = field.n
     entries: dict[tuple, Fraction] = {}
     values: dict[RootedTree, tuple] = {}
@@ -219,19 +207,15 @@ def _differentials(field: PolyVectorField, y, h=0) -> Callable:
     """tree -> F(tree)(y). Rational y and h on a parameter-free field take
     the derivative tensors at y; otherwise the symbolic differentials are
     expanded and y substituted, so the values may stay symbolic."""
-    import sympy
-
     if len(y) != field.n:
         raise DomainError(
             f"state has dimension {len(y)}, field expects {field.n}"
         )
-    if not field.params and not any(isinstance(v, sympy.Expr) for v in (h, *y)):
-        return _differentials_at(field, [Fraction(v) for v in y])
-    subs = {
-        s: v if isinstance(v, sympy.Expr) else sympy.Rational(Fraction(v))
-        for s, v in zip(field.syms, y)
-    }
-    return lambda tree: [_exact(e.subs(subs)) for e in field.elementary_symbolic(tree)]
+    y = [_exact(v) for v in y]
+    if not field.params and all(isinstance(v, Fraction) for v in (_exact(h), *y)):
+        return _differentials_at(field, y)
+    point = dict(zip(field.syms, y))
+    return lambda tree: [_exact(e.subs(point)) for e in field.elementary_symbolic(tree)]
 
 
 def elementary_differential(tree: RootedTree, field: PolyVectorField, y) -> list:
@@ -242,19 +226,18 @@ def elementary_differential(tree: RootedTree, field: PolyVectorField, y) -> list
 def eval_bseries(alpha: BCoeff, field: PolyVectorField, y, h, N: int) -> list:
     """Evaluate the truncated series: alpha(1) y plus, for every tree of
     order at most N, h^|t| alpha(t)/sigma(t) times the elementary
-    differential at y. Exact in rational arithmetic; a symbolic h (or a
-    parametric field) produces symbolic components instead."""
-    import sympy
-
+    differential at y. Exact in rational arithmetic; a symbolic h (a name
+    such as ``"h"``, or a sympy symbol) or a parametric field produces
+    ``Poly`` components instead."""
     if alpha.N < N:
         raise DomainError(
             f"series evaluation to order {N} needs coefficients at that order "
             f"(map truncated at {alpha.N})"
         )
     differential = _differentials(field, y, h)
-    hval = h if isinstance(h, sympy.Expr) else Fraction(h)
+    hval = _exact(h)
     unit = alpha.unit_value()
-    acc = [unit * (v if isinstance(v, sympy.Expr) else Fraction(v)) for v in y]
+    acc = [unit * _exact(v) for v in y]
     for n in range(1, N + 1):
         hn = hval**n
         for tree in enumerate_trees(n):
@@ -271,27 +254,28 @@ def modified_field(beta: BCoeff, field: PolyVectorField, h, N: int) -> PolyVecto
     """The vector field represented by an infinitesimal series: the sum
     over trees of h^{|t|-1} beta(t)/sigma(t) F(t), as a new polynomial
     field in the same state symbols. Pass h as an exact rational to get a
-    concrete field, or as a sympy symbol to keep it parametric."""
-    import sympy
-
+    concrete field, or symbolic (a name such as ``"h"``, or a sympy
+    symbol) to keep it as a parameter; the new field's parameters are the
+    old ones followed by those of h."""
     if beta.unit_value() != 0:
         raise DomainError("a vector field series must vanish on the empty forest")
     if beta.N < N:
         raise DomainError(
             f"field construction to order {N} needs coefficients at that order"
         )
-    hval = h if isinstance(h, sympy.Expr) else sympy.Rational(Fraction(h))
-    exprs = [sympy.Integer(0)] * field.n
+    hval = _exact(h)
+    exprs = [0] * field.n
     for n in range(1, N + 1):
         for tree in enumerate_trees(n):
             c = beta(Forest((tree,)))
             if not c:
                 continue
-            weight = hval ** (n - 1) * sympy.Rational(c) / tree_stats(tree)[1]
+            weight = hval ** (n - 1) * c / tree_stats(tree)[1]
             vec = field.elementary_symbolic(tree)
             exprs = [e + weight * v for e, v in zip(exprs, vec)]
-    params = set(field.params) | (hval.free_symbols if hval.free_symbols else set())
-    return PolyVectorField([sympy.expand(e) for e in exprs], field.syms, tuple(params))
+    free = () if isinstance(hval, Fraction) else hval.free
+    params = field.params + tuple(p for p in free if p not in field.syms + field.params)
+    return PolyVectorField(exprs, field.syms, params)
 
 
 # ---------------------------------------------------------------------------

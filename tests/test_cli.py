@@ -343,13 +343,32 @@ _HEAVY = ("numpy", "scipy", "sympy")
         (
             "from bflow.integrators import integrate, toda_problem\n"
             "integrate('lie_rk4', toda_problem(), 0.01, 10)",
+            ("scipy", "sympy", "bflow.poly"),
+        ),
+        (
+            "from bflow.integrators import PolyVectorField\n"
+            "PolyVectorField.from_strings(['y0**2', 'y0*y1 - 1/3']).as_callable()([0.5, 2.0])",
+            ("scipy", "sympy"),
+        ),
+        (
+            "from bflow.bseries_hopf import builtin_tableau, rk_character, solve_modified\n"
+            "from bflow.integrators import PolyVectorField, modified_field\n"
+            "beta = solve_modified(rk_character(builtin_tableau('euler'), 3), 'backward_error', 3)\n"
+            "modified_field(beta, PolyVectorField.from_strings(['y0**2']), 'h', 3)",
+            ("scipy", "sympy"),
+        ),
+        (
+            "from bflow.cli import main\n"
+            "main(['integrate', '--method', 'lie_rk4', '--action', 'translation',\n"
+            "      '--f', 'y0**2,y1', '--h', '0.1', '--steps', '3'])",
             ("scipy", "sympy"),
         ),
     ],
 )
 def test_start_up_leaves_heavy_modules_unloaded(code, absent):
-    """The exact commands run without numpy, sympy or scipy, and the float
-    layer loads sympy only for a polynomial field and scipy only for an
+    """The exact commands run without numpy, sympy or scipy. The float
+    layer never loads sympy, polynomial fields included; it loads
+    ``bflow.poly`` only for a polynomial field and scipy only for an
     exponential the closed forms do not cover."""
     probe = f"{code}\nimport sys\nprint(sorted(set({absent!r}) & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bflow.__file__)))
@@ -357,6 +376,59 @@ def test_start_up_leaves_heavy_modules_unloaded(code, absent):
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+_SYMPY_BLOCKED = """
+import sys
+sys.modules["sympy"] = None  # any import of sympy now raises ImportError
+from fractions import Fraction
+from bflow.bseries_hopf import builtin_tableau, exact_gamma, rk_character, solve_modified
+from bflow.cli import main
+from bflow.integrators import PolyVectorField, eval_bseries, modified_field
+
+F = PolyVectorField.from_strings(["y0**2", "y0*y1 - 1/3"])
+print(eval_bseries(exact_gamma(5), F, [Fraction(1, 2), Fraction(2)], Fraction(1, 10), 5))
+beta = solve_modified(rk_character(builtin_tableau("euler"), 4), "backward_error", 4)
+print(modified_field(beta, F, Fraction(1, 10), 4).exprs)
+Fh = modified_field(beta, F, "h", 4)
+print((Fh.params, Fh.exprs))
+print(eval_bseries(exact_gamma(4), Fh, [Fraction(1, 2), Fraction(2)], "h", 4))
+sys.exit(main(["integrate", "--method", "lie_rk4", "--action", "translation",
+               "--f", "y0**2,y1", "--h", "0.01", "--steps", "20"]))
+"""
+
+
+def test_field_layer_runs_with_sympy_blocked(capsys):
+    """With every import of sympy refused, polynomial fields, series
+    evaluation, modified fields (rational and symbolic h) and
+    ``integrate --f`` give what they give in this process."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bflow.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", _SYMPY_BLOCKED], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+
+    from fractions import Fraction
+
+    from bflow.bseries_hopf import exact_gamma, solve_modified
+    from bflow.integrators import PolyVectorField, eval_bseries, modified_field
+
+    F = PolyVectorField.from_strings(["y0**2", "y0*y1 - 1/3"])
+    y = [Fraction(1, 2), Fraction(2)]
+    beta = solve_modified(rk_character(builtin_tableau("euler"), 4), "backward_error", 4)
+    Fh = modified_field(beta, F, "h", 4)
+    assert Fh.params == ("h",)
+    assert lines[0] == str(eval_bseries(exact_gamma(5), F, y, Fraction(1, 10), 5))
+    assert lines[1] == str(modified_field(beta, F, Fraction(1, 10), 4).exprs)
+    assert lines[2] == str((Fh.params, Fh.exprs))
+    assert lines[3] == str(eval_bseries(exact_gamma(4), Fh, y, "h", 4))
+    code, out, _ = run(
+        capsys, "integrate", "--method", "lie_rk4", "--action", "translation",
+        "--f", "y0**2,y1", "--h", "0.01", "--steps", "20",
+    )
+    assert code == 0
+    assert "\n".join(lines[4:]) + "\n" == out
 
 
 class TestExitCodes:

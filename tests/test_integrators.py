@@ -10,7 +10,10 @@ measured convergence slopes.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -144,16 +147,16 @@ class TestPolyVectorField:
 
 
 def _partial(F: PolyVectorField, i: int, *idx: int):
-    e = F.exprs[i]
+    e = sympy.sympify(F.exprs[i])
     for j in idx:
-        e = sympy.diff(e, F.syms[j])
+        e = sympy.diff(e, sympy.Symbol(F.syms[j]))
     return e
 
 
 def _index_formula(F: PolyVectorField, tree) -> list:
     n = F.n
     rng = range(n)
-    f = lambda i: F.exprs[i]
+    f = lambda i: sympy.sympify(F.exprs[i])
     if tree == DOT:
         return [f(i) for i in rng]
     if tree == L2:
@@ -198,7 +201,7 @@ class TestElementaryDifferential:
         got = F.elementary_symbolic(tree)
         want = _index_formula(F, tree)
         for g, w in zip(got, want):
-            assert sympy.expand(g - w) == 0
+            assert sympy.expand(sympy.sympify(g) - w) == 0
 
     def test_single_vertex_is_the_field(self):
         F = cubic_2d()
@@ -234,10 +237,16 @@ class TestElementaryDifferential:
         at most 5."""
         F = field()
         for y in points:
-            subs = {s: sympy.Rational(v.numerator, v.denominator) for s, v in zip(F.syms, y)}
+            subs = {
+                sympy.Symbol(s): sympy.Rational(v.numerator, v.denominator)
+                for s, v in zip(F.syms, y)
+            }
             for n in range(1, 6):
                 for tree in enumerate_trees(n):
-                    want = [_fraction(e.subs(subs)) for e in F.elementary_symbolic(tree)]
+                    want = [
+                        _fraction(sympy.sympify(e).subs(subs))
+                        for e in F.elementary_symbolic(tree)
+                    ]
                     assert elementary_differential(tree, F, y) == want, tree
 
 
@@ -286,7 +295,9 @@ class TestEvalBseries:
 
         monkeypatch.setattr(F, "elementary_symbolic", expand)
         point = eval_bseries(exact_gamma(5), F, y, Fraction(1, 10), 5)
-        assert point == [_fraction(v.subs(h, sympy.Rational(1, 10))) for v in symbolic]
+        assert point == [
+            _fraction(sympy.sympify(v).subs(h, sympy.Rational(1, 10))) for v in symbolic
+        ]
 
 
 class TestModifiedField:
@@ -310,6 +321,29 @@ class TestModifiedField:
             diff = sympy.expand(sympy.sympify(a) - sympy.sympify(b))
             for k in range(N + 1):
                 assert diff.coeff(h, k) == 0
+
+    def test_parameters_keep_declaration_order(self):
+        """The field's own parameters come first, in the order declared,
+        then those of h; the same under any hash seed."""
+        probe = (
+            "from bflow.bseries_hopf import builtin_tableau, rk_character, solve_modified\n"
+            "from bflow.integrators import PolyVectorField, modified_field\n"
+            "beta = solve_modified(rk_character(builtin_tableau('euler'), 3), 'backward_error', 3)\n"
+            "F = PolyVectorField(['b*y0**2 + a*y1', 'a*y0'], ['y0', 'y1'], params=['b', 'a'])\n"
+            "G = modified_field(beta, F, 'h', 3)\n"
+            "print(G.params)\n"
+            "print(G.exprs)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(integrators.__file__)))
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                env=dict(env, PYTHONHASHSEED=seed),
+            ).stdout
+            for seed in ("0", "1", "2")
+        ]
+        assert outputs[0].splitlines()[0] == "('b', 'a', 'h')"
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_backward_error_defect_shrinks_like_h5(self):
         beta = solve_modified(rk_character(EULER, 4), "backward_error", 4)
