@@ -187,6 +187,10 @@ class Tensor:
         rs = getattr(self.right, "serial", None) or str(self.right)
         return f"{ls} (x) {rs}"
 
+    def __mul__(self, other: "Tensor") -> "Tensor":
+        """The product of the tensor square of an algebra, slot by slot."""
+        return Tensor(self.left * other.left, self.right * other.right)
+
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Tensor):
             return self.left == other.left and self.right == other.right

@@ -1,10 +1,12 @@
 """Composition and substitution structure for Butcher series.
 
-Coefficient maps live on non-planar rooted forests. The composition
-coproduct prunes branches off a tree (admissible cuts); the substitution
-coproduct sums over spanning subforests, contracting each part to a
-vertex. Convolution against the first gives method composition and the
-convolution inverse (antipode); convolution against the second gives
+Coefficient maps (``BCoeff``, on the ``hopf.Coeff`` base) live on
+non-planar rooted forests. The composition coproduct prunes branches off
+a tree (admissible cuts); the substitution coproduct sums over spanning
+subforests, contracting each part to a vertex. Convolution against the
+first (``convolve_bck``, the shared ``hopf.convolve``) gives method
+composition and the convolution inverse (antipode), and its logarithm
+``log_bck`` the modified field; convolution against the second gives
 backward error analysis and modifying integrators. Everything is exact
 rational arithmetic.
 
@@ -25,17 +27,18 @@ conditions are equalities against the exact-flow coefficients 1/tree!.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from fractions import Fraction
-from typing import Iterable, Union
 
-from .algebra import FormalSum, tensor_sum
-from .errors import CapacityError, DomainError, ParseError
+from .algebra import FormalSum, bilinear, tensor_sum
+from .errors import DomainError, ParseError
 from .forest_core import (
     EMPTY_FOREST,
     Forest,
     RootedTree,
+    _SERIAL,
     bminus,
     bplus,
     butcher_product,
@@ -43,152 +46,10 @@ from .forest_core import (
     single,
     tree_stats,
 )
-
-Scalar = Union[int, Fraction]
+from .hopf import Coeff, convolution_exp, convolution_log, convolve
 
 DOT = single()
 DOT_FOREST = Forest((DOT,))
-_SERIAL = operator.attrgetter("serial")
-
-
-# ---------------------------------------------------------------------------
-# Coefficient maps
-# ---------------------------------------------------------------------------
-
-
-class BCoeff:
-    """A truncated rational coefficient map on non-planar forests.
-
-    Three kinds are supported. A ``character`` is multiplicative: its
-    value on a forest is the product of its tree values and its value on
-    the empty forest is 1. An ``infinitesimal`` map vanishes on the empty
-    forest and on any product of two or more trees. A ``plain`` map
-    stores forest values literally.
-
-    Values are defined up to the truncation order ``N``; evaluation on
-    anything of higher order raises CapacityError.
-    """
-
-    __slots__ = ("kind", "N", "_tree_fn", "_forest_fn", "_cache")
-
-    def __init__(self, kind: str, N: int, tree_fn=None, forest_fn=None):
-        if kind not in ("character", "infinitesimal", "plain"):
-            raise DomainError(f"unknown coefficient kind {kind!r}")
-        self.kind = kind
-        self.N = N
-        self._tree_fn = tree_fn
-        self._forest_fn = forest_fn
-        self._cache: dict = {}
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def character(cls, tree_values, N: int) -> "BCoeff":
-        """Multiplicative map from tree values (mapping or callable)."""
-        return cls("character", N, tree_fn=_as_tree_fn(tree_values))
-
-    @classmethod
-    def infinitesimal(cls, tree_values, N: int) -> "BCoeff":
-        """Map vanishing on the unit and on proper products."""
-        return cls("infinitesimal", N, tree_fn=_as_tree_fn(tree_values))
-
-    @classmethod
-    def plain(cls, forest_values, N: int) -> "BCoeff":
-        """Literal forest values (mapping or callable), missing means 0."""
-        if callable(forest_values):
-            fn = forest_values
-        else:
-            table = {_as_forest(k): Fraction(v) for k, v in forest_values.items()}
-            fn = lambda f: table.get(f, Fraction(0))
-        return cls("plain", N, forest_fn=fn)
-
-    # -- evaluation ---------------------------------------------------
-
-    def tree_value(self, tree: RootedTree) -> Fraction:
-        if tree.order > self.N:
-            raise CapacityError(
-                f"coefficient map truncated at order {self.N}, asked for order {tree.order}"
-            )
-        if tree in self._cache:
-            return self._cache[tree]
-        if self._tree_fn is not None:
-            value = Fraction(self._tree_fn(tree))
-        else:
-            value = Fraction(self._forest_fn(Forest((tree,))))
-        self._cache[tree] = value
-        return value
-
-    def unit_value(self) -> Fraction:
-        if self.kind == "character":
-            return Fraction(1)
-        if self.kind == "infinitesimal":
-            return Fraction(0)
-        return Fraction(self._forest_fn(EMPTY_FOREST))
-
-    def __call__(self, x) -> Fraction:
-        if isinstance(x, FormalSum):
-            return sum((coeff * self(basis) for basis, coeff in x), Fraction(0))
-        if isinstance(x, RootedTree):
-            return self.tree_value(x)
-        if not isinstance(x, Forest):
-            raise DomainError(f"cannot evaluate coefficients on {type(x).__name__}")
-        if x.order > self.N:
-            raise CapacityError(
-                f"coefficient map truncated at order {self.N}, asked for order {x.order}"
-            )
-        if not x.trees:
-            return self.unit_value()
-        if self.kind == "character":
-            out = Fraction(1)
-            for t in x.trees:
-                out *= self.tree_value(t)
-            return out
-        if self.kind == "infinitesimal":
-            if len(x.trees) == 1:
-                return self.tree_value(x.trees[0])
-            return Fraction(0)
-        return Fraction(self._forest_fn(x))
-
-    def table(self, N: int | None = None) -> dict[Forest, Fraction]:
-        """All forest values up to order N, sorted by (order, serial)."""
-        from .forest_core import enumerate_forests
-
-        N = self.N if N is None else N
-        out: dict[Forest, Fraction] = {}
-        for n in range(0, N + 1):
-            for forest in enumerate_forests(n):
-                out[forest] = self(forest)
-        return out
-
-
-def _as_tree_fn(tree_values):
-    if callable(tree_values):
-        return tree_values
-    table = {k: Fraction(v) for k, v in tree_values.items()}
-    return lambda t: table.get(t, Fraction(0))
-
-
-def _as_forest(x) -> Forest:
-    if isinstance(x, Forest):
-        return x
-    if isinstance(x, RootedTree):
-        return Forest((x,))
-    raise DomainError(f"expected a forest, got {type(x).__name__}")
-
-
-def eta(N: int) -> BCoeff:
-    """The convolution unit: 1 on the empty forest, 0 elsewhere."""
-    return BCoeff.character({}, N)
-
-
-def exact_gamma(N: int) -> BCoeff:
-    """Exact-flow coefficients, 1/tree! on every tree."""
-    return BCoeff.character(lambda t: Fraction(1, tree_stats(t)[2]), N)
-
-
-def dot_field(N: int) -> BCoeff:
-    """The identity for substitution: 1 on the single vertex, 0 elsewhere."""
-    return BCoeff.infinitesimal({DOT: Fraction(1)}, N)
 
 
 # ---------------------------------------------------------------------------
@@ -232,20 +93,18 @@ def _delta_bck_tree(tree: RootedTree) -> FormalSum:
     return out
 
 
-def _tensor_pairs(x: FormalSum) -> Iterable[tuple[Forest, Forest, Fraction]]:
-    for t, coeff in x:
-        yield t.left, t.right, coeff
-
-
-def _tensor_mul(x: FormalSum, y: FormalSum) -> FormalSum:
-    out = []
-    for l1, r1, c1 in _tensor_pairs(x):
-        for l2, r2, c2 in _tensor_pairs(y):
-            out.append((l1 * l2, r1 * r2, c1 * c2))
-    return tensor_sum(out)
-
-
+_product = bilinear(operator.mul)
 _UNIT_TENSOR = tensor_sum([(EMPTY_FOREST, EMPTY_FOREST, 1)])
+_UNIT_FOREST = FormalSum.term(EMPTY_FOREST)
+
+
+def _multiplicative(per_tree, omega: Forest | RootedTree, unit: FormalSum) -> FormalSum:
+    """The product over the trees of a forest of their memoised images
+    per_tree(t), multiplied basis element by basis element (forests, or
+    tensors slot by slot); a single tree gets its memo entry itself and
+    the empty forest the unit."""
+    trees = Forest._of(omega).trees
+    return functools.reduce(_product, map(per_tree, trees)) if trees else unit
 
 
 def delta_bck(omega: Forest | RootedTree) -> FormalSum:
@@ -254,17 +113,7 @@ def delta_bck(omega: Forest | RootedTree) -> FormalSum:
     Returns a formal sum of Forest (x) Forest tensors; the pruned part
     sits in the left slot. Multiplicative on forests.
     """
-    return _tensor_product(_delta_bck_tree, _as_forest(omega))
-
-
-def _tensor_product(delta_tree, omega: Forest) -> FormalSum:
-    """The product over the trees of a forest of their memoised
-    coproducts; a single tree gets its memo entry itself."""
-    out = None
-    for tree in omega.trees:
-        part = delta_tree(tree)
-        out = part if out is None else _tensor_mul(out, part)
-    return _UNIT_TENSOR if out is None else out
+    return _multiplicative(_delta_bck_tree, omega, _UNIT_TENSOR)
 
 
 _DELTA_REC_CACHE: dict[RootedTree, FormalSum] = {}
@@ -272,11 +121,7 @@ _DELTA_REC_CACHE: dict[RootedTree, FormalSum] = {}
 
 def delta_bck_recursive(omega: Forest | RootedTree) -> FormalSum:
     """Pruning coproduct through the B+ recursion (independent route)."""
-    omega = _as_forest(omega)
-    out = _UNIT_TENSOR
-    for tree in omega.trees:
-        out = _tensor_mul(out, _delta_rec_tree(tree))
-    return out
+    return _multiplicative(_delta_rec_tree, omega, _UNIT_TENSOR)
 
 
 def _delta_rec_tree(tree: RootedTree) -> FormalSum:
@@ -284,8 +129,8 @@ def _delta_rec_tree(tree: RootedTree) -> FormalSum:
         return _DELTA_REC_CACHE[tree]
     inner = delta_bck_recursive(bminus(tree))
     terms = [(Forest((tree,)), EMPTY_FOREST, 1)]
-    for left, right, coeff in _tensor_pairs(inner):
-        terms.append((left, Forest((bplus(right, tree.color),)), coeff))
+    for t, coeff in inner:
+        terms.append((t.left, Forest((bplus(t.right, tree.color),)), coeff))
     out = tensor_sum(terms)
     _DELTA_REC_CACHE[tree] = out
     return out
@@ -304,55 +149,119 @@ def antipode_bck(omega: Forest | RootedTree) -> FormalSum:
     sum over edge subsets of the Connes-Kreimer antipode (Calaque,
     Ebrahimi-Fard & Manchon, Adv. Appl. Math. 2011).
     """
-    out = None
-    for tree in _as_forest(omega).trees:
-        part = _antipode_tree(tree)
-        out = part if out is None else _forest_mul(out, part)
-    return FormalSum.term(EMPTY_FOREST) if out is None else out
-
-
-def _forest_mul(x: FormalSum, y: FormalSum) -> FormalSum:
-    return FormalSum((f1 * f2, c1 * c2) for f1, c1 in x for f2, c2 in y)
+    return _multiplicative(_antipode_tree, omega, _UNIT_FOREST)
 
 
 def _antipode_tree(tree: RootedTree) -> FormalSum:
     if tree in _ANTIPODE_CACHE:
         return _ANTIPODE_CACHE[tree]
     out = _ANTIPODE_CACHE[tree] = FormalSum(
-        (left, -c if right.order % 2 else c)
-        for left, right, c in _tensor_pairs(_delta_cefm_tree(tree))
+        (t.left, -c if t.right.order % 2 else c) for t, c in _delta_cefm_tree(tree)
     )
     return out
 
 
-def convolve_bck(alpha: BCoeff, beta: BCoeff, N: int) -> BCoeff:
-    """Convolution against the pruning coproduct.
+# ---------------------------------------------------------------------------
+# Coefficient maps
+# ---------------------------------------------------------------------------
 
-    For method characters this is composition: the first slot is the map
-    applied first. Both inputs must be truncated at order N or beyond.
+
+class BCoeff(Coeff):
+    """A truncated rational coefficient map on non-planar forests.
+
+    Three kinds are supported. A ``character`` is multiplicative: its
+    value on a forest is the product of its tree values and its value on
+    the empty forest is 1. An ``infinitesimal`` map vanishes on the empty
+    forest and on any product of two or more trees. Both are built from
+    tree values, so each is the kind it claims by construction. A
+    ``plain`` map stores forest values literally.
+
+    Values are defined up to the truncation order ``N``; evaluation on
+    anything of higher order raises CapacityError.
     """
-    if alpha.N < N or beta.N < N:
-        raise DomainError(
-            f"convolution to order {N} needs both maps at that order "
-            f"(got {alpha.N} and {beta.N})"
-        )
 
-    def on_tree(tree: RootedTree) -> Fraction:
-        return sum(
-            (c * alpha(l) * beta(r) for l, r, c in _tensor_pairs(_delta_bck_tree(tree))),
-            Fraction(0),
-        )
+    __slots__ = ()
+    basis = Forest
+    coproduct = staticmethod(delta_bck)
 
-    if alpha.kind == "character" and beta.kind == "character":
-        return BCoeff.character(on_tree, N)
+    # -- constructors -------------------------------------------------
 
-    def on_forest(forest: Forest) -> Fraction:
-        return sum(
-            (c * alpha(l) * beta(r) for l, r, c in _tensor_pairs(delta_bck(forest))),
-            Fraction(0),
-        )
+    @classmethod
+    def character(cls, tree_values, N: int) -> "BCoeff":
+        """Multiplicative map from tree values (mapping or callable)."""
+        return cls("character", N, _as_fn(tree_values))
 
-    return BCoeff.plain(on_forest, N)
+    @classmethod
+    def infinitesimal(cls, tree_values, N: int) -> "BCoeff":
+        """Map vanishing on the unit and on proper products."""
+        return cls("infinitesimal", N, _as_fn(tree_values))
+
+    @classmethod
+    def plain(cls, forest_values, N: int) -> "BCoeff":
+        """Literal forest values (mapping or callable), missing means 0."""
+        return cls("plain", N, _as_fn(forest_values, Forest._of))
+
+    # -- evaluation ---------------------------------------------------
+
+    def tree_value(self, tree: RootedTree) -> Fraction:
+        if self.kind == "plain":
+            return self._cached(Forest((tree,)))
+        value = self._cache.get(tree)
+        return self._cached(tree) if value is None else value
+
+    def unit_value(self) -> Fraction:
+        if self.kind == "plain":
+            return self._cached(EMPTY_FOREST)
+        return Fraction(1 if self.kind == "character" else 0)
+
+    def _value(self, x) -> Fraction:
+        if isinstance(x, RootedTree):
+            return self.tree_value(x)
+        if not isinstance(x, Forest):
+            raise DomainError(f"cannot evaluate coefficients on {type(x).__name__}")
+        if self.kind == "plain":
+            return self._cached(x)
+        if x.order > self.N:
+            raise self._beyond(x)
+        if not x.trees:
+            return self.unit_value()
+        if self.kind == "character":
+            out = Fraction(1)
+            for t in x.trees:
+                out *= self._cached(t)
+            return out
+        if len(x.trees) == 1:
+            return self._cached(x.trees[0])
+        return Fraction(0)
+
+
+def _as_fn(values, key=lambda x: x):
+    """A callable as it is, a mapping (keys passed through ``key``) as a
+    lookup with 0 for missing keys."""
+    if callable(values):
+        return values
+    table = {key(k): Fraction(v) for k, v in values.items()}
+    return lambda x: table.get(x, Fraction(0))
+
+
+def eta(N: int) -> BCoeff:
+    """The convolution unit: 1 on the empty forest, 0 elsewhere."""
+    return BCoeff.character({}, N)
+
+
+def exact_gamma(N: int) -> BCoeff:
+    """Exact-flow coefficients, 1/tree! on every tree."""
+    return BCoeff.character(lambda t: Fraction(1, tree_stats(t)[2]), N)
+
+
+def dot_field(N: int) -> BCoeff:
+    """The identity for substitution: 1 on the single vertex, 0 elsewhere."""
+    return BCoeff.infinitesimal({DOT: Fraction(1)}, N)
+
+
+# Convolution against the pruning coproduct. For method characters this
+# is composition: the first slot is the map applied first.
+convolve_bck = convolve
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +561,7 @@ def delta_cefm(omega: Forest | RootedTree) -> FormalSum:
     the edge-subset enumeration, kept as the independent route.
     Multiplicative on forests.
     """
-    return _tensor_product(_delta_cefm_tree, _as_forest(omega))
+    return _multiplicative(_delta_cefm_tree, omega, _UNIT_TENSOR)
 
 
 def _product_over_trees(alpha: BCoeff, forest: Forest) -> Fraction:
@@ -678,26 +587,15 @@ def substitute_b(alpha: BCoeff, beta: BCoeff, N: int) -> BCoeff:
             f"(got {alpha.N} and {beta.N})"
         )
 
-    def on_tree(tree: RootedTree) -> Fraction:
-        total = Fraction(0)
-        for left, right, c in _tensor_pairs(delta_cefm(tree)):
-            total += c * _product_over_trees(alpha, left) * beta.tree_value(right.trees[0])
-        return total
+    def fn(x) -> Fraction:
+        # x is a tree, or a forest when beta is plain
+        terms = delta_cefm(x)
+        return sum(
+            (c * _product_over_trees(alpha, t.left) * beta._value(t.right) for t, c in terms),
+            Fraction(0),
+        )
 
-    if beta.kind == "plain":
-
-        def on_forest(forest: Forest) -> Fraction:
-            if not forest.trees:
-                return beta.unit_value()
-            total = Fraction(0)
-            for l, r, c in _tensor_pairs(delta_cefm(forest)):
-                total += c * _product_over_trees(alpha, l) * beta(r)
-            return total
-
-        return BCoeff.plain(on_forest, N)
-    if beta.kind == "character":
-        return BCoeff.character(on_tree, N)
-    return BCoeff.infinitesimal(on_tree, N)
+    return BCoeff(beta.kind, N, fn)
 
 
 def solve_modified(alpha: BCoeff, mode: str, N: int) -> BCoeff:
@@ -722,15 +620,33 @@ def solve_modified(alpha: BCoeff, mode: str, N: int) -> BCoeff:
     for n in range(1, N + 1):
         for tree in enumerate_trees(n):
             total = Fraction(0)
-            for left, right, c in _tensor_pairs(delta_cefm(tree)):
-                if right == DOT_FOREST:
+            for pair, c in delta_cefm(tree):
+                if pair.right == DOT_FOREST:
                     continue  # the unknown beta(tree) itself
                 prod = c
-                for t in left.trees:
+                for t in pair.left.trees:
                     prod *= values[t]
-                total += prod * other.tree_value(right.trees[0])
+                total += prod * other.tree_value(pair.right.trees[0])
             values[tree] = (target.tree_value(tree) - total) / other.tree_value(DOT)
     return BCoeff.infinitesimal(dict(values), N)
+
+
+def log_bck(alpha: BCoeff, N: int) -> BCoeff:
+    """The convolution logarithm of a character under the pruning
+    coproduct: the field of its modified equation, the same values as
+    solve_modified(alpha, "backward_error", N). DomainError unless alpha
+    is a character."""
+    return convolution_log(alpha, N)
+
+
+def exp_bck(beta: BCoeff, N: int) -> BCoeff:
+    """The convolution exponential of an infinitesimal map under the
+    pruning coproduct, a character; the inverse of log_bck. A character
+    is extended from its tree values, so beta must vanish on products:
+    DomainError unless it is infinitesimal."""
+    if beta.kind != "infinitesimal":
+        raise DomainError("exp_bck needs a field: an infinitesimal map")
+    return convolution_exp(beta, N)
 
 
 # ---------------------------------------------------------------------------

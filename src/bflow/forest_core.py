@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import os
 from typing import Iterable, Iterator, Union
 
@@ -34,6 +35,7 @@ from .algebra import FormalSum, bilinear
 from .errors import CapacityError, DomainError, ParseError
 
 DEFAULT_MAX_ORDER = 8
+_SERIAL = operator.attrgetter("serial")
 
 
 def max_order() -> int:
@@ -58,25 +60,16 @@ def _check_capacity(n: int) -> None:
         )
 
 
-class RootedTree:
-    """A non-planar rooted tree; children form a canonically sorted multiset."""
+class _Basis:
+    """A tree or a forest: equal to another of its own class with the same
+    serial, hashed by ``planar`` and the serial, so that the planar and
+    non-planar families stay apart as dict keys."""
 
-    __slots__ = ("children", "color", "order", "serial", "_hash")
-
-    def __init__(self, children: Iterable["RootedTree"] = (), color: int = 0):
-        kids = tuple(sorted(children, key=lambda t: t.serial))
-        for kid in kids:
-            if not isinstance(kid, RootedTree):
-                raise TypeError(f"RootedTree children must be RootedTree, got {type(kid)}")
-        self.children = kids
-        self.color = color
-        tag = f"{color}:" if color else ""
-        self.serial = "[" + tag + "".join(t.serial for t in kids) + "]"
-        self.order = 1 + sum(t.order for t in kids)
-        self._hash = hash(self.serial)
+    __slots__ = ("order", "serial", "_hash")
+    planar: bool
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, RootedTree):
+        if isinstance(other, type(self)):
             return self.serial == other.serial
         return NotImplemented
 
@@ -84,102 +77,107 @@ class RootedTree:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"RootedTree({self.serial!r})"
+        return f"{type(self).__name__}({self.serial!r})"
 
 
-class PlanarTree:
-    """An ordered rooted tree; the order of children is significant."""
+class _Tree(_Basis):
+    """A root colour and its children. ``planar`` is the one difference
+    between the two tree classes: a non-planar tree sorts its children by
+    serial, so that isomorphic trees have equal serials."""
 
-    __slots__ = ("children", "color", "order", "serial", "_hash")
+    __slots__ = ("children", "color")
+    _forest: type  # the forest class of the same family, for B-
 
-    def __init__(self, children: Iterable["PlanarTree"] = (), color: int = 0):
+    def __init__(self, children: Iterable = (), color: int = 0):
+        cls = type(self)
         kids = tuple(children)
         for kid in kids:
-            if not isinstance(kid, PlanarTree):
-                raise TypeError(f"PlanarTree children must be PlanarTree, got {type(kid)}")
+            if not isinstance(kid, cls):
+                raise TypeError(f"{cls.__name__} children must be {cls.__name__}, got {type(kid)}")
+        if not self.planar:
+            kids = tuple(sorted(kids, key=_SERIAL))
         self.children = kids
         self.color = color
         tag = f"{color}:" if color else ""
         self.serial = "[" + tag + "".join(t.serial for t in kids) + "]"
         self.order = 1 + sum(t.order for t in kids)
-        self._hash = hash(("p", self.serial))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PlanarTree):
-            return self.serial == other.serial
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"PlanarTree({self.serial!r})"
+        self._hash = hash((self.planar, self.serial))
 
 
-class Forest:
-    """A multiset of non-planar rooted trees; the empty forest is the unit."""
+class RootedTree(_Tree):
+    """A non-planar rooted tree; children form a canonically sorted multiset."""
 
-    __slots__ = ("trees", "order", "serial", "_hash")
+    __slots__ = ()
+    planar = False
 
-    def __init__(self, trees: Iterable[RootedTree] = ()):
-        ts = tuple(sorted(trees, key=lambda t: t.serial))
+
+class PlanarTree(_Tree):
+    """An ordered rooted tree; the order of children is significant."""
+
+    __slots__ = ()
+    planar = True
+
+
+class _Forest(_Basis):
+    """The member trees and their product, which joins the members. A
+    non-planar forest sorts its members (a multiset, with a commutative
+    product); a planar one keeps them in order (a word, with
+    concatenation). The empty forest serialises as ``1``."""
+
+    __slots__ = ("_members",)
+    _tree: type  # the member class, for B+
+
+    def __init__(self, trees: Iterable = ()):
+        tree = self._tree
+        ts = tuple(trees)
         for t in ts:
-            if not isinstance(t, RootedTree):
-                raise TypeError(f"Forest members must be RootedTree, got {type(t)}")
-        self.trees = ts
+            if not isinstance(t, tree):
+                raise TypeError(
+                    f"{type(self).__name__} members must be {tree.__name__}, got {type(t)}"
+                )
+        if not self.planar:
+            ts = tuple(sorted(ts, key=_SERIAL))
+        self._members = ts
         self.order = sum(t.order for t in ts)
         self.serial = " ".join(t.serial for t in ts) if ts else "1"
-        self._hash = hash(self.serial)
+        self._hash = hash((self.planar, self.serial))
 
-    def __mul__(self, other: "Forest") -> "Forest":
-        return Forest(self.trees + other.trees)
+    def __mul__(self, other):
+        return type(self)(self._members + other._members)
 
     def __len__(self) -> int:
-        return len(self.trees)
+        return len(self._members)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Forest):
-            return self.serial == other.serial
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"Forest({self.serial!r})"
+    @classmethod
+    def _of(cls, x):
+        """x itself, or a tree of the same family as a one-tree forest."""
+        if isinstance(x, cls):
+            return x
+        if isinstance(x, cls._tree):
+            return cls((x,))
+        raise DomainError(f"expected a {cls.__name__}, got {type(x).__name__}")
 
 
-class PlanarForest:
+class Forest(_Forest):
+    """A multiset of non-planar rooted trees; the empty forest is the unit."""
+
+    __slots__ = ()
+    planar = False
+    _tree = RootedTree
+    trees = _Forest._members  # the members, sorted by serial
+
+
+class PlanarForest(_Forest):
     """An ordered word of planar trees; concatenation is the magma product."""
 
-    __slots__ = ("word", "order", "serial", "_hash")
+    __slots__ = ()
+    planar = True
+    _tree = PlanarTree
+    word = _Forest._members  # the letters, in order
 
-    def __init__(self, word: Iterable[PlanarTree] = ()):
-        ws = tuple(word)
-        for t in ws:
-            if not isinstance(t, PlanarTree):
-                raise TypeError(f"PlanarForest members must be PlanarTree, got {type(t)}")
-        self.word = ws
-        self.order = sum(t.order for t in ws)
-        self.serial = " ".join(t.serial for t in ws) if ws else "1"
-        self._hash = hash(("p", self.serial))
 
-    def __mul__(self, other: "PlanarForest") -> "PlanarForest":
-        return PlanarForest(self.word + other.word)
-
-    def __len__(self) -> int:
-        return len(self.word)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PlanarForest):
-            return self.serial == other.serial
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"PlanarForest({self.serial!r})"
+RootedTree._forest = Forest
+PlanarTree._forest = PlanarForest
 
 
 Tree = Union[RootedTree, PlanarTree]
@@ -206,20 +204,16 @@ def psingle(color: int = 0) -> PlanarTree:
 
 def bplus(forest: AnyForest, color: int = 0) -> Tree:
     """Attach every tree of the forest to a fresh root."""
-    if isinstance(forest, Forest):
-        return RootedTree(forest.trees, color)
-    if isinstance(forest, PlanarForest):
-        return PlanarTree(forest.word, color)
-    raise TypeError(f"bplus expects a forest, got {type(forest)}")
+    if not isinstance(forest, _Forest):
+        raise TypeError(f"bplus expects a forest, got {type(forest)}")
+    return forest._tree(forest._members, color)
 
 
 def bminus(tree: Tree) -> AnyForest:
     """Remove the root, returning the forest of its subtrees."""
-    if isinstance(tree, RootedTree):
-        return Forest(tree.children)
-    if isinstance(tree, PlanarTree):
-        return PlanarForest(tree.children)
-    raise DomainError(f"bminus needs a single tree, got {type(tree).__name__}")
+    if not isinstance(tree, _Tree):
+        raise DomainError(f"bminus needs a single tree, got {type(tree).__name__}")
+    return tree._forest(tree.children)
 
 
 @functools.lru_cache(maxsize=None)
@@ -265,18 +259,18 @@ def forest_sigma(forest: Forest) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _nonplanar_trees(n: int) -> tuple[RootedTree, ...]:
+def _trees(n: int, planar: bool) -> tuple[Tree, ...]:
     if n == 1:
-        return (single(),)
-    out = [bplus(f) for f in _nonplanar_forests(n - 1)]
-    return tuple(sorted(set(out), key=lambda t: t.serial))
+        return (psingle() if planar else single(),)
+    forests = _planar_forests if planar else _nonplanar_forests
+    return tuple(sorted(set(map(bplus, forests(n - 1))), key=_SERIAL))
 
 
 @functools.lru_cache(maxsize=None)
 def _nonplanar_pool(n: int) -> tuple[RootedTree, ...]:
     pool: list[RootedTree] = []
     for k in range(1, n + 1):
-        pool.extend(_nonplanar_trees(k))
+        pool.extend(_trees(k, False))
     return tuple(pool)
 
 
@@ -301,20 +295,12 @@ def _nonplanar_forests(n: int) -> tuple[Forest, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _planar_trees(n: int) -> tuple[PlanarTree, ...]:
-    if n == 1:
-        return (psingle(),)
-    out = [bplus(f) for f in _planar_forests(n - 1)]
-    return tuple(sorted(out, key=lambda t: t.serial))
-
-
-@functools.lru_cache(maxsize=None)
 def _planar_forests(n: int) -> tuple[PlanarForest, ...]:
     if n == 0:
         return (EMPTY_WORD,)
     out = []
     for k in range(1, n + 1):
-        for head in _planar_trees(k):
+        for head in _trees(k, True):
             for tail in _planar_forests(n - k):
                 out.append(PlanarForest((head,) + tail.word))
     return tuple(sorted(out, key=lambda f: f.serial))
@@ -325,7 +311,7 @@ def enumerate_trees(n: int, planar: bool = False) -> list[Tree]:
     if n < 1:
         raise DomainError(f"tree order must be at least 1, got {n}")
     _check_capacity(n)
-    return list(_planar_trees(n) if planar else _nonplanar_trees(n))
+    return list(_trees(n, planar))
 
 
 def enumerate_forests(n: int, planar: bool = False) -> list[AnyForest]:
@@ -396,10 +382,9 @@ def parse_forest(text: str, planar: bool = False) -> AnyForest:
 
 def parse_tree(text: str, planar: bool = False) -> Tree:
     forest = parse_forest(text, planar)
-    seq = forest.word if planar else forest.trees
-    if len(seq) != 1:
+    if len(forest) != 1:
         raise ParseError("expected a single tree", text, 0)
-    return seq[0]
+    return forest._members[0]
 
 
 # ---------------------------------------------------------------------------
@@ -439,13 +424,7 @@ def _prelie(t1: RootedTree, t2: RootedTree) -> FormalSum:
     return FormalSum([(RootedTree(kids + (t1,), t2.color), 1), *below])
 
 
-def _as_word(x) -> PlanarForest:
-    """A planar forest, or a planar tree as a one-letter word."""
-    if isinstance(x, PlanarForest):
-        return x
-    if isinstance(x, PlanarTree):
-        return PlanarForest((x,))
-    raise DomainError(f"expected a planar forest, got {type(x).__name__}")
+_as_word = PlanarForest._of  # a planar forest, or a planar tree as a one-letter word
 
 
 @functools.lru_cache(maxsize=None)

@@ -2,13 +2,15 @@
 
 The algebra here has three layers. The Hopf algebra of planar forests
 carries the shuffle product and a coproduct built from left admissible
-cuts; its convolution composes Lie-Butcher series. Non-commutative Bell
-polynomials and the Faa di Bruno coproduct describe how derivatives of a
-flow pull back. On top sit the conversions between the three standard
-presentations of a flow map: the full series (a shuffle character), the
-backward-error field (the eulerian logarithm), and the Lie element whose
-exponential is the flow (Dynkin form), together with the substitution
-law for replacing the vector field by a series.
+cuts; its convolution composes Lie-Butcher series. The coefficient-map
+base, the convolution and its exp/log series are those of ``hopf``,
+shared with B-series and read here against this coproduct.
+Non-commutative Bell polynomials and the Faa di Bruno coproduct describe
+how derivatives of a flow pull back. On top sit the conversions between the
+three standard presentations of a flow map: the full series (a shuffle
+character), the backward-error field (the eulerian logarithm), and the
+Lie element whose exponential is the flow (Dynkin form), together with
+the substitution law for replacing the vector field by a series.
 
 Both coproducts are built by memoised recursion. Their coefficients are
 integers: each recursion step adds them as ints, read off the memoised
@@ -27,13 +29,12 @@ rationals.
 
 from __future__ import annotations
 
-import math
 import weakref
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .algebra import FormalSum, Tensor, tensor_sum
-from .errors import CapacityError, DomainError
+from .algebra import FormalSum, tensor_sum
+from .errors import DomainError
 from .forest_core import (
     EMPTY_WORD,
     PlanarForest,
@@ -46,113 +47,10 @@ from .forest_core import (
     psingle,
     shuffle,
 )
+from .hopf import Coeff, convolution_exp, convolution_log, convolve
 
 PDOT = psingle()
 DOT_WORD = PlanarForest((PDOT,))
-
-
-# ---------------------------------------------------------------------------
-# Coefficient maps
-# ---------------------------------------------------------------------------
-
-
-class LBCoeff:
-    """A truncated rational coefficient map on planar forests.
-
-    Unlike the non-planar case, a shuffle character is not determined by
-    its tree values alone, so values are stored per word. The kind flag
-    records what the map is claimed to be: ``character`` (1 on the empty
-    word, multiplicative over shuffles), ``infinitesimal`` (0 on the
-    empty word, vanishing on shuffles of nonempty words), or ``plain``.
-    """
-
-    __slots__ = ("kind", "N", "_fn", "_cache", "__weakref__")
-
-    def __init__(self, kind: str, N: int, fn: Callable[[PlanarForest], Fraction]):
-        if kind not in ("character", "infinitesimal", "plain"):
-            raise DomainError(f"unknown coefficient kind {kind!r}")
-        self.kind = kind
-        self.N = N
-        self._fn = fn
-        self._cache: dict[PlanarForest, Fraction] = {}
-
-    @classmethod
-    def from_table(cls, values: Mapping, N: int, kind: str = "plain") -> "LBCoeff":
-        """Word values, missing means 0. A ``character`` table is checked
-        once, here: it must be 1 on the empty word and shuffle
-        multiplicative on the words up to order N, else DomainError."""
-        table = {_as_word(k): Fraction(v) for k, v in values.items()}
-        value = lambda w: table.get(w, Fraction(0))
-        if kind == "character":
-            table.setdefault(EMPTY_WORD, Fraction(1))
-            _check_kind(value, kind, N)
-        return cls(kind, N, value)
-
-    @classmethod
-    def from_function(cls, fn, N: int, kind: str = "plain") -> "LBCoeff":
-        return cls(kind, N, fn)
-
-    def __call__(self, x) -> Fraction:
-        if isinstance(x, FormalSum):
-            return sum((c * self(b) for b, c in x), Fraction(0))
-        w = _as_word(x)
-        if w.order > self.N:
-            raise CapacityError(
-                f"coefficient map truncated at order {self.N}, asked for order {w.order}"
-            )
-        if w not in self._cache:
-            self._cache[w] = Fraction(self._fn(w))
-        return self._cache[w]
-
-    def table(self, N: int | None = None) -> dict[PlanarForest, Fraction]:
-        N = self.N if N is None else N
-        out: dict[PlanarForest, Fraction] = {}
-        for n in range(0, N + 1):
-            for w in enumerate_forests(n, planar=True):
-                out[w] = self(w)
-        return out
-
-    def validate(self) -> None:
-        """Check the claimed kind on the words up to the truncation order,
-        raising DomainError at the first failure. A ``character`` must be
-        1 on the empty word and shuffle multiplicative, an
-        ``infinitesimal`` 0 on the empty word and on shuffles of nonempty
-        words; ``plain`` claims nothing. No constructor calls this."""
-        if self.kind != "plain":
-            _check_kind(self, self.kind, self.N)
-
-
-def _check_kind(value: Callable[[PlanarForest], Fraction], kind: str, N: int) -> None:
-    """Raise DomainError at the first word pair that breaks the kind: the
-    value on the empty word, then nonempty words u <= v (in enumeration
-    order) with |u| + |v| <= N where alpha(u sh v) differs from
-    alpha(u) alpha(v) for a character, or from 0 for an infinitesimal."""
-    character = kind == "character"
-    unit = 1 if character else 0
-    if value(EMPTY_WORD) != unit:
-        raise DomainError(f"{kind} must be {unit} on the empty word, got {value(EMPTY_WORD)}")
-    words = [w for n in range(1, N) for w in enumerate_forests(n, planar=True)]
-    for i, u in enumerate(words):
-        for v in words[i:]:
-            if u.order + v.order > N:
-                break
-            lhs = value(u) * value(v) if character else 0
-            rhs = sum((c * value(w) for w, c in _shuffle(u, v)), Fraction(0))
-            if lhs != rhs:
-                raise DomainError(
-                    f"not a shuffle {kind}: alpha of the shuffle of {u.serial} and "
-                    f"{v.serial} is {rhs}, want {lhs}"
-                )
-
-
-def eta_mkw(N: int) -> LBCoeff:
-    """Convolution unit: 1 on the empty word, 0 elsewhere."""
-    return LBCoeff.from_table({EMPTY_WORD: 1}, N, kind="character")
-
-
-def dot_lb(N: int) -> LBCoeff:
-    """The single-vertex field, the identity for substitution."""
-    return LBCoeff.from_table({DOT_WORD: 1}, N, kind="infinitesimal")
 
 
 # ---------------------------------------------------------------------------
@@ -235,22 +133,89 @@ def antipode_mkw(omega: PlanarForest | PlanarTree) -> FormalSum:
     return out
 
 
-def convolve_mkw(alpha: LBCoeff, beta: LBCoeff, N: int) -> LBCoeff:
-    """Convolution against the planar coproduct (series composition)."""
-    if alpha.N < N or beta.N < N:
-        raise DomainError(
-            f"convolution to order {N} needs both maps at that order "
-            f"(got {alpha.N} and {beta.N})"
-        )
+# ---------------------------------------------------------------------------
+# Coefficient maps
+# ---------------------------------------------------------------------------
 
-    def fn(w: PlanarForest) -> Fraction:
-        return sum(
-            (c * alpha(t.left) * beta(t.right) for t, c in delta_mkw(w)),
-            Fraction(0),
-        )
 
-    kind = "character" if alpha.kind == beta.kind == "character" else "plain"
-    return LBCoeff(kind, N, fn)
+class LBCoeff(Coeff):
+    """A truncated rational coefficient map on planar forests.
+
+    Unlike the non-planar case, a shuffle character is not determined by
+    its tree values alone, so values are stored per word. The kind flag
+    records what the map is claimed to be: ``character`` (1 on the empty
+    word, multiplicative over shuffles), ``infinitesimal`` (0 on the
+    empty word, vanishing on shuffles of nonempty words), or ``plain``.
+    """
+
+    __slots__ = ("__weakref__",)
+    basis = PlanarForest
+    coproduct = staticmethod(delta_mkw)
+
+    @classmethod
+    def from_table(cls, values: Mapping, N: int, kind: str = "plain") -> "LBCoeff":
+        """Word values, missing means 0. A ``character`` table is checked
+        once, here: it must be 1 on the empty word and shuffle
+        multiplicative on the words up to order N, else DomainError."""
+        table = {_as_word(k): Fraction(v) for k, v in values.items()}
+        value = lambda w: table.get(w, Fraction(0))
+        if kind == "character":
+            table.setdefault(EMPTY_WORD, Fraction(1))
+            _check_kind(value, kind, N)
+        return cls(kind, N, value)
+
+    @classmethod
+    def from_function(cls, fn, N: int, kind: str = "plain") -> "LBCoeff":
+        return cls(kind, N, fn)
+
+    def _value(self, x) -> Fraction:
+        return self._cached(_as_word(x))
+
+    def validate(self) -> None:
+        """Check the claimed kind on the words up to the truncation order,
+        raising DomainError at the first failure. A ``character`` must be
+        1 on the empty word and shuffle multiplicative, an
+        ``infinitesimal`` 0 on the empty word and on shuffles of nonempty
+        words; ``plain`` claims nothing. No constructor calls this."""
+        if self.kind != "plain":
+            _check_kind(self, self.kind, self.N)
+
+
+def _check_kind(value: Callable[[PlanarForest], Fraction], kind: str, N: int) -> None:
+    """Raise DomainError at the first word pair that breaks the kind: the
+    value on the empty word, then nonempty words u <= v (in enumeration
+    order) with |u| + |v| <= N where alpha(u sh v) differs from
+    alpha(u) alpha(v) for a character, or from 0 for an infinitesimal."""
+    character = kind == "character"
+    unit = 1 if character else 0
+    if value(EMPTY_WORD) != unit:
+        raise DomainError(f"{kind} must be {unit} on the empty word, got {value(EMPTY_WORD)}")
+    words = [w for n in range(1, N) for w in enumerate_forests(n, planar=True)]
+    for i, u in enumerate(words):
+        for v in words[i:]:
+            if u.order + v.order > N:
+                break
+            lhs = value(u) * value(v) if character else 0
+            rhs = sum((c * value(w) for w, c in _shuffle(u, v)), Fraction(0))
+            if lhs != rhs:
+                raise DomainError(
+                    f"not a shuffle {kind}: alpha of the shuffle of {u.serial} and "
+                    f"{v.serial} is {rhs}, want {lhs}"
+                )
+
+
+def eta_mkw(N: int) -> LBCoeff:
+    """Convolution unit: 1 on the empty word, 0 elsewhere."""
+    return LBCoeff.from_table({EMPTY_WORD: 1}, N, kind="character")
+
+
+def dot_lb(N: int) -> LBCoeff:
+    """The single-vertex field, the identity for substitution."""
+    return LBCoeff.from_table({DOT_WORD: 1}, N, kind="infinitesimal")
+
+
+# Convolution against the planar coproduct (series composition).
+convolve_mkw = convolve
 
 
 # ---------------------------------------------------------------------------
@@ -392,35 +357,6 @@ def _fdb(word: tuple[int, ...]) -> FormalSum:
 # ---------------------------------------------------------------------------
 
 
-def _convolution_series(x, coeffs: list[Fraction], kind: str, N: int) -> LBCoeff:
-    """w -> sum_k coeffs[k] x^{*k}(w) under the planar convolution, x^{*0} the unit.
-
-    x is read only on nonempty words, as if it vanished on the empty word,
-    so x^{*k} vanishes below order k and x^{*k}(w) = sum c x^{*(k-1)}(left)
-    x(right) over the terms of delta_mkw(w) with both sides nonempty. The
-    memo of powers belongs to the returned map.
-    """
-    memo: dict[tuple[int, PlanarForest], Fraction] = {}
-
-    def power(k: int, w: PlanarForest) -> Fraction:
-        if k == 1:
-            return x(w)
-        if (k, w) not in memo:
-            total = Fraction(0)
-            for t, c in delta_mkw(w):
-                if t.left.order >= k - 1 and t.right.word:
-                    total += c * power(k - 1, t.left) * x(t.right)
-            memo[k, w] = total
-        return memo[k, w]
-
-    def fn(w: PlanarForest) -> Fraction:
-        if not w.word:
-            return coeffs[0]
-        return sum((coeffs[k] * power(k, w) for k in range(1, w.order + 1)), Fraction(0))
-
-    return LBCoeff(kind, N, fn)
-
-
 def eulerian_idempotent(w: PlanarForest | PlanarTree) -> FormalSum:
     """log of the identity under convolution, at a basis word: the sum of
     (-1)^(k+1)/k J^{*k}(w), J = Id - unit counit, expanded word by word
@@ -452,26 +388,17 @@ def eulerian_apply(alpha: LBCoeff, N: int) -> LBCoeff:
     shuffles of nonempty words.
 
     For a character this is the convolution logarithm
-    log*(alpha) = sum_{k>=1} (-1)^(k+1)/k (alpha - eta)^{*k}.
+    log*(alpha) = sum_{k>=1} (-1)^(k+1)/k (alpha - eta)^{*k};
+    DomainError unless alpha is a character.
     """
-    if alpha.kind != "character":
-        raise DomainError("the eulerian logarithm is defined for characters")
-    if alpha.N < N:
-        raise DomainError(f"character truncated at {alpha.N}, need {N}")
-    coeffs = [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, N + 1)]
-    return _convolution_series(alpha, coeffs, "infinitesimal", N)
+    return convolution_log(alpha, N)
 
 
 def gl_exp(beta: LBCoeff, N: int) -> LBCoeff:
     """Exponential of a field along the Grossman-Larson pairing: the
     convolution exponential exp*(beta) = sum_{k>=0} beta^{*k} / k!.
     Inverse of eulerian_apply."""
-    if beta(EMPTY_WORD) != 0:
-        raise DomainError("gl_exp needs a field: beta(1) must be 0")
-    if beta.N < N:
-        raise DomainError(f"field truncated at {beta.N}, need {N}")
-    coeffs = [Fraction(1, math.factorial(k)) for k in range(N + 1)]
-    return _convolution_series(beta, coeffs, "character", N)
+    return convolution_exp(beta, N)
 
 
 def dynkin_map(w: PlanarForest | PlanarTree) -> FormalSum:

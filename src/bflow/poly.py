@@ -18,6 +18,7 @@ sympy expression on request, for callers that use sympy as an oracle.
 from __future__ import annotations
 
 import ast
+import math
 from fractions import Fraction
 from operator import add
 
@@ -221,12 +222,21 @@ class Poly:
         The order is the one sympy's lambdify prints: variables sorted by
         name, terms in descending lex order of their exponents, each term
         its float coefficient times the powers, multiplied left to right.
+        A coefficient beyond the float range raises DomainError.
         """
         order = sorted(range(len(self.names)), key=self.names.__getitem__)
         parts = []
         for exps, c in self._printed_terms(order):
+            try:
+                value = float(c)
+            except OverflowError:
+                term = Poly(self.names, {exps: Fraction(1)})
+                size = math.log10(abs(c.numerator)) - math.log10(c.denominator)
+                raise DomainError(
+                    f"the coefficient of {term}, about 1e{size:.0f}, is beyond the float range"
+                ) from None
             powers = [args[k] if exps[k] == 1 else f"{args[k]}**{exps[k]}" for k in order if exps[k]]
-            parts.append("*".join([repr(float(c))] + powers))
+            parts.append("*".join([repr(value)] + powers))
         return " + ".join(parts) or "0.0"
 
     def _sympy_(self):

@@ -31,6 +31,8 @@ from bflow.bseries_hopf import (
     elementary_weights,
     eta,
     exact_gamma,
+    exp_bck,
+    log_bck,
     order_of,
     order_report,
     parse_tableau,
@@ -39,6 +41,8 @@ from bflow.bseries_hopf import (
     substitute_b,
 )
 from bflow.errors import CapacityError, DomainError, ParseError
+from bflow.hopf import convolve
+from bflow.lbseries import convolve_mkw, eta_mkw
 from bflow.forest_core import (
     Forest,
     RootedTree,
@@ -258,6 +262,16 @@ def test_convolution_associativity_random():
 def test_convolution_truncation_mismatch():
     with pytest.raises(DomainError):
         convolve_bck(exact_gamma(3), exact_gamma(5), 4)
+
+
+def test_convolution_needs_maps_of_one_algebra():
+    # convolve_bck and convolve_mkw are one convolve; it reads the
+    # coproduct of the maps' class, so mixed maps have none to read
+    assert convolve_bck is convolve is convolve_mkw
+    with pytest.raises(DomainError):
+        convolve(exact_gamma(3), eta_mkw(3), 3)
+    with pytest.raises(DomainError):
+        convolve(eta_mkw(3), exact_gamma(3), 3)
 
 
 def test_evaluation_beyond_truncation():
@@ -609,6 +623,53 @@ def test_solve_modified_requires_consistency():
         solve_modified(eta(3), "backward_error", 3)
     with pytest.raises(DomainError):
         solve_modified(exact_gamma(3), "sideways", 3)
+
+
+# ---------------------------------------------------------------------------
+# Backward error as a convolution logarithm
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("N", [6, 7])
+@pytest.mark.parametrize("name", ["euler", "explicit_midpoint", "implicit_midpoint", "rk4"])
+def test_log_bck_is_the_backward_error_field(name, N):
+    # Two independent routes to the modified field: the logarithm under
+    # the pruning convolution, and the contraction-coproduct solve.
+    alpha = rk_character(builtin_tableau(name), N)
+    log = log_bck(alpha, N)
+    back = solve_modified(alpha, "backward_error", N)
+    assert log.kind == "infinitesimal"
+    for n in range(1, N + 1):
+        for tree in enumerate_trees(n):
+            assert log(tree) == back(tree), tree.serial
+
+
+def test_exp_bck_inverts_log_bck():
+    # exp*(log*(alpha)) = alpha holds for the convolution of any
+    # associative product, so this checks the shared series and its
+    # coefficients, not that the logarithm is the backward error.
+    rng = random.Random(2026)
+    characters = [rk_character(builtin_tableau("rk4"), 6)]
+    characters += [random_character(rng, 6) for _ in range(3)]
+    for alpha in characters:
+        back = exp_bck(log_bck(alpha, 6), 6)
+        assert back.kind == "character"
+        for n in range(0, 7):
+            for forest in enumerate_forests(n):
+                assert back(forest) == alpha(forest), forest.serial
+
+
+def test_log_and_exp_bck_need_their_kinds():
+    with pytest.raises(DomainError):
+        log_bck(dot_field(3), 3)
+    with pytest.raises(DomainError):
+        log_bck(BCoeff.plain({Forest(): 1}, 3), 3)
+    with pytest.raises(DomainError):
+        log_bck(exact_gamma(3), 4)
+    with pytest.raises(DomainError):
+        exp_bck(exact_gamma(3), 3)
+    with pytest.raises(DomainError):
+        exp_bck(BCoeff.plain({DOT: 1}, 3), 3)
 
 
 # ---------------------------------------------------------------------------

@@ -471,6 +471,16 @@ class TestExitCodes:
         )
         assert code == 2 and "--f" in err
 
+    def test_coefficient_beyond_float_range_is_domain(self, capsys):
+        code, out, err = run(
+            capsys,
+            "integrate", "--method", "lie_euler", "--action", "translation",
+            "--f", "1e400*y0", "--h", "0.1", "--steps", "2",
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert "coefficient of y0" in err and "float range" in err
+
     def test_wrong_y0_length_is_domain(self, capsys):
         code, _, err = run(
             capsys,

@@ -339,6 +339,54 @@ def test_bminus_rejects_forests():
         bminus(Forest((DOT, DOT)))
 
 
+# The two tree classes, and the two forest classes, share one base each;
+# these check that the base keeps the planar and non-planar families apart.
+
+
+@pytest.mark.parametrize("serial", ["[]", "[[[]][]]", "[1:[2:]]"])
+def test_twin_trees_with_one_serial_stay_apart(serial):
+    rooted, planar = parse_tree(serial), parse_tree(serial, planar=True)
+    assert rooted.serial == planar.serial
+    assert rooted != planar and planar != rooted
+    table = {rooted: "rooted", planar: "planar"}
+    assert len(table) == 2
+    assert table[rooted] == "rooted" and table[planar] == "planar"
+
+
+@pytest.mark.parametrize("serial", ["1", "[]", "[[]] []"])
+def test_twin_forests_with_one_serial_stay_apart(serial):
+    forest, word = parse_forest(serial), parse_forest(serial, planar=True)
+    assert forest.serial == word.serial
+    assert forest != word and word != forest
+    table = {forest: "forest", word: "word"}
+    assert len(table) == 2
+    assert table[forest] == "forest" and table[word] == "word"
+
+
+def test_twin_families_do_not_mix():
+    pdot = PlanarTree()
+    with pytest.raises(TypeError):
+        RootedTree((DOT, pdot))
+    with pytest.raises(TypeError):
+        PlanarTree((pdot, DOT))
+    with pytest.raises(TypeError):
+        Forest((DOT, pdot))
+    with pytest.raises(TypeError):
+        PlanarForest((pdot, DOT))
+    with pytest.raises(TypeError):
+        Forest((DOT,)) * PlanarForest((pdot,))
+
+
+def test_bplus_and_bminus_stay_in_one_family():
+    for n in range(0, 4):
+        for forest in enumerate_forests(n):
+            assert type(bplus(forest)) is RootedTree
+            assert type(bminus(bplus(forest))) is Forest
+        for word in enumerate_forests(n, planar=True):
+            assert type(bplus(word)) is PlanarTree
+            assert type(bminus(bplus(word))) is PlanarForest
+
+
 def test_butcher_product():
     assert butcher_product(DOT, DOT) == LADDER2
     assert butcher_product(LADDER2, DOT) == RootedTree((LADDER2.children[0], DOT))

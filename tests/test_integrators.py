@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -128,6 +129,14 @@ class TestPolyVectorField:
         exact = elementary_differential(DOT, F, y)
         approx = fn(np.array([float(v) for v in y]))
         assert np.allclose(approx, [float(v) for v in exact], rtol=1e-14)
+
+    @pytest.mark.parametrize(
+        "texts, term",
+        [(["1e400*y0"], "y0"), (["y1", "-3*10**500*y0**2*y1"], "y0**2*y1"), (["y0", "1e309"], "1")],
+    )
+    def test_coefficient_beyond_float_range_does_not_compile(self, texts, term):
+        with pytest.raises(DomainError, match=f"coefficient of {re.escape(term)},.*float range"):
+            PolyVectorField.from_strings(texts).as_callable()
 
     def test_parametric_field_does_not_compile(self):
         h = sympy.Symbol("h")
