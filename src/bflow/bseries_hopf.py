@@ -10,15 +10,16 @@ composition and the convolution inverse (antipode), and its logarithm
 backward error analysis and modifying integrators. Everything is exact
 rational arithmetic.
 
-The contraction coproduct is built by a recursion over the children of a
-tree (memoised per subtree), not by enumerating the 2^(n-1) edge subsets
-one at a time; ``cefm_splits`` keeps that enumeration as the independent
-route. The antipode of the pruning Hopf algebra is read off the
+Each coproduct has one algorithm, memoised per tree, and neither
+enumerates cuts or edge subsets. The pruning coproduct follows the B+
+recursion Delta(t) = t (x) 1 + (id (x) B+) Delta(B-(t)). The contraction
+coproduct folds in the children of a tree one at a time over a memo per
+subtree. The antipode of the pruning Hopf algebra is read off the
 contraction coproduct: S(t) = sum of c (-1)^|r| l over its terms c l (x) r,
 the edge-subset form of the Connes-Kreimer antipode (Calaque,
 Ebrahimi-Fard & Manchon, "Two interacting Hopf algebras of trees", Adv.
-Appl. Math. 2011). The pruning coproduct of a tree is memoised, so
-convolution sums over stored tensors.
+Appl. Math. 2011). The enumerations over cuts and edge subsets are the
+independent routes in the tests.
 
 Runge-Kutta tableaus and their elementary weights connect the algebra to
 actual methods: the weight map of a tableau is a character, and order
@@ -28,7 +29,6 @@ conditions are equalities against the exact-flow coefficients 1/tree!.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from fractions import Fraction
 
@@ -53,44 +53,8 @@ DOT_FOREST = Forest((DOT,))
 
 
 # ---------------------------------------------------------------------------
-# Pruning coproduct (admissible cuts)
+# Pruning coproduct (the B+ recursion)
 # ---------------------------------------------------------------------------
-
-
-def _tree_cuts(tree: RootedTree) -> list[tuple[tuple[RootedTree, ...], RootedTree]]:
-    """All admissible cuts of a tree except the full one.
-
-    Each cut is returned as (pruned subtrees, remaining tree with the
-    root). The empty cut ((), tree) is included.
-    """
-    per_child = []
-    for child in tree.children:
-        options = [((child,), None)]
-        options.extend(_tree_cuts(child))
-        per_child.append(options)
-    out = []
-    for combo in itertools.product(*per_child):
-        pruned: tuple[RootedTree, ...] = ()
-        kept = []
-        for p, r in combo:
-            pruned += p
-            if r is not None:
-                kept.append(r)
-        out.append((pruned, RootedTree(kept, tree.color)))
-    return out
-
-
-_BCK_CACHE: dict[RootedTree, FormalSum] = {}
-
-
-def _delta_bck_tree(tree: RootedTree) -> FormalSum:
-    if tree in _BCK_CACHE:
-        return _BCK_CACHE[tree]
-    terms = [(Forest((tree,)), EMPTY_FOREST, 1)]
-    for pruned, rest in _tree_cuts(tree):
-        terms.append((Forest(pruned), Forest((rest,)), 1))
-    out = _BCK_CACHE[tree] = tensor_sum(terms)
-    return out
 
 
 _product = bilinear(operator.mul)
@@ -107,33 +71,30 @@ def _multiplicative(per_tree, omega: Forest | RootedTree, unit: FormalSum) -> Fo
     return functools.reduce(_product, map(per_tree, trees)) if trees else unit
 
 
-def delta_bck(omega: Forest | RootedTree) -> FormalSum:
-    """Pruning coproduct, as a sum over admissible cuts.
+_BCK_CACHE: dict[RootedTree, FormalSum] = {}
 
-    Returns a formal sum of Forest (x) Forest tensors; the pruned part
-    sits in the left slot. Multiplicative on forests.
+
+def _delta_bck_tree(tree: RootedTree) -> FormalSum:
+    if tree in _BCK_CACHE:
+        return _BCK_CACHE[tree]
+    terms = [(Forest((tree,)), EMPTY_FOREST, 1)]
+    for t, coeff in delta_bck(bminus(tree)):
+        terms.append((t.left, Forest((bplus(t.right, tree.color),)), coeff))
+    out = _BCK_CACHE[tree] = tensor_sum(terms)
+    return out
+
+
+def delta_bck(omega: Forest | RootedTree) -> FormalSum:
+    """Pruning coproduct: the sum over admissible cuts, the pruned part in
+    the left slot.
+
+    Returns a formal sum of Forest (x) Forest tensors, multiplicative on
+    forests. A tree is built by the B+ recursion
+    Delta(t) = t (x) 1 + (id (x) B+) Delta(B-(t)), B+ taking the colour of
+    the root, which holds because B+ is a Hochschild 1-cocycle (Connes &
+    Kreimer, CMP 1998); each tree's coproduct is memoised.
     """
     return _multiplicative(_delta_bck_tree, omega, _UNIT_TENSOR)
-
-
-_DELTA_REC_CACHE: dict[RootedTree, FormalSum] = {}
-
-
-def delta_bck_recursive(omega: Forest | RootedTree) -> FormalSum:
-    """Pruning coproduct through the B+ recursion (independent route)."""
-    return _multiplicative(_delta_rec_tree, omega, _UNIT_TENSOR)
-
-
-def _delta_rec_tree(tree: RootedTree) -> FormalSum:
-    if tree in _DELTA_REC_CACHE:
-        return _DELTA_REC_CACHE[tree]
-    inner = delta_bck_recursive(bminus(tree))
-    terms = [(Forest((tree,)), EMPTY_FOREST, 1)]
-    for t, coeff in inner:
-        terms.append((t.left, Forest((bplus(t.right, tree.color),)), coeff))
-    out = tensor_sum(terms)
-    _DELTA_REC_CACHE[tree] = out
-    return out
 
 
 _ANTIPODE_CACHE: dict[RootedTree, FormalSum] = {}
@@ -417,84 +378,6 @@ def order_of(alpha: BCoeff, N: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _vertex_table(tree: RootedTree):
-    colors: list[int] = []
-    parent: dict[int, int] = {}
-    children: list[list[int]] = []
-
-    def walk(t: RootedTree, par: int | None) -> None:
-        vid = len(colors)
-        colors.append(t.color)
-        children.append([])
-        if par is not None:
-            parent[vid] = par
-            children[par].append(vid)
-        for child in t.children:
-            walk(child, vid)
-
-    walk(tree, None)
-    return colors, parent, children
-
-
-def cefm_splits(tree: RootedTree) -> list[tuple[Forest, RootedTree]]:
-    """All (spanning subforest, contracted tree) pairs of a tree.
-
-    One pair per subset of kept edges: the left part collects the
-    connected components induced by the kept edges, the right part is
-    the quotient tree with each component shrunk to a vertex.
-    """
-    colors, parent, children = _vertex_table(tree)
-    n = len(colors)
-    edges = list(range(1, n))
-    out = []
-    for keep in itertools.product((False, True), repeat=len(edges)):
-        comp = list(range(n))
-
-        def find(v: int) -> int:
-            while comp[v] != v:
-                comp[v] = comp[comp[v]]
-                v = comp[v]
-            return v
-
-        for idx, flag in enumerate(keep):
-            if flag:
-                v = edges[idx]
-                comp[find(v)] = find(parent[v])
-
-        members: dict[int, list[int]] = {}
-        for v in range(n):
-            members.setdefault(find(v), []).append(v)
-
-        def build_component(root: int, allowed: set[int]) -> RootedTree:
-            kids = [
-                build_component(w, allowed) for w in children[root] if w in allowed
-            ]
-            return RootedTree(kids, colors[root])
-
-        parts = []
-        rep_of: dict[int, int] = {}
-        for rep, verts in members.items():
-            vset = set(verts)
-            croot = min(verts)
-            parts.append((croot, build_component(croot, vset)))
-            for v in verts:
-                rep_of[v] = croot
-        left = Forest(t for _, t in parts)
-
-        quotient_children: dict[int, list[int]] = {croot: [] for croot, _ in parts}
-        root_rep = rep_of[0]
-        for croot, _ in parts:
-            if croot != 0:
-                quotient_children[rep_of[parent[croot]]].append(croot)
-
-        def build_quotient(croot: int) -> RootedTree:
-            kids = [build_quotient(w) for w in quotient_children[croot]]
-            return RootedTree(kids, colors[croot])
-
-        out.append((left, build_quotient(root_rep)))
-    return out
-
-
 _CEFM_CACHE: dict[RootedTree, FormalSum] = {}
 _CEFM_PARTS: dict[RootedTree, dict[tuple, int]] = {}
 
@@ -557,9 +440,8 @@ def delta_cefm(omega: Forest | RootedTree) -> FormalSum:
     makes its quotient a child of the quotient root; keeping it merges
     the child's root component into the root's and lifts its quotient
     children. Then delta(t) is the sum of L (B+(C)) (x) B+(Q) (Calaque,
-    Ebrahimi-Fard & Manchon, Adv. Appl. Math. 2011). ``cefm_splits`` is
-    the edge-subset enumeration, kept as the independent route.
-    Multiplicative on forests.
+    Ebrahimi-Fard & Manchon, Adv. Appl. Math. 2011). Multiplicative on
+    forests.
     """
     return _multiplicative(_delta_cefm_tree, omega, _UNIT_TENSOR)
 

@@ -109,26 +109,30 @@ def convolution_series(x: Coeff, coeffs: list[Fraction], kind: str, N: int) -> C
     x is read only on nonempty forests, as if it vanished on the empty
     one, so x^{*k} vanishes below order k and x^{*k}(w) = sum c
     x^{*(k-1)}(left) x(right) over the terms of Delta(w) with both sides
-    nonempty. The memo of powers belongs to the returned map.
+    nonempty. The powers x^{*1}(w), ..., x^{*|w|}(w) are filled together
+    in one pass over Delta(w), each c x(right) multiplied into all the
+    powers of left; the memo of powers belongs to the returned map.
     """
-    coproduct, value = type(x).coproduct, x._value
+    coproduct, value, as_forest = type(x).coproduct, x._value, x.basis._of
     memo: dict = {}
 
-    def power(k: int, w) -> Fraction:
-        if k == 1:
-            return value(w)
-        if (k, w) not in memo:
-            total = Fraction(0)
+    def powers(w) -> list[Fraction]:
+        out = memo.get(w)
+        if out is None:
+            out = [value(w)] + [Fraction(0)] * (w.order - 1)
             for t, c in coproduct(w):
-                if t.left.order >= k - 1 and t.right.order:
-                    total += c * power(k - 1, t.left) * value(t.right)
-            memo[k, w] = total
-        return memo[k, w]
+                if t.left.order and t.right.order:
+                    weight = c * value(t.right)
+                    if weight:
+                        for k, p in enumerate(powers(t.left), 1):
+                            out[k] += p * weight
+            memo[w] = out
+        return out
 
     def fn(w) -> Fraction:
         if not w.order:
             return coeffs[0]
-        return sum((coeffs[k] * power(k, w) for k in range(1, w.order + 1)), Fraction(0))
+        return sum((a * p for a, p in zip(coeffs[1:], powers(as_forest(w)))), Fraction(0))
 
     return type(x)(kind, N, fn)
 

@@ -390,7 +390,9 @@ def composed_taylor_oracle(first: RKTableau, second: RKTableau, N: int) -> BCoef
 def rk_step(tableau: RKTableau, field, y, h: float, solver_tol: float = 1e-14):
     """One Runge-Kutta step. Explicit tableaus sweep the stages in order;
     implicit ones iterate the stage fixed point to solver_tol (scaled by
-    the stage magnitude, at most 100 iterations)."""
+    the stage magnitude) through ``_fixed_point``, which raises
+    ConvergenceError after 100 iterations, as it does when the stages
+    turn nan."""
     f = field.as_callable() if isinstance(field, PolyVectorField) else field
     y = np.asarray(y, dtype=float)
     s = tableau.s
@@ -404,24 +406,18 @@ def rk_step(tableau: RKTableau, field, y, h: float, solver_tol: float = 1e-14):
                     yi = yi + (h * a[i][j]) * K[j]
             K[i] = np.asarray(f(yi), dtype=float)
     else:
-        for _ in range(100):
-            shift = 0.0
-            scale = 1.0
+
+        def update(stacked):
             new = []
             for i in range(s):
                 yi = y.copy()
                 for j in range(s):
                     if a[i][j]:
-                        yi = yi + (h * a[i][j]) * K[j]
-                ki = np.asarray(f(yi), dtype=float)
-                shift = max(shift, float(np.max(np.abs(ki - K[i]), initial=0.0)))
-                scale = max(scale, float(np.max(np.abs(ki), initial=0.0)))
-                new.append(ki)
-            K = new
-            if shift <= solver_tol * scale:
-                break
-        else:
-            raise ConvergenceError("implicit stage iteration stalled", shift)
+                        yi = yi + (h * a[i][j]) * stacked[j]
+                new.append(np.asarray(f(yi), dtype=float))
+            return np.stack(new)
+
+        K = _fixed_point(update, np.stack(K), solver_tol, "implicit stage iteration")
     out = y.copy()
     for j in range(s):
         if b[j]:

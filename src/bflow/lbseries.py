@@ -29,7 +29,6 @@ rationals.
 
 from __future__ import annotations
 
-import weakref
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -148,7 +147,7 @@ class LBCoeff(Coeff):
     empty word, vanishing on shuffles of nonempty words), or ``plain``.
     """
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ()
     basis = PlanarForest
     coproduct = staticmethod(delta_mkw)
 
@@ -575,9 +574,6 @@ def method_series(method: str, representation: str, N: int) -> LBCoeff:
 # ---------------------------------------------------------------------------
 
 
-_ASTAR_CACHES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def lb_substitution_character(alpha, omega: PlanarForest | PlanarTree) -> FormalSum:
     """The dual substitution map: expand a word in terms of the words
     whose substituted series hit it.
@@ -587,12 +583,7 @@ def lb_substitution_character(alpha, omega: PlanarForest | PlanarTree) -> Formal
     planar forests; pairing a series beta against it substitutes alpha
     into beta.
     """
-    omega = _as_word(omega)
-    try:
-        memo = _ASTAR_CACHES.setdefault(alpha, {})
-    except TypeError:
-        memo = {}
-    return _astar(alpha, omega, memo)
+    return _astar(alpha, _as_word(omega), {})
 
 
 def _astar(alpha, omega: PlanarForest, memo: dict) -> FormalSum:
@@ -633,7 +624,9 @@ def lb_substitute(alpha, beta: LBCoeff, N: int) -> LBCoeff:
     if beta.N < N:
         raise DomainError(f"series truncated at {beta.N}, need {N}")
 
+    memo: dict = {}  # the images of the words, owned by the returned map
+
     def fn(w: PlanarForest) -> Fraction:
-        return beta(lb_substitution_character(alpha, w))
+        return beta(_astar(alpha, w, memo))
 
     return LBCoeff(beta.kind, N, fn)

@@ -1,14 +1,17 @@
 """Tests for the composition and substitution structure on forests.
 
 The coproduct tables are frozen strings checked against both
-implementations; convolution identities, antipode laws, modified-field
-solves, and the geometric pair conditions are verified exhaustively on
-small orders and on seeded random characters.
+implementations: the memoised recursions in bflow, and the enumerations
+over admissible cuts and edge subsets here, kept as the independent
+routes. Convolution identities, antipode laws, modified-field solves,
+and the geometric pair conditions are verified exhaustively on small
+orders and on seeded random characters.
 """
 
 from __future__ import annotations
 
 import collections
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,11 +24,9 @@ from bflow.bseries_hopf import (
     RKTableau,
     antipode_bck,
     builtin_tableau,
-    cefm_splits,
     check_geometric,
     convolve_bck,
     delta_bck,
-    delta_bck_recursive,
     delta_cefm,
     dot_field,
     elementary_weights,
@@ -64,6 +65,147 @@ def show(tensors: FormalSum) -> str:
     return render_sum(
         tensors, sort_key=lambda t: (-t.left.order, t.left.serial, t.right.serial)
     )
+
+
+def random_tree(rng: random.Random, n: int) -> RootedTree:
+    """A tree of order n: each vertex hangs below a uniformly chosen earlier
+    one, and every vertex takes a colour in 0-2."""
+    kids: list[list[int]] = [[] for _ in range(n)]
+    for v in range(1, n):
+        kids[rng.randrange(v)].append(v)
+    colors = [rng.randrange(3) for _ in range(n)]
+
+    def build(v: int) -> RootedTree:
+        return RootedTree([build(w) for w in kids[v]], colors[v])
+
+    return build(0)
+
+
+TREES_TO_8 = [t for n in range(1, 9) for t in enumerate_trees(n)]
+_rng = random.Random(6061)
+RANDOM_TREES = [random_tree(_rng, _rng.randint(1, 9)) for _ in range(60)]
+
+
+# ---------------------------------------------------------------------------
+# The independent routes: enumerations over cuts and edge subsets
+# ---------------------------------------------------------------------------
+
+
+def tree_cuts(tree: RootedTree) -> list[tuple[tuple[RootedTree, ...], RootedTree]]:
+    """All admissible cuts of a tree except the full one.
+
+    Each cut is returned as (pruned subtrees, remaining tree with the
+    root). The empty cut ((), tree) is included.
+    """
+    per_child = []
+    for child in tree.children:
+        options = [((child,), None)]
+        options.extend(tree_cuts(child))
+        per_child.append(options)
+    out = []
+    for combo in itertools.product(*per_child):
+        pruned: tuple[RootedTree, ...] = ()
+        kept = []
+        for p, r in combo:
+            pruned += p
+            if r is not None:
+                kept.append(r)
+        out.append((pruned, RootedTree(kept, tree.color)))
+    return out
+
+
+def delta_bck_by_cuts(omega: Forest) -> FormalSum:
+    """The pruning coproduct from its definition: on a tree, t (x) 1 plus
+    pruned (x) rest over its admissible cuts; on a forest, the product of
+    its trees' coproducts, slot by slot."""
+    out = FormalSum.term(Tensor(Forest(), Forest()))
+    for tree in omega.trees:
+        terms = [(Forest((tree,)), Forest(), 1)]
+        terms.extend((Forest(pruned), Forest((rest,)), 1) for pruned, rest in tree_cuts(tree))
+        out = FormalSum(
+            (Tensor(t1.left * t2.left, t1.right * t2.right), c1 * c2)
+            for t1, c1 in out
+            for t2, c2 in tensor_sum(terms)
+        )
+    return out
+
+
+def vertex_table(tree: RootedTree):
+    colors: list[int] = []
+    parent: dict[int, int] = {}
+    children: list[list[int]] = []
+
+    def walk(t: RootedTree, par: int | None) -> None:
+        vid = len(colors)
+        colors.append(t.color)
+        children.append([])
+        if par is not None:
+            parent[vid] = par
+            children[par].append(vid)
+        for child in t.children:
+            walk(child, vid)
+
+    walk(tree, None)
+    return colors, parent, children
+
+
+def cefm_splits(tree: RootedTree) -> list[tuple[Forest, RootedTree]]:
+    """All (spanning subforest, contracted tree) pairs of a tree.
+
+    One pair per subset of kept edges: the left part collects the
+    connected components induced by the kept edges, the right part is
+    the quotient tree with each component shrunk to a vertex.
+    """
+    colors, parent, children = vertex_table(tree)
+    n = len(colors)
+    edges = list(range(1, n))
+    out = []
+    for keep in itertools.product((False, True), repeat=len(edges)):
+        comp = list(range(n))
+
+        def find(v: int) -> int:
+            while comp[v] != v:
+                comp[v] = comp[comp[v]]
+                v = comp[v]
+            return v
+
+        for idx, flag in enumerate(keep):
+            if flag:
+                v = edges[idx]
+                comp[find(v)] = find(parent[v])
+
+        members: dict[int, list[int]] = {}
+        for v in range(n):
+            members.setdefault(find(v), []).append(v)
+
+        def build_component(root: int, allowed: set[int]) -> RootedTree:
+            kids = [
+                build_component(w, allowed) for w in children[root] if w in allowed
+            ]
+            return RootedTree(kids, colors[root])
+
+        parts = []
+        rep_of: dict[int, int] = {}
+        for rep, verts in members.items():
+            vset = set(verts)
+            croot = min(verts)
+            parts.append((croot, build_component(croot, vset)))
+            for v in verts:
+                rep_of[v] = croot
+        left = Forest(t for _, t in parts)
+
+        quotient_children: dict[int, list[int]] = {croot: [] for croot, _ in parts}
+        root_rep = rep_of[0]
+        for croot, _ in parts:
+            if croot != 0:
+                quotient_children[rep_of[parent[croot]]].append(croot)
+
+        def build_quotient(croot: int) -> RootedTree:
+            kids = [build_quotient(w) for w in quotient_children[croot]]
+            return RootedTree(kids, colors[croot])
+
+        out.append((left, build_quotient(root_rep)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +249,19 @@ def test_delta_bck_table(serial, expected):
 
 @pytest.mark.parametrize("serial, expected", BCK_TABLE, ids=lambda x: x[:20])
 def test_delta_bck_recursive_table(serial, expected):
-    assert show(delta_bck_recursive(parse_forest(serial))) == expected
+    # The frozen table read through the cut enumeration, the second route.
+    assert show(delta_bck_by_cuts(parse_forest(serial))) == expected
 
 
-def test_delta_bck_routes_agree_to_order_six():
-    for n in range(0, 7):
+def test_delta_bck_routes_agree_to_order_eight():
+    # Every forest of order <= 8, and coloured trees up to order 9: the
+    # recursion must keep the colour of each root it re-attaches.
+    for n in range(0, 9):
         for forest in enumerate_forests(n):
-            assert delta_bck(forest) == delta_bck_recursive(forest)
+            assert delta_bck(forest) == delta_bck_by_cuts(forest), forest.serial
+    for tree in RANDOM_TREES:
+        forest = Forest((tree,))
+        assert delta_bck(tree) == delta_bck_by_cuts(forest), tree.serial
 
 
 def test_delta_bck_multiplicative():
@@ -446,25 +594,6 @@ def test_cefm_split_count_is_edge_powerset():
             assert len(cefm_splits(tree)) == 2 ** (tree.order - 1)
 
 
-def random_tree(rng: random.Random, n: int) -> RootedTree:
-    """A tree of order n: each vertex hangs below a uniformly chosen earlier
-    one, and every vertex takes a colour in 0-2."""
-    kids: list[list[int]] = [[] for _ in range(n)]
-    for v in range(1, n):
-        kids[rng.randrange(v)].append(v)
-    colors = [rng.randrange(3) for _ in range(n)]
-
-    def build(v: int) -> RootedTree:
-        return RootedTree([build(w) for w in kids[v]], colors[v])
-
-    return build(0)
-
-
-TREES_TO_8 = [t for n in range(1, 9) for t in enumerate_trees(n)]
-_rng = random.Random(6061)
-RANDOM_TREES = [random_tree(_rng, _rng.randint(1, 9)) for _ in range(60)]
-
-
 def antipode_by_cuts(omega: Forest, memo: dict) -> FormalSum:
     """The antipode through its defining recursion over admissible cuts,
     S(t) = -t - sum S(P) R over the cuts P, R with P nonempty."""
@@ -472,7 +601,7 @@ def antipode_by_cuts(omega: Forest, memo: dict) -> FormalSum:
     for tree in omega.trees:
         if tree not in memo:
             terms = [(Forest((tree,)), -1)]
-            for pruned, rest in bseries_hopf._tree_cuts(tree):
+            for pruned, rest in tree_cuts(tree):
                 if pruned:
                     rest_forest = Forest((rest,))
                     s_pruned = antipode_by_cuts(Forest(pruned), memo)
@@ -501,13 +630,11 @@ def test_antipode_matches_the_cut_recursion():
 
 
 def test_contraction_and_antipode_run_without_the_enumerations(monkeypatch):
-    def refuse(tree):
-        raise AssertionError(f"enumeration called on {tree.serial}")
-
-    for memo in ("_CEFM_CACHE", "_CEFM_PARTS", "_ANTIPODE_CACHE"):
+    # The enumerations live only in this file, so bflow cannot reach them.
+    for name in ("cefm_splits", "_vertex_table", "_tree_cuts", "delta_bck_recursive", "itertools"):
+        assert not hasattr(bseries_hopf, name), name
+    for memo in ("_CEFM_CACHE", "_CEFM_PARTS", "_ANTIPODE_CACHE", "_BCK_CACHE"):
         monkeypatch.setattr(bseries_hopf, memo, {})
-    monkeypatch.setattr(bseries_hopf, "cefm_splits", refuse)
-    monkeypatch.setattr(bseries_hopf, "_tree_cuts", refuse)
     for tree in TREES_TO_8:
         delta_cefm(tree)
         antipode_bck(tree)
@@ -523,22 +650,17 @@ def test_contraction_and_antipode_run_without_the_enumerations(monkeypatch):
 
 
 def test_convolve_bck_enumerates_cuts_once_per_tree(monkeypatch):
+    # Building the pruning coproduct of a tree takes B-(tree) once; every
+    # later convolution reads the memo.
     calls: collections.Counter = collections.Counter()
-    depth = [0]
-    enumerate_cuts = bseries_hopf._tree_cuts
+    take_root = bseries_hopf.bminus
 
     def counting(tree):
-        # count the calls from outside; the recursion visits subtrees
-        if not depth[0]:
-            calls[tree] += 1
-        depth[0] += 1
-        try:
-            return enumerate_cuts(tree)
-        finally:
-            depth[0] -= 1
+        calls[tree] += 1
+        return take_root(tree)
 
     monkeypatch.setattr(bseries_hopf, "_BCK_CACHE", {})
-    monkeypatch.setattr(bseries_hopf, "_tree_cuts", counting)
+    monkeypatch.setattr(bseries_hopf, "bminus", counting)
     rk4 = rk_character(builtin_tableau("rk4"), 6)
     trees = [t for n in range(1, 7) for t in enumerate_trees(n)]
     first = [convolve_bck(rk4, rk4, 6)(t) for t in trees]
@@ -657,6 +779,27 @@ def test_exp_bck_inverts_log_bck():
         for n in range(0, 7):
             for forest in enumerate_forests(n):
                 assert back(forest) == alpha(forest), forest.serial
+
+
+def test_log_and_exp_bck_read_each_coproduct_once(monkeypatch):
+    # One table of log_bck, then one of exp_bck of it: each asks for the
+    # coproduct of a forest at most once, whatever the power.
+    calls: collections.Counter = collections.Counter()
+
+    def counting(omega):
+        calls[Forest._of(omega)] += 1
+        return delta_bck(omega)
+
+    monkeypatch.setattr(BCoeff, "coproduct", staticmethod(counting))
+    rk4 = rk_character(builtin_tableau("rk4"), 7)
+    log = log_bck(rk4, 7)
+    back = solve_modified(rk4, "backward_error", 7)
+    table = log.table()
+    assert table == {f: back(f) for f in table}
+    assert any(f.order == 7 for f in calls) and max(calls.values()) == 1
+    calls.clear()
+    assert exp_bck(log, 7).table() == rk4.table()
+    assert any(f.order == 7 for f in calls) and max(calls.values()) == 1
 
 
 def test_log_and_exp_bck_need_their_kinds():

@@ -481,6 +481,17 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "coefficient of y0" in err and "float range" in err
 
+    def test_implicit_stages_blowing_up_exit_2(self, capsys):
+        # The stages reach nan at step 19; no partial trajectory is printed.
+        with np.errstate(all="ignore"):
+            code, out, err = run(
+                capsys,
+                "integrate", "--method", "implicit_midpoint", "--action", "translation",
+                "--f", "y0^2-0.3*y1,y1/3-y0*y1+1/7", "--h", "0.1", "--steps", "40",
+            )
+        assert code == 2 and out == ""
+        assert "implicit stage iteration" in err and "residual nan" in err
+
     def test_wrong_y0_length_is_domain(self, capsys):
         code, _, err = run(
             capsys,

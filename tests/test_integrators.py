@@ -450,6 +450,14 @@ class TestRkStep:
         with pytest.raises(DomainError, match="residual"):
             rk_step(IMID, lambda y: -100.0 * y, np.array([1.0]), 1.0)
 
+    def test_stages_leaving_the_floats_do_not_converge(self):
+        # y*y overflows: the stages go to inf and their differences to nan,
+        # which must not pass for a converged shift
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError) as exc:
+            rk_step(IMID, lambda y: y * y, [1e200], 1.0)
+        assert "implicit stage iteration" in str(exc.value)
+        assert np.isnan(exc.value.residual)
+
 
 def _stiff_decay() -> LGProblem:
     # y' = -100 y at h = 1: every stage fixed point below diverges
