@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from .bseries_hopf import BUILTIN_TABLEAUS, builtin_tableau, parse_tableau
+from .bseries_hopf import BUILTIN_TABLEAUS, builtin_tableau, read_tableau
 from .errors import DomainError
 from .integrators import (
     LGProblem,
@@ -114,11 +114,7 @@ def _run_trajectory(args, problem):
     if method in BUILTIN_TABLEAUS or (method == "custom" and args.tableau):
         if problem.action.kind != "translation":
             raise DomainError("classical methods integrate the translation action only")
-        if method == "custom":
-            with open(args.tableau, "r", encoding="utf-8") as fh:
-                tab = parse_tableau(fh.read(), name=args.tableau)
-        else:
-            tab = builtin_tableau(method)
+        tab = read_tableau(args.tableau) if method == "custom" else builtin_tableau(method)
         field = problem.f
         y = problem.y0.copy()
         out = [y]
@@ -128,16 +124,15 @@ def _run_trajectory(args, problem):
             t += args.h
             out.append(y)
         return out
-    tableau = None
-    if args.tableau:
-        with open(args.tableau, "r", encoding="utf-8") as fh:
-            tableau = parse_tableau(fh.read(), name=args.tableau)
+    tableau = read_tableau(args.tableau) if args.tableau else None
     return integrate(method, problem, args.h, args.steps, m=args.m, tableau=tableau)
 
 
 def integrate_command(args) -> int:
     problem = _build_problem(args)
-    trajectory = _run_trajectory(args, problem)
+    # A run that leaves the floats ends in one error line, not numpy warnings.
+    with np.errstate(all="ignore"):
+        trajectory = _run_trajectory(args, problem)
     columns = ["step", "t"] + _state_columns(problem.y0)
     tracker = None
     if args.check_invariant:
@@ -159,13 +154,11 @@ def converge_command(args) -> int:
     if args.method in BUILTIN_TABLEAUS:
         raise DomainError("converge drives the Lie group methods; see integrate")
     h_list = args.h
-    tableau = None
-    if args.tableau:
-        with open(args.tableau, "r", encoding="utf-8") as fh:
-            tableau = parse_tableau(fh.read(), name=args.tableau)
-    slope, rows = convergence_order(
-        args.method, problem, args.t_end, h_list, m=args.m, tableau=tableau
-    )
+    tableau = read_tableau(args.tableau) if args.tableau else None
+    with np.errstate(all="ignore"):
+        slope, rows = convergence_order(
+            args.method, problem, args.t_end, h_list, m=args.m, tableau=tableau
+        )
     lines = ["method,h,error,slope_estimate"]
     for h, err, pair in rows:
         tail = "" if pair is None else _fmt(pair)

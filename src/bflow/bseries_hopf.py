@@ -289,6 +289,13 @@ def parse_tableau(text: str, name: str = "file") -> RKTableau:
     return RKTableau(a, b, name=name)
 
 
+def read_tableau(path: str) -> RKTableau:
+    """Read a tableau file in the ``parse_tableau`` format, named by its
+    path. An unreadable file raises OSError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_tableau(fh.read(), name=path)
+
+
 def _f(x: str) -> Fraction:
     return Fraction(x)
 

@@ -25,7 +25,7 @@ from .bseries_hopf import (
     exact_gamma,
     check_geometric,
     order_report,
-    parse_tableau,
+    read_tableau,
     rk_character,
     solve_modified,
     substitute_b,
@@ -131,8 +131,7 @@ def cmd_coproduct(args) -> int:
 def _load_character(args, N: int, name_attr: str = "builtin", file_attr: str = "tableau"):
     path = getattr(args, file_attr, None)
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            return rk_character(parse_tableau(fh.read(), name=path), N)
+        return rk_character(read_tableau(path), N)
     name = getattr(args, name_attr, None)
     if name is None:
         raise _UsageError(f"missing --{name_attr.replace('_', '-')} (or a tableau file)")

@@ -1,10 +1,12 @@
 """Elementary differentials, Runge-Kutta steppers, and Lie group integrators.
 
 Two layers that never mix arithmetic. The exact layer evaluates truncated
-series on polynomial vector fields: elementary differentials follow the
-derivative recursion, and the Taylor oracle expands a Runge-Kutta map over
-a generic field, one monomial per tree, with no reference to the
-elementary-weight product formula (that independence is the point). The
+series on polynomial vector fields. Elementary differentials have one
+route: derivative tensors contracted at an exact point, whose entries may
+be rationals or polynomials; ``modified_field`` takes the field's own
+state variables as the point. The Taylor oracle expands a Runge-Kutta map over a generic
+field, one monomial per tree, with no reference to the elementary-weight
+product formula (that independence is the point). The
 floating-point layer supplies the steppers, the group actions, and a
 convergence-order harness; it works in 64-bit floats throughout.
 
@@ -55,9 +57,9 @@ class PolyVectorField:
     that passes through evaluation untouched. Components may be given as
     ``Poly``s or as text for ``parse``; anything else is read through its
     ``str()``, so sympy expressions and symbols are accepted as input.
-    Each field memoises its derivatives and elementary differentials.
-    ``as_callable`` compiles a float version for the steppers
-    (parameter-free fields only).
+    Its elementary differentials are derivative tensors contracted at a
+    point (``elementary_differential``). ``as_callable`` compiles a float
+    version for the steppers (parameter-free fields only).
     """
 
     def __init__(self, exprs, syms, params=()):
@@ -77,8 +79,6 @@ class PolyVectorField:
                 f"field needs one state symbol per component, got {len(self.syms)} "
                 f"symbols for {self.n} components"
             )
-        self._diff_cache: dict = {}
-        self._elem_cache: dict[RootedTree, tuple] = {}
         self._fn = None
 
     @classmethod
@@ -104,43 +104,6 @@ class PolyVectorField:
             self._fn = fn
         return self._fn
 
-    def _derivative(self, i: int, indices: tuple[int, ...]) -> Poly:
-        # f^i_{j1..jk}; symmetric in the lower indices, so sort the key.
-        key = (i, tuple(sorted(indices)))
-        if key not in self._diff_cache:
-            expr = self.exprs[i]
-            for j in key[1]:
-                expr = expr.diff(self.syms[j])
-            self._diff_cache[key] = expr
-        return self._diff_cache[key]
-
-    def elementary_symbolic(self, tree: RootedTree) -> tuple:
-        """The elementary differential of ``tree`` as polynomial components.
-
-        F(.) = f, and on B+(t1..tm) the m-th derivative tensor of f is
-        contracted against the children's differentials.
-        """
-        if tree in self._elem_cache:
-            return self._elem_cache[tree]
-        from .poly import Poly
-
-        children = [self.elementary_symbolic(c) for c in tree.children]
-        m = len(children)
-        out = []
-        for i in range(self.n):
-            total = Poly.const(0, self.exprs[i].names)
-            for jtuple in itertools.product(range(self.n), repeat=m):
-                term = self._derivative(i, jtuple)
-                if not term:
-                    continue
-                for j, child in zip(jtuple, children):
-                    term = term * child[j]
-                total = total + term
-            out.append(total)
-        result = tuple(out)
-        self._elem_cache[tree] = result
-        return result
-
 
 def _exact(value):
     """A number as a Fraction. A Poly, or anything else read through its
@@ -155,20 +118,33 @@ def _exact(value):
     return value if c is None else c
 
 
-def _differentials_at(field: PolyVectorField, y: list[Fraction]) -> Callable:
-    """Elementary differentials at the rational point y, as Fractions.
+def _differentials_at(field: PolyVectorField, y: list) -> Callable:
+    """Elementary differentials at the exact point y, whose entries are
+    Fractions or Polys.
 
     F(B+(t1..tm))(y) = f^(m)(y)[F(t1)(y), ..., F(tm)(y)]. Each entry of a
     derivative tensor at y is summed once from the field's monomials and
     each tree is contracted once from its children's values, both in
-    memos that live as long as the returned function.
+    memos that live as long as the returned function. The field's
+    parameters enter as their own variables, never differentiated. A
+    symbolic entry is taken over the field's names followed by its own, so
+    the values print in the field's variable order.
     """
-    monomials = [e.terms for e in field.exprs]
     n = field.n
-    entries: dict[tuple, Fraction] = {}
+    names = field.syms + field.params
+    symbolic = [v for v in y if not isinstance(v, Fraction)]
+    if symbolic or field.params:
+        from .poly import Poly
+
+        names += tuple(dict.fromkeys(k for v in symbolic for k in v.names if k not in names))
+        y = [v if isinstance(v, Fraction) else v.over(names) for v in y]
+        y += [Poly.var(p, names) for p in field.params]
+    pad = (0,) * len(field.params)
+    monomials = [e.terms for e in field.exprs]
+    entries: dict[tuple, object] = {}
     values: dict[RootedTree, tuple] = {}
 
-    def entry(i: int, counts: tuple[int, ...]) -> Fraction:
+    def entry(i: int, counts: tuple[int, ...]):
         # component i differentiated counts[k] times in y_k, at y
         key = (i, counts)
         if key not in entries:
@@ -190,32 +166,27 @@ def _differentials_at(field: PolyVectorField, y: list[Fraction]) -> Callable:
         for i in range(n):
             total = Fraction(0)
             for jtuple in itertools.product(range(n), repeat=len(children)):
-                term = entry(i, tuple(jtuple.count(k) for k in range(n)))
+                term = entry(i, tuple(jtuple.count(k) for k in range(n)) + pad)
                 if not term:
                     continue
                 for j, child in zip(jtuple, children):
                     term *= child[j]
                 total += term
-            out.append(total)
+            out.append(_exact(total))
         values[tree] = tuple(out)
         return values[tree]
 
     return differential
 
 
-def _differentials(field: PolyVectorField, y, h=0) -> Callable:
-    """tree -> F(tree)(y). Rational y and h on a parameter-free field take
-    the derivative tensors at y; otherwise the symbolic differentials are
-    expanded and y substituted, so the values may stay symbolic."""
+def _differentials(field: PolyVectorField, y) -> Callable:
+    """tree -> F(tree)(y), after checking the dimension of y and reading
+    its entries exactly."""
     if len(y) != field.n:
         raise DomainError(
             f"state has dimension {len(y)}, field expects {field.n}"
         )
-    y = [_exact(v) for v in y]
-    if not field.params and all(isinstance(v, Fraction) for v in (_exact(h), *y)):
-        return _differentials_at(field, y)
-    point = dict(zip(field.syms, y))
-    return lambda tree: [_exact(e.subs(point)) for e in field.elementary_symbolic(tree)]
+    return _differentials_at(field, [_exact(v) for v in y])
 
 
 def elementary_differential(tree: RootedTree, field: PolyVectorField, y) -> list:
@@ -234,7 +205,7 @@ def eval_bseries(alpha: BCoeff, field: PolyVectorField, y, h, N: int) -> list:
             f"series evaluation to order {N} needs coefficients at that order "
             f"(map truncated at {alpha.N})"
         )
-    differential = _differentials(field, y, h)
+    differential = _differentials(field, y)
     hval = _exact(h)
     unit = alpha.unit_value()
     acc = [unit * _exact(v) for v in y]
@@ -264,6 +235,7 @@ def modified_field(beta: BCoeff, field: PolyVectorField, h, N: int) -> PolyVecto
             f"field construction to order {N} needs coefficients at that order"
         )
     hval = _exact(h)
+    differential = _differentials(field, field.syms)
     exprs = [0] * field.n
     for n in range(1, N + 1):
         for tree in enumerate_trees(n):
@@ -271,7 +243,7 @@ def modified_field(beta: BCoeff, field: PolyVectorField, h, N: int) -> PolyVecto
             if not c:
                 continue
             weight = hval ** (n - 1) * c / tree_stats(tree)[1]
-            vec = field.elementary_symbolic(tree)
+            vec = differential(tree)
             exprs = [e + weight * v for e, v in zip(exprs, vec)]
     free = () if isinstance(hval, Fraction) else hval.free
     params = field.params + tuple(p for p in free if p not in field.syms + field.params)
@@ -388,23 +360,24 @@ def composed_taylor_oracle(first: RKTableau, second: RKTableau, N: int) -> BCoef
 
 
 def rk_step(tableau: RKTableau, field, y, h: float, solver_tol: float = 1e-14):
-    """One Runge-Kutta step. Explicit tableaus sweep the stages in order;
-    implicit ones iterate the stage fixed point to solver_tol (scaled by
-    the stage magnitude) through ``_fixed_point``, which raises
+    """One Runge-Kutta step. Explicit tableaus sweep the stages in order,
+    one call of f per stage; implicit ones start every stage at f(y),
+    evaluated once, and iterate the stage fixed point to solver_tol
+    (scaled by the stage magnitude) through ``_fixed_point``, which raises
     ConvergenceError after 100 iterations, as it does when the stages
     turn nan."""
     f = field.as_callable() if isinstance(field, PolyVectorField) else field
     y = np.asarray(y, dtype=float)
     s = tableau.s
     a, b, _ = tableau.floats
-    K = [np.asarray(f(y), dtype=float) for _ in range(s)]
     if tableau.is_explicit:
+        K = []
         for i in range(s):
             yi = y.copy()
             for j in range(i):
                 if a[i][j]:
                     yi = yi + (h * a[i][j]) * K[j]
-            K[i] = np.asarray(f(yi), dtype=float)
+            K.append(np.asarray(f(yi), dtype=float))
     else:
 
         def update(stacked):
@@ -417,7 +390,8 @@ def rk_step(tableau: RKTableau, field, y, h: float, solver_tol: float = 1e-14):
                 new.append(np.asarray(f(yi), dtype=float))
             return np.stack(new)
 
-        K = _fixed_point(update, np.stack(K), solver_tol, "implicit stage iteration")
+        start = np.stack([np.asarray(f(y), dtype=float)] * s)
+        K = _fixed_point(update, start, solver_tol, "implicit stage iteration")
     out = y.copy()
     for j in range(s):
         if b[j]:

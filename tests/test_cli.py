@@ -492,6 +492,21 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "implicit stage iteration" in err and "residual nan" in err
 
+    def test_implicit_stages_blowing_up_print_one_error_line(self):
+        # In a fresh process, where numpy's warnings reach stderr unfiltered.
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bflow.__file__)))
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "bflow.cli",
+                "integrate", "--method", "implicit_midpoint", "--action", "translation",
+                "--f", "y0^2-0.3*y1,y1/3-y0*y1+1/7", "--h", "0.1", "--steps", "40",
+            ],
+            capture_output=True, text=True, env=env,
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
+
     def test_wrong_y0_length_is_domain(self, capsys):
         code, _, err = run(
             capsys,

@@ -3,13 +3,15 @@ and the Lie group steppers.
 
 The oracle side is verified against the algebraic layer (elementary
 weights, composition via convolution, backward error), elementary
-differentials against a hand-transcribed index-notation evaluator, and
+differentials against a hand-transcribed index-notation evaluator and a
+sympy expansion of the derivative recursion, and
 the steppers against classical reductions, conserved quantities, and
 measured convergence slopes.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import re
@@ -26,6 +28,7 @@ from bflow import integrators
 
 from bflow.bseries_hopf import (
     BCoeff,
+    RKTableau,
     builtin_tableau,
     convolve_bck,
     elementary_weights,
@@ -61,6 +64,7 @@ from bflow.integrators import (
     toda_problem,
 )
 from bflow.lbseries import BellWord
+from bflow.poly import Poly
 
 DOT = parse_tree("[]")
 L2 = parse_tree("[[]]")
@@ -87,6 +91,10 @@ def cubic_2d() -> PolyVectorField:
 
 def quadratic_1d() -> PolyVectorField:
     return PolyVectorField.from_strings(["y0**2"])
+
+
+def parametric_2d() -> PolyVectorField:
+    return PolyVectorField(["b*y0**2 + a*y1", "a*y0"], ["y0", "y1"], params=["b", "a"])
 
 
 def _fraction(value) -> Fraction:
@@ -150,9 +158,12 @@ class TestPolyVectorField:
 # Elementary differentials
 # ---------------------------------------------------------------------------
 #
-# The oracle below transcribes the classical index expressions one tree
-# at a time, with the contraction loops written out by hand; it shares
-# no traversal code with elementary_symbolic.
+# Two sympy oracles stand apart from the package's one route, which
+# contracts derivative tensors at a point. The first transcribes the
+# classical index expressions one tree at a time, with the contraction
+# loops written out by hand. The second expands F(t) as a sympy
+# polynomial by the derivative recursion, to be evaluated at a point
+# afterwards.
 
 
 def _partial(F: PolyVectorField, i: int, *idx: int):
@@ -203,11 +214,28 @@ def _index_formula(F: PolyVectorField, tree) -> list:
     raise AssertionError(f"no hand formula for {tree}")
 
 
+def _sympy_expansion(F: PolyVectorField, tree, memo: dict) -> list:
+    """F(tree) as expanded sympy polynomials in the state symbols:
+    F(B+(t1..tm))^i = sum over j1..jm of f^i_{j1..jm} F(t1)^{j1} ... F(tm)^{jm}."""
+    if tree not in memo:
+        children = [_sympy_expansion(F, c, memo) for c in tree.children]
+        memo[tree] = [
+            sympy.expand(
+                sum(
+                    _partial(F, i, *js) * sympy.Mul(*(ch[j] for ch, j in zip(children, js)))
+                    for js in itertools.product(range(F.n), repeat=len(children))
+                )
+            )
+            for i in range(F.n)
+        ]
+    return memo[tree]
+
+
 class TestElementaryDifferential:
     @pytest.mark.parametrize("tree", [DOT, L2, CHERRY, L3, BUSH4, T4B])
     def test_matches_index_notation_on_cubic_field(self, tree):
         F = cubic_2d()
-        got = F.elementary_symbolic(tree)
+        got = elementary_differential(tree, F, F.syms)
         want = _index_formula(F, tree)
         for g, w in zip(got, want):
             assert sympy.expand(sympy.sympify(g) - w) == 0
@@ -233,6 +261,15 @@ class TestElementaryDifferential:
         with pytest.raises(DomainError):
             elementary_differential(DOT, quadratic_1d(), [1, 2])
 
+    def test_symbolic_point_prints_in_the_fields_variable_order(self):
+        # the field's names (state, then parameters) come before the point's
+        F = parametric_2d()
+        assert [str(v) for v in elementary_differential(DOT, F, ["z0", "z1"])] == [
+            "b*z0**2 + a*z1",
+            "a*z0",
+        ]
+        assert str(elementary_differential(L2, F, ["z1", "y0"])[1]) == "y0*a**2 + b*a*z1**2"
+
     @pytest.mark.parametrize(
         "field, points",
         [
@@ -241,10 +278,11 @@ class TestElementaryDifferential:
         ],
     )
     def test_point_values_equal_symbolic_substitution(self, field, points):
-        """Contracting derivative tensors at y gives the symbolic
-        differential with y substituted, exactly, on every tree of order
-        at most 5."""
+        """Contracting derivative tensors at y gives the sympy expansion
+        of the differential with y substituted, exactly, on every tree of
+        order at most 5."""
         F = field()
+        memo: dict = {}
         for y in points:
             subs = {
                 sympy.Symbol(s): sympy.Rational(v.numerator, v.denominator)
@@ -252,10 +290,7 @@ class TestElementaryDifferential:
             }
             for n in range(1, 6):
                 for tree in enumerate_trees(n):
-                    want = [
-                        _fraction(sympy.sympify(e).subs(subs))
-                        for e in F.elementary_symbolic(tree)
-                    ]
+                    want = [_fraction(e.subs(subs)) for e in _sympy_expansion(F, tree, memo)]
                     assert elementary_differential(tree, F, y) == want, tree
 
 
@@ -294,16 +329,21 @@ class TestEvalBseries:
             eval_bseries(exact_gamma(3), cubic_2d(), [Fraction(1)], Fraction(1), 3)
 
     def test_rational_point_skips_symbolic_expansion(self, monkeypatch):
+        """A rational point and h on a parameter-free field stay in
+        Fractions: no polynomial is multiplied, and the value is the
+        symbolic-h result with h substituted."""
         F = cubic_2d()
         y = [Fraction(1, 2), Fraction(-1, 3)]
         h = sympy.Symbol("h")
         symbolic = eval_bseries(exact_gamma(5), F, y, h, 5)
 
-        def expand(tree):
-            raise AssertionError("rational evaluation expanded a differential")
+        def refuse(*args):
+            raise AssertionError("rational evaluation multiplied a polynomial")
 
-        monkeypatch.setattr(F, "elementary_symbolic", expand)
+        for name in ("__mul__", "__rmul__", "__pow__"):
+            monkeypatch.setattr(Poly, name, refuse)
         point = eval_bseries(exact_gamma(5), F, y, Fraction(1, 10), 5)
+        monkeypatch.undo()
         assert point == [
             _fraction(sympy.sympify(v).subs(h, sympy.Rational(1, 10))) for v in symbolic
         ]
@@ -316,20 +356,25 @@ class TestModifiedField:
 
     def test_substitution_law_as_series_in_h(self):
         """Substituting coefficients then evaluating agrees with evaluating
-        through the modified field, order by order in a symbolic h."""
+        through the modified field, order by order in a symbolic h; on the
+        parametric field, identically in its parameters."""
         h = sympy.Symbol("h")
         N = 4
         beta = solve_modified(rk_character(EULER, N), "backward_error", N)
         gamma = exact_gamma(N)
-        F = quadratic_1d()
-        y = [Fraction(1, 2)]
-        lhs = eval_bseries(substitute_b(beta, gamma, N), F, y, h, N)
-        Fmod = modified_field(beta, F, h, N)
-        rhs = eval_bseries(gamma, Fmod, y, h, N)
-        for a, b in zip(lhs, rhs):
-            diff = sympy.expand(sympy.sympify(a) - sympy.sympify(b))
-            for k in range(N + 1):
-                assert diff.coeff(h, k) == 0
+        cases = [
+            (quadratic_1d(), [Fraction(1, 2)]),
+            (cubic_2d(), [Fraction(1, 2), Fraction(-1, 3)]),
+            (parametric_2d(), [Fraction(2, 3), Fraction(-3, 4)]),
+        ]
+        for F, y in cases:
+            lhs = eval_bseries(substitute_b(beta, gamma, N), F, y, h, N)
+            Fmod = modified_field(beta, F, h, N)
+            rhs = eval_bseries(gamma, Fmod, y, h, N)
+            for a, b in zip(lhs, rhs):
+                diff = sympy.expand(sympy.sympify(a) - sympy.sympify(b))
+                for k in range(N + 1):
+                    assert diff.coeff(h, k) == 0, (F.exprs, k)
 
     def test_parameters_keep_declaration_order(self):
         """The field's own parameters come first, in the order declared,
@@ -440,6 +485,33 @@ class TestRkStep:
     def test_explicit_midpoint_two_stage_sweep(self):
         out = rk_step(EMID, lambda y: y, np.array([1.0]), 1.0)
         assert out[0] == pytest.approx(2.5, abs=1e-15)
+
+    @pytest.mark.parametrize("tab, calls", [(EULER, 1), (EMID, 2), (RK4, 4)])
+    def test_explicit_step_calls_f_once_per_stage(self, tab, calls):
+        seen = []
+
+        def f(y):
+            seen.append(y.copy())
+            return -y
+
+        rk_step(tab, f, np.array([1.0]), 0.1)
+        assert len(seen) == calls
+
+    def test_implicit_step_evaluates_the_start_once(self):
+        # A two-stage DIRK: the stage guess f(y) is one call, then each
+        # sweep calls f once per stage, never at y itself.
+        dirk = RKTableau(
+            [[Fraction(1, 4), 0], [Fraction(1, 2), Fraction(1, 4)]], [Fraction(1, 2)] * 2
+        )
+        seen = []
+
+        def f(y):
+            seen.append(float(y[0]))
+            return -y
+
+        rk_step(dirk, f, np.array([1.0]), 0.1)
+        assert seen.count(1.0) == 1
+        assert len(seen) > 1 and (len(seen) - 1) % 2 == 0
 
     def test_accepts_polynomial_fields(self):
         F = quadratic_1d()
