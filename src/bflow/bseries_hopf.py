@@ -46,7 +46,7 @@ from .forest_core import (
     single,
     tree_stats,
 )
-from .hopf import Coeff, convolution_exp, convolution_log, convolve
+from .hopf import Coeff, convolution_exp, convolution_log, convolve, exact_sum
 
 DOT = single()
 DOT_FOREST = Forest((DOT,))
@@ -175,25 +175,23 @@ class BCoeff(Coeff):
             return self._cached(EMPTY_FOREST)
         return Fraction(1 if self.kind == "character" else 0)
 
-    def _value(self, x) -> Fraction:
+    def _factors(self, x) -> tuple[Fraction, ...] | None:
+        """The kind rule: a tree gives its value; on a forest a character
+        gives the values of its trees (none on the empty forest), an
+        infinitesimal map the value of its one tree (None, for 0, on the
+        unit and on products), and a plain map its stored value."""
         if isinstance(x, RootedTree):
-            return self.tree_value(x)
+            return (self.tree_value(x),)
         if not isinstance(x, Forest):
             raise DomainError(f"cannot evaluate coefficients on {type(x).__name__}")
         if self.kind == "plain":
-            return self._cached(x)
+            return (self._cached(x),)
         if x.order > self.N:
             raise self._beyond(x)
-        if not x.trees:
-            return self.unit_value()
+        trees = x.trees
         if self.kind == "character":
-            out = Fraction(1)
-            for t in x.trees:
-                out *= self._cached(t)
-            return out
-        if len(x.trees) == 1:
-            return self._cached(x.trees[0])
-        return Fraction(0)
+            return (*map(self._cached, trees),)
+        return (self._cached(trees[0]),) if len(trees) == 1 else None
 
 
 def _as_fn(values, key=lambda x: x):
@@ -453,20 +451,14 @@ def delta_cefm(omega: Forest | RootedTree) -> FormalSum:
     return _multiplicative(_delta_cefm_tree, omega, _UNIT_TENSOR)
 
 
-def _product_over_trees(alpha: BCoeff, forest: Forest) -> Fraction:
-    out = Fraction(1)
-    for t in forest.trees:
-        out *= alpha.tree_value(t)
-    return out
-
-
 def substitute_b(alpha: BCoeff, beta: BCoeff, N: int) -> BCoeff:
     """Substitute the field with coefficients alpha into the series beta.
 
     alpha must vanish on the empty forest (it describes a vector field).
     The result takes beta's value on the empty forest, and on a tree it
     is the contraction-coproduct convolution, with alpha evaluated as a
-    product over the components of the spanning subforest.
+    product over the components of the spanning subforest, summed by
+    ``exact_sum``.
     """
     if alpha.unit_value() != 0:
         raise DomainError("substitution needs a field: alpha(1) must be 0")
@@ -475,14 +467,17 @@ def substitute_b(alpha: BCoeff, beta: BCoeff, N: int) -> BCoeff:
             f"substitution to order {N} needs both maps at that order "
             f"(got {alpha.N} and {beta.N})"
         )
+    component, right = alpha.tree_value, beta._factors
+
+    def terms(x):
+        for t, c in delta_cefm(x):
+            b = right(t.right)
+            if b is not None:
+                yield c.numerator, (*map(component, t.left.trees), *b)
 
     def fn(x) -> Fraction:
         # x is a tree, or a forest when beta is plain
-        terms = delta_cefm(x)
-        return sum(
-            (c * _product_over_trees(alpha, t.left) * beta._value(t.right) for t, c in terms),
-            Fraction(0),
-        )
+        return exact_sum(terms(x))
 
     return BCoeff(beta.kind, N, fn)
 
@@ -495,6 +490,12 @@ def solve_modified(alpha: BCoeff, mode: str, N: int) -> BCoeff:
     reproduces the method alpha (the modified equation the method solves
     exactly). mode "modifying_integrator": substituting beta into the
     method series gives the exact flow.
+
+    Tree by tree in order, target(t) is the sum over the terms c l (x) r
+    of delta_cefm(t) of c beta(l) other(r). The term with r the single
+    vertex is beta(t) itself, since other(.) = 1 for a consistent method
+    and for the exact flow, so beta(t) is one ``exact_sum`` of target(t)
+    and the other terms negated.
     """
     if mode not in ("backward_error", "modifying_integrator"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -506,18 +507,17 @@ def solve_modified(alpha: BCoeff, mode: str, N: int) -> BCoeff:
 
     values: dict[RootedTree, Fraction] = {}
 
+    def terms(tree):
+        yield 1, (target.tree_value(tree),)
+        for pair, c in delta_cefm(tree):
+            if pair.right != DOT_FOREST:
+                right = other.tree_value(pair.right.trees[0])
+                yield -c.numerator, (*map(values.__getitem__, pair.left.trees), right)
+
     for n in range(1, N + 1):
         for tree in enumerate_trees(n):
-            total = Fraction(0)
-            for pair, c in delta_cefm(tree):
-                if pair.right == DOT_FOREST:
-                    continue  # the unknown beta(tree) itself
-                prod = c
-                for t in pair.left.trees:
-                    prod *= values[t]
-                total += prod * other.tree_value(pair.right.trees[0])
-            values[tree] = (target.tree_value(tree) - total) / other.tree_value(DOT)
-    return BCoeff.infinitesimal(dict(values), N)
+            values[tree] = exact_sum(terms(tree))
+    return BCoeff.infinitesimal(values, N)
 
 
 def log_bck(alpha: BCoeff, N: int) -> BCoeff:

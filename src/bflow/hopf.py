@@ -10,19 +10,57 @@ of Chartier, Hairer & Vilmart (FoCM 2010) on the other. ``Coeff`` is the
 coefficient-map base, ``convolve`` the one convolution and
 ``convolution_series`` the one exp/log series; ``bseries_hopf.BCoeff`` and
 ``lbseries.LBCoeff`` bring the basis, the coproduct and the kind rule.
+
+Values are Fractions, but sums of products of them are not added as
+Fractions. A coefficient map splits a value into the factors of its kind
+rule (``Coeff._factors``), every coproduct multiplicity is an integer,
+and ``exact_sum`` adds the integer numerators of all the terms of one
+value over one common denominator, building a single Fraction per value.
+Convolution, the exp/log series, substitution, the modified-field solve
+and the planar ``q_apply`` all sum through it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from .algebra import FormalSum
 from .errors import CapacityError, DomainError
 from .forest_core import enumerate_forests
 
 KINDS = ("character", "infinitesimal", "plain")
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def exact_sum(terms: Iterable[tuple[int, tuple[Fraction, ...]]]) -> Fraction:
+    """sum c * prod(factors) over the terms (c, factors), c an int and the
+    factors Fractions, as one Fraction.
+
+    Each term is read once, as the integer c * prod(numerators) over
+    prod(denominators), and added to an integer total over one common
+    denominator, the lcm of the term denominators so far; the total is
+    rescaled when a term's denominator does not divide it. One Fraction
+    is built, at the end. The terms are not collected first, so only one
+    of them is alive at a time."""
+    total, scale = 0, 1
+    for c, factors in terms:
+        num, den = c, 1
+        for f in factors:
+            num *= f.numerator
+            den *= f.denominator
+        if num:
+            if scale % den:
+                grown = math.lcm(scale, den)
+                total *= grown // scale
+                scale = grown
+            total += num * (scale // den)
+    return Fraction(total, scale)
 
 
 class Coeff:
@@ -32,9 +70,10 @@ class Coeff:
     A ``character`` is 1 on the empty forest and multiplicative, an
     ``infinitesimal`` map is 0 on the empty forest and on products, and a
     ``plain`` map claims nothing. ``fn`` gives the values the subclass
-    stores, each computed once; its ``_value`` (the kind rule) evaluates
-    a basis element. Values are defined up to the truncation order
-    ``N``; anything of higher order raises CapacityError.
+    stores, each computed once; its ``_factors`` (the kind rule) gives the
+    stored values whose product is the value at a basis element, or None
+    where the kind rule makes it 0. Values are defined up to the
+    truncation order ``N``; anything of higher order raises CapacityError.
     """
 
     __slots__ = ("kind", "N", "_fn", "_cache")
@@ -63,6 +102,15 @@ class Coeff:
             value = self._cache[x] = Fraction(self._fn(x))
         return value
 
+    def _factors(self, x) -> tuple[Fraction, ...] | None:
+        raise NotImplementedError
+
+    def _value(self, x) -> Fraction:
+        factors = self._factors(x)
+        if factors is None:
+            return _ZERO
+        return functools.reduce(operator.mul, factors) if factors else _ONE
+
     def __call__(self, x) -> Fraction:
         if isinstance(x, FormalSum):
             return sum((coeff * self(basis) for basis, coeff in x), Fraction(0))
@@ -78,10 +126,10 @@ class Coeff:
 def convolve(alpha: Coeff, beta: Coeff, N: int) -> Coeff:
     """Convolution against the coproduct of the maps' Hopf algebra,
     (alpha * beta)(x) = sum c alpha(l) beta(r) over the terms c l (x) r of
-    Delta(x). For method characters this is composition: the first slot
-    is the map applied first. Two characters give a character, anything
-    else a plain map. Both maps must be of one class and truncated at
-    order N or beyond."""
+    Delta(x), summed by ``exact_sum``. For method characters this is
+    composition: the first slot is the map applied first. Two characters
+    give a character, anything else a plain map. Both maps must be of one
+    class and truncated at order N or beyond."""
     cls = type(alpha)
     if type(beta) is not cls:
         raise DomainError(
@@ -93,10 +141,18 @@ def convolve(alpha: Coeff, beta: Coeff, N: int) -> Coeff:
             f"(got {alpha.N} and {beta.N})"
         )
 
-    left, right = alpha._value, beta._value
+    left, right = alpha._factors, beta._factors
+
+    def terms(x):
+        for t, c in cls.coproduct(x):
+            a = left(t.left)
+            if a is not None:
+                b = right(t.right)
+                if b is not None:
+                    yield c.numerator, a + b
 
     def fn(x) -> Fraction:
-        return sum((c * left(t.left) * right(t.right) for t, c in cls.coproduct(x)), Fraction(0))
+        return exact_sum(terms(x))
 
     kind = "character" if alpha.kind == beta.kind == "character" else "plain"
     return cls(kind, N, fn)
@@ -110,29 +166,33 @@ def convolution_series(x: Coeff, coeffs: list[Fraction], kind: str, N: int) -> C
     one, so x^{*k} vanishes below order k and x^{*k}(w) = sum c
     x^{*(k-1)}(left) x(right) over the terms of Delta(w) with both sides
     nonempty. The powers x^{*1}(w), ..., x^{*|w|}(w) are filled together
-    in one pass over Delta(w), each c x(right) multiplied into all the
-    powers of left; the memo of powers belongs to the returned map.
+    from one pass over Delta(w), which collects the rows (c, factors of
+    x(right), powers of left); each power is one ``exact_sum`` over the
+    rows, and the memo of powers belongs to the returned map.
     """
-    coproduct, value, as_forest = type(x).coproduct, x._value, x.basis._of
+    coproduct, factors, as_forest = type(x).coproduct, x._factors, x.basis._of
     memo: dict = {}
 
     def powers(w) -> list[Fraction]:
         out = memo.get(w)
         if out is None:
-            out = [value(w)] + [Fraction(0)] * (w.order - 1)
+            rows = []
             for t, c in coproduct(w):
                 if t.left.order and t.right.order:
-                    weight = c * value(t.right)
-                    if weight:
-                        for k, p in enumerate(powers(t.left), 1):
-                            out[k] += p * weight
+                    f = factors(t.right)
+                    if f is not None:
+                        rows.append((c.numerator, f, powers(t.left)))
+            out = [x._value(w)] + [
+                exact_sum((c, f + (p[k - 1],)) for c, f, p in rows if k <= len(p))
+                for k in range(1, w.order)
+            ]
             memo[w] = out
         return out
 
     def fn(w) -> Fraction:
         if not w.order:
             return coeffs[0]
-        return sum((a * p for a, p in zip(coeffs[1:], powers(as_forest(w)))), Fraction(0))
+        return exact_sum((1, (a, p)) for a, p in zip(coeffs[1:], powers(as_forest(w))))
 
     return type(x)(kind, N, fn)
 

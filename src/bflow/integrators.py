@@ -80,6 +80,7 @@ class PolyVectorField:
                 f"symbols for {self.n} components"
             )
         self._fn = None
+        self._differential = None
 
     @classmethod
     def from_strings(cls, texts: Sequence[str], prefix: str = "y") -> "PolyVectorField":
@@ -103,6 +104,14 @@ class PolyVectorField:
 
             self._fn = fn
         return self._fn
+
+    def _state_differentials(self) -> Callable[[RootedTree], tuple]:
+        """tree -> F(tree) at the field's own state variables, a tuple of
+        Polys. The memos behind it are built with the first call and kept
+        with the field, since they depend on nothing else."""
+        if self._differential is None:
+            self._differential = _differentials(self, self.syms)
+        return self._differential
 
 
 def _exact(value):
@@ -235,11 +244,11 @@ def modified_field(beta: BCoeff, field: PolyVectorField, h, N: int) -> PolyVecto
             f"field construction to order {N} needs coefficients at that order"
         )
     hval = _exact(h)
-    differential = _differentials(field, field.syms)
+    differential = field._state_differentials()
     exprs = [0] * field.n
     for n in range(1, N + 1):
         for tree in enumerate_trees(n):
-            c = beta(Forest((tree,)))
+            c = beta.tree_value(tree)
             if not c:
                 continue
             weight = hval ** (n - 1) * c / tree_stats(tree)[1]

@@ -46,7 +46,7 @@ from .forest_core import (
     psingle,
     shuffle,
 )
-from .hopf import Coeff, convolution_exp, convolution_log, convolve
+from .hopf import Coeff, convolution_exp, convolution_log, convolve, exact_sum
 
 PDOT = psingle()
 DOT_WORD = PlanarForest((PDOT,))
@@ -169,6 +169,10 @@ class LBCoeff(Coeff):
 
     def _value(self, x) -> Fraction:
         return self._cached(_as_word(x))
+
+    def _factors(self, x) -> tuple[Fraction]:
+        # values are stored per word, so the kind rule is the word value
+        return (self._value(x),)
 
     def validate(self) -> None:
         """Check the claimed kind on the words up to the truncation order,
@@ -444,22 +448,27 @@ def kappa(grades: tuple[int, ...]) -> Fraction:
 
 def q_apply(gamma: LBCoeff, N: int) -> LBCoeff:
     """Flow character of a Lie element: weighted sum over all splittings
-    of a word into consecutive nonempty blocks. Inverse of dynkin_apply."""
+    of a word into consecutive nonempty blocks, kappa of the block grades
+    times the product of gamma over the blocks, summed by ``exact_sum``.
+    Inverse of dynkin_apply."""
     if gamma.N < N:
         raise DomainError(f"series truncated at {gamma.N}, need {N}")
+
+    def terms(w: PlanarForest):
+        for blocks in _compositions(w.word):
+            factors = [kappa(tuple(b.order for b in blocks))]
+            for b in blocks:
+                value = gamma(b)
+                if not value:
+                    break
+                factors.append(value)
+            else:
+                yield 1, tuple(factors)
 
     def fn(w: PlanarForest) -> Fraction:
         if not w.word:
             return Fraction(1)
-        total = Fraction(0)
-        for blocks in _compositions(w.word):
-            value = kappa(tuple(b.order for b in blocks))
-            for b in blocks:
-                value *= gamma(b)
-                if not value:
-                    break
-            total += value
-        return total
+        return exact_sum(terms(w))
 
     return LBCoeff("character", N, fn)
 

@@ -8,6 +8,7 @@ contract (0 ok, 1 usage, 2 domain) is pinned on representative errors.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -170,6 +171,45 @@ class TestAnalysisCommands:
         )
         assert code == 0
         assert out == "[]\t1\n"
+
+    @pytest.mark.parametrize(
+        "argv,lines,digest",
+        [
+            (
+                "compose --first rk4 --second rk4 -N 8",
+                201,
+                "24c353e1ebddc177178e4e20c7b6f44b1e4d00dfef9da2f9a277182210387d4e",
+            ),
+            (
+                "modified --builtin rk4 --mode backward_error -N 8",
+                144,
+                "73593b35a9cf36770240697aa147b80e9380c2f2c6b980f408bfa745900470b6",
+            ),
+            (
+                "modified --builtin rk4 --mode modifying_integrator -N 8",
+                144,
+                "7002516e7bd1eb03b2c0ec6631e2afbb402870d250db113c1032f62ad1869c4a",
+            ),
+            (
+                "substitute --builtin rk4 --mode backward_error --into exact -N 8",
+                114,
+                "a9c60f6e0cea665c60d5b0f4036aef06d6bfab0aa0f922cf5b601b73041542c4",
+            ),
+            (
+                "substitute --builtin rk4 --mode modifying_integrator --into rk4 -N 8",
+                201,
+                "b38378f249d7e15b98cc5656ae7a96c2c3653ad1486ebb8e02d7615173001baf",
+            ),
+        ],
+        ids=["compose", "modified_backward_error", "modified_modifying", "substitute_be", "substitute_mi"],
+    )
+    def test_order_eight_tables_are_pinned(self, capsys, argv, lines, digest):
+        # line counts and sha256 of the stdout as printed when every sum
+        # was accumulated term by term in Fractions
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert len(out.splitlines()) == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestRunCommands:

@@ -399,6 +399,32 @@ class TestModifiedField:
         assert outputs[0].splitlines()[0] == "('b', 'a', 'h')"
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
+    def test_a_field_contracts_its_differentials_once(self, monkeypatch):
+        """The differentials at the state variables depend on neither h nor
+        beta, so repeated modified fields of one field contract them once;
+        every result prints as the one built from a fresh copy."""
+        calls = []
+        contract = integrators._differentials
+
+        def counting(field, y):
+            calls.append(field)
+            return contract(field, y)
+
+        monkeypatch.setattr(integrators, "_differentials", counting)
+        betas = [
+            solve_modified(rk_character(builtin_tableau(name), 4), "backward_error", 4)
+            for name in ("euler", "rk4", "implicit_midpoint")
+        ]
+        for make in (cubic_2d, parametric_2d):
+            F = make()
+            for beta in betas:
+                for h in (Fraction(1, 10), "h"):
+                    got = modified_field(beta, F, h, 4)
+                    want = modified_field(beta, make(), h, 4)
+                    assert [str(e) for e in got.exprs] == [str(e) for e in want.exprs]
+                    assert got.params == want.params and got.syms == want.syms
+            assert calls.count(F) == 1
+
     def test_backward_error_defect_shrinks_like_h5(self):
         beta = solve_modified(rk_character(EULER, 4), "backward_error", 4)
         F = quadratic_1d()
