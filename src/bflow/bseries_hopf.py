@@ -21,6 +21,13 @@ Ebrahimi-Fard & Manchon, "Two interacting Hopf algebras of trees", Adv.
 Appl. Math. 2011). The enumerations over cuts and edge subsets are the
 independent routes in the tests.
 
+The memos are integer rows over interned trees. Every tree and forest in
+them comes from ``RootedTree.interned`` or ``Forest.interned`` (forest
+products too), so each distinct one is built once; multiplicities are
+added as ints, and each distinct term of a memoised sum gets one shared
+Fraction. On a forest, each coproduct and the antipode are the product of
+its trees' rows, memoised per forest.
+
 Runge-Kutta tableaus and their elementary weights connect the algebra to
 actual methods: the weight map of a tableau is a character, and order
 conditions are equalities against the exact-flow coefficients 1/tree!.
@@ -29,10 +36,9 @@ conditions are equalities against the exact-flow coefficients 1/tree!.
 from __future__ import annotations
 
 import functools
-import operator
 from fractions import Fraction
 
-from .algebra import FormalSum, bilinear, tensor_sum
+from .algebra import FormalSum, Tensor
 from .errors import DomainError, ParseError
 from .forest_core import (
     EMPTY_FOREST,
@@ -40,7 +46,6 @@ from .forest_core import (
     RootedTree,
     _SERIAL,
     bminus,
-    bplus,
     butcher_product,
     enumerate_trees,
     single,
@@ -57,30 +62,60 @@ DOT_FOREST = Forest((DOT,))
 # ---------------------------------------------------------------------------
 
 
-_product = bilinear(operator.mul)
-_UNIT_TENSOR = tensor_sum([(EMPTY_FOREST, EMPTY_FOREST, 1)])
-_UNIT_FOREST = FormalSum.term(EMPTY_FOREST)
+_tree_of = RootedTree.interned
+_forest_of = Forest.interned
+# one Fraction per distinct multiplicity, shared by every memoised sum
+_fraction = functools.lru_cache(maxsize=None)(Fraction)
+_UNIT_TENSOR = Tensor(EMPTY_FOREST, EMPTY_FOREST)
 
 
-def _multiplicative(per_tree, omega: Forest | RootedTree, unit: FormalSum) -> FormalSum:
-    """The product over the trees of a forest of their memoised images
-    per_tree(t), multiplied basis element by basis element (forests, or
-    tensors slot by slot); a single tree gets its memo entry itself and
-    the empty forest the unit."""
+def _product_rows(sums, unit) -> dict:
+    """The product of sums over forests, or over tensors of forests,
+    basis element by basis element, with int multiplicities; the product
+    forests are interned."""
+    rows = {unit: 1}
+    for s in sums:
+        factor = [(y, c.numerator) for y, c in s]
+        joined: dict = {}
+        for x, m in rows.items():
+            for y, n in factor:
+                z = x * y
+                joined[z] = joined.get(z, 0) + m * n
+        rows = joined
+    return rows
+
+
+def _wrap_rows(rows: dict) -> FormalSum:
+    """Integer rows as a sum, one shared Fraction per nonzero row."""
+    return FormalSum._wrap({x: _fraction(m) for x, m in rows.items() if m})
+
+
+def _multiplicative(per_tree, memo: dict, omega: Forest | RootedTree, unit) -> FormalSum:
+    """A tree's memoised image per_tree(t); on a forest the product of the
+    images of its trees on integer rows, memoised in ``memo`` (the empty
+    forest gives the unit)."""
+    if isinstance(omega, RootedTree):
+        return per_tree(omega)
     trees = Forest._of(omega).trees
-    return functools.reduce(_product, map(per_tree, trees)) if trees else unit
+    if len(trees) == 1:
+        return per_tree(trees[0])
+    out = memo.get(omega)
+    if out is None:
+        out = memo[omega] = _wrap_rows(_product_rows(map(per_tree, trees), unit))
+    return out
 
 
-_BCK_CACHE: dict[RootedTree, FormalSum] = {}
+_BCK_CACHE: dict[RootedTree | Forest, FormalSum] = {}
 
 
 def _delta_bck_tree(tree: RootedTree) -> FormalSum:
-    if tree in _BCK_CACHE:
-        return _BCK_CACHE[tree]
-    terms = [(Forest((tree,)), EMPTY_FOREST, 1)]
-    for t, coeff in delta_bck(bminus(tree)):
-        terms.append((t.left, Forest((bplus(t.right, tree.color),)), coeff))
-    out = _BCK_CACHE[tree] = tensor_sum(terms)
+    out = _BCK_CACHE.get(tree)
+    if out is None:
+        below = _product_rows(map(_delta_bck_tree, bminus(tree).trees), _UNIT_TENSOR)
+        rows = {Tensor(_forest_of((tree,)), EMPTY_FOREST): 1}
+        for t, m in below.items():
+            rows[Tensor(t.left, _forest_of((_tree_of(t.right.trees, tree.color),)))] = m
+        out = _BCK_CACHE[tree] = _wrap_rows(rows)
     return out
 
 
@@ -92,12 +127,14 @@ def delta_bck(omega: Forest | RootedTree) -> FormalSum:
     forests. A tree is built by the B+ recursion
     Delta(t) = t (x) 1 + (id (x) B+) Delta(B-(t)), B+ taking the colour of
     the root, which holds because B+ is a Hochschild 1-cocycle (Connes &
-    Kreimer, CMP 1998); each tree's coproduct is memoised.
+    Kreimer, CMP 1998). Delta(B-(t)) is the product of the children's
+    coproducts on integer rows; each tree's and each forest's coproduct
+    is memoised.
     """
-    return _multiplicative(_delta_bck_tree, omega, _UNIT_TENSOR)
+    return _multiplicative(_delta_bck_tree, _BCK_CACHE, omega, _UNIT_TENSOR)
 
 
-_ANTIPODE_CACHE: dict[RootedTree, FormalSum] = {}
+_ANTIPODE_CACHE: dict[RootedTree | Forest, FormalSum] = {}
 
 
 def antipode_bck(omega: Forest | RootedTree) -> FormalSum:
@@ -108,17 +145,24 @@ def antipode_bck(omega: Forest | RootedTree) -> FormalSum:
     side l is the forest of components left by cutting the edges outside
     one subset, and |r| - 1 is the number of cut edges, so this is the
     sum over edge subsets of the Connes-Kreimer antipode (Calaque,
-    Ebrahimi-Fard & Manchon, Adv. Appl. Math. 2011).
+    Ebrahimi-Fard & Manchon, Adv. Appl. Math. 2011). The quotient r has
+    one vertex per component, so S(t) reads only the left forest and
+    the int multiplicity of each integer row of the contraction memo
+    (``_cefm_parts``), never the quotient, and builds its left forests
+    interned. Each tree's and each forest's antipode is memoised.
     """
-    return _multiplicative(_antipode_tree, omega, _UNIT_FOREST)
+    return _multiplicative(_antipode_tree, _ANTIPODE_CACHE, omega, EMPTY_FOREST)
 
 
 def _antipode_tree(tree: RootedTree) -> FormalSum:
-    if tree in _ANTIPODE_CACHE:
-        return _ANTIPODE_CACHE[tree]
-    out = _ANTIPODE_CACHE[tree] = FormalSum(
-        (t.left, -c if t.right.order % 2 else c) for t, c in _delta_cefm_tree(tree)
-    )
+    out = _ANTIPODE_CACHE.get(tree)
+    if out is None:
+        rows: dict[Forest, int] = {}
+        for (l, c, _), m in _cefm_parts(tree).items():
+            left = _forest_of(l + (_tree_of(c, tree.color),))
+            # r has one vertex per component: |r| = 1 + len(l)
+            rows[left] = rows.get(left, 0) + (m if len(l) % 2 else -m)
+        out = _ANTIPODE_CACHE[tree] = _wrap_rows(rows)
     return out
 
 
@@ -383,7 +427,7 @@ def order_of(alpha: BCoeff, N: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-_CEFM_CACHE: dict[RootedTree, FormalSum] = {}
+_CEFM_CACHE: dict[RootedTree | Forest, FormalSum] = {}
 _CEFM_PARTS: dict[RootedTree, dict[tuple, int]] = {}
 
 
@@ -402,10 +446,10 @@ def _cefm_parts(tree: RootedTree) -> dict[tuple, int]:
     for child in tree.children:
         options = []
         for (lc, cc, qc), m in _cefm_parts(child).items():
-            top = RootedTree(cc, child.color)
+            top = _tree_of(cc, child.color)
             # cut the edge to the child: its root component joins L and
             # its quotient hangs below the quotient root
-            options.append((lc + (top,), (), (RootedTree(qc, child.color),), m))
+            options.append((lc + (top,), (), (_tree_of(qc, child.color),), m))
             # keep it: the child's root component merges into the root's
             options.append((lc, (top,), qc, m))
         folded: dict[tuple, int] = {}
@@ -423,12 +467,14 @@ def _cefm_parts(tree: RootedTree) -> dict[tuple, int]:
 
 
 def _delta_cefm_tree(tree: RootedTree) -> FormalSum:
-    if tree in _CEFM_CACHE:
-        return _CEFM_CACHE[tree]
-    out = _CEFM_CACHE[tree] = tensor_sum(
-        (Forest(l + (RootedTree(c, tree.color),)), Forest((RootedTree(q, tree.color),)), m)
-        for (l, c, q), m in _cefm_parts(tree).items()
-    )
+    out = _CEFM_CACHE.get(tree)
+    if out is None:
+        rows: dict[Tensor, int] = {}
+        for (l, c, q), m in _cefm_parts(tree).items():
+            left = _forest_of(l + (_tree_of(c, tree.color),))
+            key = Tensor(left, _forest_of((_tree_of(q, tree.color),)))
+            rows[key] = rows.get(key, 0) + m
+        out = _CEFM_CACHE[tree] = _wrap_rows(rows)
     return out
 
 
@@ -448,7 +494,7 @@ def delta_cefm(omega: Forest | RootedTree) -> FormalSum:
     Ebrahimi-Fard & Manchon, Adv. Appl. Math. 2011). Multiplicative on
     forests.
     """
-    return _multiplicative(_delta_cefm_tree, omega, _UNIT_TENSOR)
+    return _multiplicative(_delta_cefm_tree, _CEFM_CACHE, omega, _UNIT_TENSOR)
 
 
 def substitute_b(alpha: BCoeff, beta: BCoeff, N: int) -> BCoeff:

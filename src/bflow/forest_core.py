@@ -63,7 +63,9 @@ def _check_capacity(n: int) -> None:
 class _Basis:
     """A tree or a forest: equal to another of its own class with the same
     serial, hashed by ``planar`` and the serial, so that the planar and
-    non-planar families stay apart as dict keys."""
+    non-planar families stay apart as dict keys. Pickling and copying
+    rebuild through the constructor, so that the string hash is the
+    loading process's own."""
 
     __slots__ = ("order", "serial", "_hash")
     planar: bool
@@ -103,12 +105,32 @@ class _Tree(_Basis):
         self.order = 1 + sum(t.order for t in kids)
         self._hash = hash((self.planar, self.serial))
 
+    def __reduce__(self):
+        return type(self), (self.children, self.color)
+
 
 class RootedTree(_Tree):
     """A non-planar rooted tree; children form a canonically sorted multiset."""
 
     __slots__ = ()
     planar = False
+
+    @classmethod
+    def interned(cls, children: Iterable = (), color: int = 0) -> "RootedTree":
+        """The one shared tree with these children and this root colour:
+        built on the first call, and found by (sorted children, colour)
+        afterwards. Its children are the interned ones too. Equal to, and
+        hashed like, ``RootedTree(children, color)``."""
+        kids = tuple(sorted(children, key=_SERIAL))
+        tree = _INTERNED_TREES.get((kids, color))
+        if tree is None:
+            # anything but a RootedTree is passed on, for the constructor
+            # to refuse
+            kids = tuple(
+                cls.interned(k.children, k.color) if isinstance(k, cls) else k for k in kids
+            )
+            tree = _INTERNED_TREES[kids, color] = cls(kids, color)
+        return tree
 
 
 class PlanarTree(_Tree):
@@ -142,6 +164,9 @@ class _Forest(_Basis):
         self.serial = " ".join(t.serial for t in ts) if ts else "1"
         self._hash = hash((self.planar, self.serial))
 
+    def __reduce__(self):
+        return type(self), (self._members,)
+
     def __mul__(self, other):
         return type(self)(self._members + other._members)
 
@@ -159,12 +184,31 @@ class _Forest(_Basis):
 
 
 class Forest(_Forest):
-    """A multiset of non-planar rooted trees; the empty forest is the unit."""
+    """A multiset of non-planar rooted trees; the empty forest is the unit.
+    A product of forests is the interned forest of the joined members."""
 
     __slots__ = ()
     planar = False
     _tree = RootedTree
     trees = _Forest._members  # the members, sorted by serial
+
+    @classmethod
+    def interned(cls, trees: Iterable = ()) -> "Forest":
+        """The one shared forest of these trees, found by its sorted member
+        tuple; its members are the interned trees. Equal to, and hashed
+        like, ``Forest(trees)``."""
+        members = tuple(sorted(trees, key=_SERIAL))
+        forest = _INTERNED_FORESTS.get(members)
+        if forest is None:
+            members = tuple(
+                RootedTree.interned(t.children, t.color) if isinstance(t, RootedTree) else t
+                for t in members
+            )
+            forest = _INTERNED_FORESTS[members] = cls(members)
+        return forest
+
+    def __mul__(self, other):
+        return Forest.interned(self._members + other._members)
 
 
 class PlanarForest(_Forest):
@@ -185,6 +229,11 @@ AnyForest = Union[Forest, PlanarForest]
 
 EMPTY_FOREST = Forest()
 EMPTY_WORD = PlanarForest()
+
+# The tables of RootedTree.interned and Forest.interned. They only grow;
+# the plain constructors never read them.
+_INTERNED_TREES: dict[tuple, RootedTree] = {}
+_INTERNED_FORESTS: dict[tuple, Forest] = {(): EMPTY_FOREST}
 
 
 def single(color: int = 0) -> RootedTree:

@@ -16,8 +16,9 @@ Fractions. A coefficient map splits a value into the factors of its kind
 rule (``Coeff._factors``), every coproduct multiplicity is an integer,
 and ``exact_sum`` adds the integer numerators of all the terms of one
 value over one common denominator, building a single Fraction per value.
-Convolution, the exp/log series, substitution, the modified-field solve
-and the planar ``q_apply`` all sum through it.
+Convolution, the exp/log series, substitution, the modified-field solve,
+the planar ``q_apply`` and the ``lb_substitute`` pairing all sum through
+it.
 """
 
 from __future__ import annotations

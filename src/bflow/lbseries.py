@@ -627,15 +627,18 @@ def _astar(alpha, omega: PlanarForest, memo: dict) -> FormalSum:
 
 
 def lb_substitute(alpha, beta: LBCoeff, N: int) -> LBCoeff:
-    """Substitute the field alpha into the series beta (coefficientwise)."""
+    """Substitute the field alpha into the series beta (coefficientwise):
+    beta paired with the image of each word under alpha, the terms summed
+    by ``exact_sum``."""
     if isinstance(alpha, LBCoeff) and alpha(EMPTY_WORD) != 0:
         raise DomainError("substitution needs a field: alpha(1) must be 0")
     if beta.N < N:
         raise DomainError(f"series truncated at {beta.N}, need {N}")
 
     memo: dict = {}  # the images of the words, owned by the returned map
+    factors = beta._factors
 
     def fn(w: PlanarForest) -> Fraction:
-        return beta(_astar(alpha, w, memo))
+        return exact_sum((1, (c, *factors(u))) for u, c in _astar(alpha, w, memo))
 
     return LBCoeff(beta.kind, N, fn)

@@ -11,13 +11,16 @@ orders and on seeded random characters.
 from __future__ import annotations
 
 import collections
+import copy
+import hashlib
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from bflow import bseries_hopf
+from bflow import bseries_hopf, forest_core
 from bflow.algebra import FormalSum, Tensor, render_sum, tensor_sum
 from bflow.bseries_hopf import (
     BCoeff,
@@ -621,6 +624,20 @@ def test_delta_cefm_matches_the_edge_subsets():
         assert delta_cefm(tree) == want, tree.serial
 
 
+def test_antipode_table_is_pinned():
+    # sha256 of the antipode of every tree of order <= 8, each rendered
+    # by forests of (tree count, serial), as printed when the antipode was
+    # summed term by term in Fractions
+    text = "".join(
+        f"{t.serial}\t{render_sum(antipode_bck(t), lambda f: (len(f.trees), f.serial))}\n"
+        for t in TREES_TO_8
+    )
+    assert len(TREES_TO_8) == 200
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b7d0233794c4bb666a76dc468a148a97a7d019de7804fe7d5c46823f1c380684"
+    )
+
+
 def test_antipode_matches_the_cut_recursion():
     memo: dict = {}
     for tree in TREES_TO_8 + RANDOM_TREES:
@@ -633,8 +650,7 @@ def test_contraction_and_antipode_run_without_the_enumerations(monkeypatch):
     # The enumerations live only in this file, so bflow cannot reach them.
     for name in ("cefm_splits", "_vertex_table", "_tree_cuts", "delta_bck_recursive", "itertools"):
         assert not hasattr(bseries_hopf, name), name
-    for memo in ("_CEFM_CACHE", "_CEFM_PARTS", "_ANTIPODE_CACHE", "_BCK_CACHE"):
-        monkeypatch.setattr(bseries_hopf, memo, {})
+    fresh_memos(monkeypatch)
     for tree in TREES_TO_8:
         delta_cefm(tree)
         antipode_bck(tree)
@@ -647,6 +663,85 @@ def test_contraction_and_antipode_run_without_the_enumerations(monkeypatch):
     for tree in TREES_TO_8:
         assert back(tree) == rk4(tree)
         assert forward(tree) == gamma(tree)
+
+
+COPRODUCT_MEMOS = ("_CEFM_CACHE", "_CEFM_PARTS", "_ANTIPODE_CACHE", "_BCK_CACHE")
+
+
+def fresh_memos(monkeypatch):
+    """Empty coproduct memos and intern tables, for the rest of the test."""
+    for memo in COPRODUCT_MEMOS:
+        monkeypatch.setattr(bseries_hopf, memo, {})
+    monkeypatch.setattr(forest_core, "_INTERNED_TREES", {})
+    monkeypatch.setattr(forest_core, "_INTERNED_FORESTS", {})
+
+
+def test_the_coproduct_fill_adds_no_fractions(monkeypatch, no_fraction_sums):
+    # The memos are filled from integer rows: each term's coefficient is
+    # built as a Fraction once, and no Fraction is added.
+    forests = [parse_forest("[[]] [1:[2:]] []"), parse_forest("[[]] [[]] [[][]]")]
+    everything = TREES_TO_8 + RANDOM_TREES + forests
+    maps = (delta_bck, delta_cefm, antipode_bck)
+    want = [[f(x) for x in everything] for f in maps]
+    fresh_memos(monkeypatch)
+    with no_fraction_sums():
+        got = [[f(x) for x in everything] for f in maps]
+    assert got == want
+    assert all(isinstance(c, Fraction) for sums in got for s in sums for _, c in s)
+
+
+def interned(x) -> bool:
+    """Whether x is the interned tree or forest for its serial."""
+    if isinstance(x, RootedTree):
+        return RootedTree.interned(x.children, x.color) is x
+    return Forest.interned(x.trees) is x and all(map(interned, x.trees))
+
+
+def test_coproduct_rows_hold_the_interned_trees():
+    for tree in TREES_TO_8:
+        for t, _ in itertools.chain(delta_cefm(tree), delta_bck(tree)):
+            assert interned(t.left) and interned(t.right), (tree.serial, t.serial)
+        for f, _ in antipode_bck(tree):
+            assert interned(f), (tree.serial, f.serial)
+    # the plain constructors build separate objects, equal and hashed alike
+    for tree in RANDOM_TREES:
+        plain = RootedTree(tree.children, tree.color)
+        shared = RootedTree.interned(tree.children, tree.color)
+        assert plain is not shared
+        assert shared is RootedTree.interned(reversed(tree.children), tree.color)
+        assert plain == shared and hash(plain) == hash(shared) and plain.serial == shared.serial
+        assert Forest((plain, DOT)) == Forest.interned((DOT, shared))
+        assert hash(Forest((plain, DOT))) == hash(Forest.interned((shared, DOT)))
+    tree = RootedTree.interned((L2, CHERRY), 2)
+    forest = Forest.interned((tree, DOT))
+    sizes = len(forest_core._INTERNED_TREES), len(forest_core._INTERNED_FORESTS)
+    for x in (tree, forest):
+        for twin in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert twin == x and hash(twin) == hash(x) and twin is not x
+    assert (len(forest_core._INTERNED_TREES), len(forest_core._INTERNED_FORESTS)) == sizes
+
+
+def test_forest_coproducts_are_memoised(monkeypatch):
+    # Delta of a forest is the product of its trees' rows, built once: a
+    # second logarithm reads the memo and multiplies nothing.
+    calls = collections.Counter()
+    product = bseries_hopf._product_rows
+
+    def counting(sums, unit):
+        calls["products"] += 1
+        return product(sums, unit)
+
+    fresh_memos(monkeypatch)
+    monkeypatch.setattr(bseries_hopf, "_product_rows", counting)
+    trees = [t for n in range(1, 8) for t in enumerate_trees(n)]
+    rk4 = rk_character(builtin_tableau("rk4"), 7)
+    first = [log_bck(rk4, 7)(t) for t in trees]
+    assert calls["products"] and any(
+        isinstance(x, Forest) and len(x.trees) > 1 for x in bseries_hopf._BCK_CACHE
+    )
+    calls.clear()
+    assert [log_bck(rk_character(builtin_tableau("rk4"), 7), 7)(t) for t in trees] == first
+    assert not calls
 
 
 def test_convolve_bck_enumerates_cuts_once_per_tree(monkeypatch):

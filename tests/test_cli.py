@@ -200,12 +200,31 @@ class TestAnalysisCommands:
                 201,
                 "b38378f249d7e15b98cc5656ae7a96c2c3653ad1486ebb8e02d7615173001baf",
             ),
+            (
+                "coproduct bck --table 8",
+                485,
+                "ad2cb714c6cfe2bcd2ccd252082fb3da62cc73950183d185422a339e53ee1f92",
+            ),
+            (
+                "coproduct cefm --table 8",
+                200,
+                "bd2d2a044f60891777cd1d7be3c50ab5875df3b1e79612e29a727ca66bf8c786",
+            ),
         ],
-        ids=["compose", "modified_backward_error", "modified_modifying", "substitute_be", "substitute_mi"],
+        ids=[
+            "compose",
+            "modified_backward_error",
+            "modified_modifying",
+            "substitute_be",
+            "substitute_mi",
+            "coproduct_bck",
+            "coproduct_cefm",
+        ],
     )
     def test_order_eight_tables_are_pinned(self, capsys, argv, lines, digest):
         # line counts and sha256 of the stdout as printed when every sum
-        # was accumulated term by term in Fractions
+        # (and every coproduct and antipode) was accumulated term by term
+        # in Fractions
         code, out, _ = run(capsys, *argv.split())
         assert code == 0
         assert len(out.splitlines()) == lines

@@ -10,10 +10,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bflow
 from bflow import (
     CapacityError,
     DomainError,
@@ -375,6 +380,34 @@ def test_twin_families_do_not_mix():
         PlanarForest((pdot, DOT))
     with pytest.raises(TypeError):
         Forest((DOT,)) * PlanarForest((pdot,))
+    with pytest.raises(TypeError):
+        RootedTree.interned((DOT, pdot))
+    with pytest.raises(TypeError):
+        Forest.interned((DOT, pdot))
+
+
+def test_pickles_load_in_a_process_with_another_hash_seed():
+    # A tree or forest hashes by a string hash, which differs between
+    # processes: one pickled by another process must hash as this one
+    # would hash it, or it misses every dict it is looked up in.
+    serials = ("[[][1:[]]]", "[] [[]]", "[[]] []")
+    dump = (
+        "import pickle, sys\n"
+        "from bflow import parse_forest, parse_tree\n"
+        "x = (parse_tree(sys.argv[1]), parse_forest(sys.argv[2]),\n"
+        "     parse_forest(sys.argv[3], planar=True))\n"
+        "sys.stdout.write(pickle.dumps(x).hex())"
+    )
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = os.path.dirname(os.path.dirname(bflow.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+    out = subprocess.run(
+        [sys.executable, "-c", dump, *serials], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    tree, forest, word = pickle.loads(bytes.fromhex(out))
+    here = parse_tree(serials[0]), parse_forest(serials[1]), parse_forest(serials[2], planar=True)
+    for loaded, own in zip((tree, forest, word), here):
+        assert loaded == own and loaded in {own: 1}, own.serial
 
 
 def test_bplus_and_bminus_stay_in_one_family():

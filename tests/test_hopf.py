@@ -1,18 +1,18 @@
 """Tests for the convolution calculus shared by the two Hopf algebras.
 
 Every convolution-type value (``convolve``, the exp/log
-``convolution_series``, ``substitute_b``, ``solve_modified`` and
-``q_apply``) is one ``exact_sum``: integer numerators over one common denominator. The
-reference here is the per-term formula, each term a product of Fractions
-added as a Fraction. The two are compared on seeded maps of every kind,
-on trees and forests of the pruning algebra and on planar words, with
-values that mix coprime denominators, integers and zeros, so that a wrong
-common denominator, a wrong padding or a dropped term shows.
+``convolution_series``, ``substitute_b``, ``solve_modified``, ``q_apply``
+and the pairing in ``lb_substitute``) is one ``exact_sum``: integer
+numerators over one common denominator. The reference here is the
+per-term formula, each term a product of Fractions added as a Fraction.
+The two are compared on seeded maps of every kind, on trees and forests
+of the pruning algebra and on planar words, with values that mix coprime
+denominators, integers and zeros, so that a wrong common denominator, a
+wrong padding or a dropped term shows.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import itertools
 import random
@@ -21,7 +21,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bflow import bseries_hopf
+from bflow import bseries_hopf, lbseries
 from bflow.bseries_hopf import (
     BCoeff,
     builtin_tableau,
@@ -53,6 +53,7 @@ from bflow.lbseries import (
     gl_exp,
     method_series,
     kappa,
+    lb_substitute,
     q_apply,
 )
 
@@ -183,6 +184,14 @@ def ref_substitute(alpha: BCoeff, beta: BCoeff, x) -> Fraction:
         for tree in t.left.trees:
             term *= alpha.tree_value(tree)
         total += term * beta(t.right)
+    return total
+
+
+def ref_lb_substitute(alpha: LBCoeff, beta: LBCoeff, w) -> Fraction:
+    """beta paired term by term with the image of w under alpha."""
+    total = Fraction(0)
+    for u, c in lbseries._astar(alpha, w, {}):
+        total += c * beta(u)
     return total
 
 
@@ -330,6 +339,18 @@ def test_solve_modified_matches_the_fraction_formula(mode):
             assert beta(tree) == want[tree], tree.serial
 
 
+@pytest.mark.parametrize("kind", ["character", "infinitesimal", "plain"])
+def test_lb_substitute_matches_the_fraction_formula(kind):
+    rng = random.Random(f"lb_substitute-{kind}")
+    for field_kind in ("infinitesimal", "plain"):
+        alpha = mkw_map(rng, field_kind)
+        beta = mkw_map(rng, kind, unit=1 if kind == "character" else rng.choice((0, 1, 3)))
+        out = lb_substitute(alpha, beta, N)
+        assert out.kind == kind
+        for w in WORDS:
+            assert out(w) == ref_lb_substitute(alpha, beta, w), w.serial
+
+
 def test_q_apply_matches_the_fraction_formula():
     rng = random.Random("q_apply")
     for _ in range(3):
@@ -339,20 +360,7 @@ def test_q_apply_matches_the_fraction_formula():
             assert flow(w) == ref_q_apply(gamma, w), w.serial
 
 
-@contextlib.contextmanager
-def no_fraction_sums(monkeypatch):
-    """Make adding or subtracting Fractions raise, inside the block."""
-
-    def refuse(*args):
-        raise AssertionError("a Fraction was added")
-
-    with monkeypatch.context() as m:
-        for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
-            m.setattr(Fraction, name, refuse)
-        yield
-
-
-def test_the_kernel_adds_no_fractions(monkeypatch):
+def test_the_kernel_adds_no_fractions(monkeypatch, no_fraction_sums):
     # Every sum runs on integer numerators: with the inputs' values and
     # the coproducts built beforehand, evaluating the consumers adds no
     # Fraction.
@@ -370,7 +378,7 @@ def test_the_kernel_adds_no_fractions(monkeypatch):
         field(w), delta_mkw(w)
     monkeypatch.setattr(BCoeff, "coproduct", staticmethod(pruning.__getitem__))
     monkeypatch.setattr(bseries_hopf, "delta_cefm", contraction.__getitem__)
-    with no_fraction_sums(monkeypatch):
+    with no_fraction_sums():
         composed = convolve(rk4, gamma, 6)
         log = log_bck(rk4, 6)
         exp = exp_bck(log, 6)
