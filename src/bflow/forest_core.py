@@ -108,29 +108,32 @@ class _Tree(_Basis):
     def __reduce__(self):
         return type(self), (self.children, self.color)
 
+    @classmethod
+    def interned(cls, children: Iterable = (), color: int = 0):
+        """The one shared tree with these children and this root colour:
+        built on the first call, and found by (children, colour) afterwards,
+        the children sorted for a non-planar tree and kept in order for a
+        planar one. Its children are the interned ones too. Equal to, and
+        hashed like, ``cls(children, color)``."""
+        kids = tuple(children) if cls.planar else tuple(sorted(children, key=_SERIAL))
+        table = cls._interned
+        tree = table.get((kids, color))
+        if tree is None:
+            # anything but a tree of this class is passed on, for the
+            # constructor to refuse
+            kids = tuple(
+                cls.interned(k.children, k.color) if isinstance(k, cls) else k for k in kids
+            )
+            tree = table[kids, color] = cls(kids, color)
+        return tree
+
 
 class RootedTree(_Tree):
     """A non-planar rooted tree; children form a canonically sorted multiset."""
 
     __slots__ = ()
     planar = False
-
-    @classmethod
-    def interned(cls, children: Iterable = (), color: int = 0) -> "RootedTree":
-        """The one shared tree with these children and this root colour:
-        built on the first call, and found by (sorted children, colour)
-        afterwards. Its children are the interned ones too. Equal to, and
-        hashed like, ``RootedTree(children, color)``."""
-        kids = tuple(sorted(children, key=_SERIAL))
-        tree = _INTERNED_TREES.get((kids, color))
-        if tree is None:
-            # anything but a RootedTree is passed on, for the constructor
-            # to refuse
-            kids = tuple(
-                cls.interned(k.children, k.color) if isinstance(k, cls) else k for k in kids
-            )
-            tree = _INTERNED_TREES[kids, color] = cls(kids, color)
-        return tree
+    _interned: dict = {}
 
 
 class PlanarTree(_Tree):
@@ -138,6 +141,7 @@ class PlanarTree(_Tree):
 
     __slots__ = ()
     planar = True
+    _interned: dict = {}
 
 
 class _Forest(_Basis):
@@ -167,8 +171,25 @@ class _Forest(_Basis):
     def __reduce__(self):
         return type(self), (self._members,)
 
+    @classmethod
+    def interned(cls, trees: Iterable = ()):
+        """The one shared forest of these trees, found by its member tuple
+        (sorted for a non-planar forest, in order for a word); its members
+        are the interned trees. Equal to, and hashed like, ``cls(trees)``."""
+        tree = cls._tree
+        members = tuple(trees) if cls.planar else tuple(sorted(trees, key=_SERIAL))
+        table = cls._interned
+        forest = table.get(members)
+        if forest is None:
+            members = tuple(
+                tree.interned(t.children, t.color) if isinstance(t, tree) else t for t in members
+            )
+            forest = table[members] = cls(members)
+        return forest
+
     def __mul__(self, other):
-        return type(self)(self._members + other._members)
+        """The interned forest of the joined members."""
+        return type(self).interned(self._members + other._members)
 
     def __len__(self) -> int:
         return len(self._members)
@@ -184,31 +205,13 @@ class _Forest(_Basis):
 
 
 class Forest(_Forest):
-    """A multiset of non-planar rooted trees; the empty forest is the unit.
-    A product of forests is the interned forest of the joined members."""
+    """A multiset of non-planar rooted trees; the empty forest is the unit."""
 
     __slots__ = ()
     planar = False
     _tree = RootedTree
+    _interned: dict = {}
     trees = _Forest._members  # the members, sorted by serial
-
-    @classmethod
-    def interned(cls, trees: Iterable = ()) -> "Forest":
-        """The one shared forest of these trees, found by its sorted member
-        tuple; its members are the interned trees. Equal to, and hashed
-        like, ``Forest(trees)``."""
-        members = tuple(sorted(trees, key=_SERIAL))
-        forest = _INTERNED_FORESTS.get(members)
-        if forest is None:
-            members = tuple(
-                RootedTree.interned(t.children, t.color) if isinstance(t, RootedTree) else t
-                for t in members
-            )
-            forest = _INTERNED_FORESTS[members] = cls(members)
-        return forest
-
-    def __mul__(self, other):
-        return Forest.interned(self._members + other._members)
 
 
 class PlanarForest(_Forest):
@@ -217,6 +220,7 @@ class PlanarForest(_Forest):
     __slots__ = ()
     planar = True
     _tree = PlanarTree
+    _interned: dict = {}
     word = _Forest._members  # the letters, in order
 
 
@@ -230,10 +234,11 @@ AnyForest = Union[Forest, PlanarForest]
 EMPTY_FOREST = Forest()
 EMPTY_WORD = PlanarForest()
 
-# The tables of RootedTree.interned and Forest.interned. They only grow;
-# the plain constructors never read them.
-_INTERNED_TREES: dict[tuple, RootedTree] = {}
-_INTERNED_FORESTS: dict[tuple, Forest] = {(): EMPTY_FOREST}
+# The intern tables, one per class, are the classes' ``_interned`` dicts.
+# They only grow; the plain constructors never read them. The empty
+# forests are the interned ones.
+Forest._interned[()] = EMPTY_FOREST
+PlanarForest._interned[()] = EMPTY_WORD
 
 
 def single(color: int = 0) -> RootedTree:
@@ -309,10 +314,13 @@ def forest_sigma(forest: Forest) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _trees(n: int, planar: bool) -> tuple[Tree, ...]:
+    # the planar trees and words are the interned ones
+    if planar:
+        trees = (PlanarTree.interned(w.word) for w in _planar_forests(n - 1))
+        return tuple(sorted(trees, key=_SERIAL))
     if n == 1:
-        return (psingle() if planar else single(),)
-    forests = _planar_forests if planar else _nonplanar_forests
-    return tuple(sorted(set(map(bplus, forests(n - 1))), key=_SERIAL))
+        return (single(),)
+    return tuple(sorted(set(map(bplus, _nonplanar_forests(n - 1))), key=_SERIAL))
 
 
 @functools.lru_cache(maxsize=None)
@@ -351,7 +359,7 @@ def _planar_forests(n: int) -> tuple[PlanarForest, ...]:
     for k in range(1, n + 1):
         for head in _trees(k, True):
             for tail in _planar_forests(n - k):
-                out.append(PlanarForest((head,) + tail.word))
+                out.append(PlanarForest.interned((head,) + tail.word))
     return tuple(sorted(out, key=lambda f: f.serial))
 
 
@@ -513,14 +521,16 @@ def left_graft(x, y) -> FormalSum:
 
 @functools.lru_cache(maxsize=None)
 def _shuffle(w1: PlanarForest, w2: PlanarForest) -> FormalSum:
+    # the words of the sum are the interned ones, whatever the arguments
+    word = PlanarForest.interned
     if not w1.word:
-        return FormalSum.term(w2)
+        return FormalSum.term(word(w2.word))
     if not w2.word:
-        return FormalSum.term(w1)
-    h1, t1 = w1.word[0], PlanarForest(w1.word[1:])
-    h2, t2 = w2.word[0], PlanarForest(w2.word[1:])
-    first = _shuffle(t1, w2).map_basis(lambda w: PlanarForest((h1,) + w.word))
-    second = _shuffle(w1, t2).map_basis(lambda w: PlanarForest((h2,) + w.word))
+        return FormalSum.term(word(w1.word))
+    h1, t1 = w1.word[0], word(w1.word[1:])
+    h2, t2 = w2.word[0], word(w2.word[1:])
+    first = _shuffle(t1, w2).map_basis(lambda w: word((h1,) + w.word))
+    second = _shuffle(w1, t2).map_basis(lambda w: word((h2,) + w.word))
     return first + second
 
 

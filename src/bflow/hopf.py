@@ -17,8 +17,8 @@ rule (``Coeff._factors``), every coproduct multiplicity is an integer,
 and ``exact_sum`` adds the integer numerators of all the terms of one
 value over one common denominator, building a single Fraction per value.
 Convolution, the exp/log series, substitution, the modified-field solve,
-the planar ``q_apply`` and the ``lb_substitute`` pairing all sum through
-it.
+and the planar ``dynkin_apply``, ``q_apply`` and ``lb_substitute`` all
+sum through it.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def exact_sum(terms: Iterable[tuple[int, tuple[Fraction, ...]]]) -> Fraction:
+def exact_sum(terms: Iterable[tuple[int, Iterable[Fraction]]], divisor: int = 1) -> Fraction:
     """sum c * prod(factors) over the terms (c, factors), c an int and the
-    factors Fractions, as one Fraction.
+    factors Fractions, divided by the positive int divisor, as one Fraction.
 
     Each term is read once, as the integer c * prod(numerators) over
     prod(denominators), and added to an integer total over one common
@@ -61,7 +61,7 @@ def exact_sum(terms: Iterable[tuple[int, tuple[Fraction, ...]]]) -> Fraction:
                 total *= grown // scale
                 scale = grown
             total += num * (scale // den)
-    return Fraction(total, scale)
+    return Fraction(total, scale * divisor)
 
 
 class Coeff:

@@ -23,33 +23,42 @@ the same memo. The Faa di Bruno coproduct recurses on the first letter
 of a Bell word: d_1 passes as prepend (x) prepend, and
 d_a u = D(d_{a-1} u) - d_{a-1} D(u) reduces d_a to d_{a-1}.
 
-Words are PlanarForest values throughout; coefficients are exact
-rationals.
+The substitution law, the Dynkin map and the Q (block-composition) map
+are fixed integer structures on a word, paired with a map's values. Each
+is a module-wide memo of integer rows over interned words
+(``_astar_rows``, ``_dynkin_rows``, ``_q_rows``), built once per word and
+shared by every map, so a new map pays only its own sums: one
+``exact_sum`` per value.
+
+Words are PlanarForest values throughout; the memos hold the interned
+ones (``PlanarForest.interned``). Coefficients are exact rationals.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .algebra import FormalSum, tensor_sum
 from .errors import DomainError
 from .forest_core import (
+    _SERIAL,
     EMPTY_WORD,
     PlanarForest,
     PlanarTree,
     _as_word,
     _shuffle,
-    bplus,
-    concat,
     enumerate_forests,
-    psingle,
     shuffle,
 )
 from .hopf import Coeff, convolution_exp, convolution_log, convolve, exact_sum
 
-PDOT = psingle()
-DOT_WORD = PlanarForest((PDOT,))
+_word = PlanarForest.interned
+_ptree = PlanarTree.interned
+
+PDOT = _ptree()
+DOT_WORD = _word((PDOT,))
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +86,9 @@ def _mkw_lifted(tree: PlanarTree) -> list[tuple[PlanarForest, PlanarForest, int]
     (left, right, multiplicity) triples."""
     out = _MKW_LIFTED.get(tree)
     if out is None:
-        out = _MKW_LIFTED[tree] = [
-            (t.left, PlanarForest((PlanarTree(t.right.word, tree.color),)), c.numerator)
-            for t, c in delta_mkw(PlanarForest(tree.children))
+        out = _MKW_LIFTED[_ptree(tree.children, tree.color)] = [
+            (t.left, _word((_ptree(t.right.word, tree.color),)), c.numerator)
+            for t, c in delta_mkw(_word(tree.children))
         ]
     return out
 
@@ -94,13 +103,15 @@ def delta_mkw(omega: PlanarForest | PlanarTree) -> FormalSum:
     where * shuffles the left slots and concatenates the right ones
     (Munthe-Kaas & Wright 2008). The multiplicities are integers, so the
     recursion adds them as ints, reading the memoised sums' numerators.
+    Its words are the interned ones.
     """
     omega = _as_word(omega)
     out = _MKW_CACHE.get(omega)
     if out is None:
+        omega = _word(omega.word)
         acc = {(omega, EMPTY_WORD): 1}
         lifted = _mkw_lifted(omega.word[-1])
-        for t, c1 in delta_mkw(PlanarForest(omega.word[:-1])):
+        for t, c1 in delta_mkw(_word(omega.word[:-1])):
             l1, r1, c1 = t.left, t.right, c1.numerator
             for l2, r2, c2 in lifted:
                 right = r1 * r2
@@ -121,6 +132,7 @@ def antipode_mkw(omega: PlanarForest | PlanarTree) -> FormalSum:
     omega = _as_word(omega)
     out = _S_MKW_CACHE.get(omega)
     if out is None:
+        omega = _word(omega.word)
         acc = {omega: -1}
         for t, c in delta_mkw(omega):
             if t.left.word and t.right.word:
@@ -407,17 +419,33 @@ def gl_exp(beta: LBCoeff, N: int) -> LBCoeff:
 def dynkin_map(w: PlanarForest | PlanarTree) -> FormalSum:
     """The Dynkin convolution S * Y on the shuffle algebra of words:
     sum over deconcatenations of shuffle(sign-reversed prefix, graded
-    suffix)."""
-    parts = _as_word(w).word
-    terms = []
-    for i in range(len(parts)):
-        right = PlanarForest(parts[i:])
-        terms.append((shuffle(PlanarForest(parts[:i][::-1]), right), (-1) ** i * right.order))
-    return FormalSum(terms)
+    suffix). Read off the memoised rows of ``_dynkin_rows``."""
+    return FormalSum(_dynkin_rows(_as_word(w)))
+
+
+_DYNKIN_ROWS: dict[PlanarForest, tuple] = {}
+
+
+def _dynkin_rows(w: PlanarForest) -> tuple:
+    """dynkin_map(w) as (word, int multiplicity) rows over interned
+    words, built once per word."""
+    rows = _DYNKIN_ROWS.get(w)
+    if rows is None:
+        parts = w.word
+        acc: dict[PlanarForest, int] = {}
+        for i in range(len(parts)):
+            right = _word(parts[i:])
+            sign = (-1) ** i * right.order
+            for u, m in _shuffle(_word(parts[:i][::-1]), right):
+                acc[u] = acc.get(u, 0) + sign * m.numerator
+        rows = _DYNKIN_ROWS[_word(parts)] = tuple((u, c) for u, c in acc.items() if c)
+    return rows
 
 
 def dynkin_apply(alpha: LBCoeff, N: int) -> LBCoeff:
-    """Lie form of a flow character: apply the graded Dynkin map.
+    """Lie form of a flow character: apply the graded Dynkin map, alpha
+    paired with the memoised integer rows of dynkin_map(w) and divided by
+    the order of w, one ``exact_sum`` per value.
 
     The grade-0 component is set to 0.
     """
@@ -425,11 +453,12 @@ def dynkin_apply(alpha: LBCoeff, N: int) -> LBCoeff:
         raise DomainError("the Dynkin form is defined for characters")
     if alpha.N < N:
         raise DomainError(f"character truncated at {alpha.N}, need {N}")
+    factors = alpha._factors
 
     def fn(w: PlanarForest) -> Fraction:
         if not w.word:
             return Fraction(0)
-        return alpha(dynkin_map(w)) / w.order
+        return exact_sum(((c, factors(u)) for u, c in _dynkin_rows(w)), w.order)
 
     return LBCoeff("infinitesimal", N, fn)
 
@@ -449,38 +478,61 @@ def kappa(grades: tuple[int, ...]) -> Fraction:
 def q_apply(gamma: LBCoeff, N: int) -> LBCoeff:
     """Flow character of a Lie element: weighted sum over all splittings
     of a word into consecutive nonempty blocks, kappa of the block grades
-    times the product of gamma over the blocks, summed by ``exact_sum``.
-    Inverse of dynkin_apply."""
+    times the product of gamma over the blocks. The splittings and their
+    weights are memoised integer rows over one denominator per word, so
+    each value is one ``exact_sum``. Inverse of dynkin_apply."""
     if gamma.N < N:
         raise DomainError(f"series truncated at {gamma.N}, need {N}")
-
-    def terms(w: PlanarForest):
-        for blocks in _compositions(w.word):
-            factors = [kappa(tuple(b.order for b in blocks))]
-            for b in blocks:
-                value = gamma(b)
-                if not value:
-                    break
-                factors.append(value)
-            else:
-                yield 1, tuple(factors)
 
     def fn(w: PlanarForest) -> Fraction:
         if not w.word:
             return Fraction(1)
-        return exact_sum(terms(w))
+        den, rows = _q_rows(w)
+        return exact_sum(_products(gamma, rows), den)
 
     return LBCoeff("character", N, fn)
 
 
-def _compositions(parts: tuple) -> Iterable[list[PlanarForest]]:
+_Q_ROWS: dict[PlanarForest, tuple] = {}
+
+
+def _q_rows(w: PlanarForest) -> tuple[int, tuple]:
+    """The splittings of a nonempty word into consecutive blocks as (den,
+    rows): each row (c, blocks) has c / den the kappa of the block grades,
+    den the lcm of the kappa denominators. Built once per word."""
+    out = _Q_ROWS.get(w)
+    if out is None:
+        splits = [
+            (kappa(tuple(b.order for b in blocks)), blocks) for blocks in _compositions(w.word)
+        ]
+        den = math.lcm(*(k.denominator for k, _ in splits))
+        rows = tuple((k.numerator * (den // k.denominator), blocks) for k, blocks in splits)
+        out = _Q_ROWS[_word(w.word)] = (den, rows)
+    return out
+
+
+def _compositions(parts: tuple) -> Iterable[tuple[PlanarForest, ...]]:
     if not parts:
-        yield []
+        yield ()
         return
     for i in range(1, len(parts) + 1):
-        head = PlanarForest(parts[:i])
+        head = _word(parts[:i])
         for rest in _compositions(parts[i:]):
-            yield [head] + rest
+            yield (head,) + rest
+
+
+def _products(value: Callable, rows: Iterable) -> Iterable[tuple[int, list]]:
+    """(c, the values of the words) for each row (c, words), leaving out a
+    row at its first word of value 0."""
+    for c, words in rows:
+        factors = []
+        for u in words:
+            v = value(u)
+            if not v:
+                break
+            factors.append(v)
+        else:
+            yield c, factors
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +555,7 @@ def exact_flow_lb(N: int) -> LBCoeff:
     for n in range(1, N + 1):
         q = q_apply(gamma, n - 1) if n > 1 else None
         for w in enumerate_forests(n - 1, planar=True):
-            target = PlanarForest((bplus(w),))
+            target = _word((_ptree(w.word),))
             values[target] = (q(w) if q else Fraction(1)) / n
     return LBCoeff.from_table(values, N, kind="infinitesimal")
 
@@ -531,7 +583,7 @@ def _sigma_midpoint(N: int) -> dict[PlanarForest, Fraction]:
             scale = Fraction(1, 2**j * fact)
             for w, c in layer.items():
                 if w.order == n - 1:
-                    target = PlanarForest((bplus(w),))
+                    target = _word((_ptree(w.word),))
                     total[target] = total.get(target, Fraction(0)) + scale * c
         values.update(total)
     return values
@@ -542,10 +594,12 @@ def _conc_exp_character(values: Mapping[PlanarForest, Fraction], N: int) -> LBCo
     trees: the value on a word is the product over its letters divided
     by the factorial of the length."""
 
+    letters = {w.word[0]: v for w, v in values.items() if len(w.word) == 1}
+
     def fn(w: PlanarForest) -> Fraction:
         out = Fraction(1)
         for tree in w.word:
-            out *= values.get(PlanarForest((tree,)), Fraction(0))
+            out *= letters.get(tree, Fraction(0))
             if not out:
                 return out
         fact = 1
@@ -590,55 +644,78 @@ def lb_substitution_character(alpha, omega: PlanarForest | PlanarTree) -> Formal
     alpha is the coefficient map of the series replacing the vertex (an
     LBCoeff or a callable on words). The result is a formal sum of
     planar forests; pairing a series beta against it substitutes alpha
-    into beta.
+    into beta. The structure is the memoised integer rows of the word
+    (``_astar_rows``); alpha enters only through their sums.
     """
-    return _astar(alpha, _as_word(omega), {})
+    return FormalSum(
+        (u, exact_sum(_products(alpha, weights))) for u, weights in _astar_rows(_as_word(omega))
+    )
 
 
-def _astar(alpha, omega: PlanarForest, memo: dict) -> FormalSum:
-    """Over the splits omega = w1 w2 (w2 nonempty) and the terms
+_ASTAR_ROWS: dict[PlanarForest, tuple] = {EMPTY_WORD: ((EMPTY_WORD, ((1, ()),)),)}
+
+
+def _astar_rows(omega: PlanarForest) -> tuple:
+    """The image of omega under substitution with the alpha values left
+    symbolic, as rows (u, weights), weights = ((c, rests), ...): the
+    coefficient of the word u is the sum over the weights of the int c
+    times the product of alpha over the rest words.
+
+    Over the splits omega = w1 w2 (w2 nonempty) and the terms
     c pruned (x) rest of the product of Delta'(t) over the trees of w2:
     c alpha(rest) times A(w1) concatenated with B+ of A(pruned). Unrolled,
     Delta(t1..tk) = sum_i (t1..ti (x) 1) * Delta'(t_{i+1}) ... Delta'(t_k),
     and each Delta' puts one tree on the right, so that product is the
-    part of Delta(w2) whose right word has as many trees as w2."""
-    if not omega.word:
-        return FormalSum.term(EMPTY_WORD)
-    if omega in memo:
-        return memo[omega]
-    terms = []
-    parts = omega.word
-    for i in range(len(parts)):
-        w1 = PlanarForest(parts[:i])
-        w2 = PlanarForest(parts[i:])
-        left = _astar(alpha, w1, memo)
-        for t, c in delta_mkw(w2):
-            pruned, rest = t.left, t.right
-            if len(rest.word) != len(w2.word):
-                continue
-            weight = alpha(rest)
-            if weight:
-                grafted = _astar(alpha, pruned, memo).map_basis(
-                    lambda u: PlanarForest((bplus(u),))
-                )
-                terms.append((concat(left, grafted), c * weight))
-    out = memo[omega] = FormalSum(terms)
-    return out
+    part of Delta(w2) whose right word has as many trees as w2. The rests
+    of a row are sorted by serial, so equal products share one int c.
+    Built once per word, over interned words.
+    """
+    rows = _ASTAR_ROWS.get(omega)
+    if rows is None:
+        acc: dict[PlanarForest, dict[tuple, int]] = {}
+        parts = omega.word
+        for i in range(len(parts)):
+            left = _astar_rows(_word(parts[:i]))
+            size = len(parts) - i
+            for t, c in delta_mkw(_word(parts[i:])):
+                pruned, rest, c = t.left, t.right, c.numerator
+                if len(rest.word) != size:
+                    continue
+                for inner, weights2 in _astar_rows(pruned):
+                    grafted = (_ptree(inner.word),)
+                    for u1, weights1 in left:
+                        row = acc.setdefault(_word(u1.word + grafted), {})
+                        for c1, rests1 in weights1:
+                            for c2, rests2 in weights2:
+                                key = tuple(sorted((*rests1, rest, *rests2), key=_SERIAL))
+                                row[key] = row.get(key, 0) + c * c1 * c2
+        rows = _ASTAR_ROWS[_word(parts)] = tuple(
+            (u, tuple((c, rests) for rests, c in row.items())) for u, row in acc.items()
+        )
+    return rows
 
 
 def lb_substitute(alpha, beta: LBCoeff, N: int) -> LBCoeff:
     """Substitute the field alpha into the series beta (coefficientwise):
-    beta paired with the image of each word under alpha, the terms summed
-    by ``exact_sum``."""
+    beta paired with the image of each word under alpha. The image is the
+    memoised integer rows of ``_astar_rows``, shared by every map, so a
+    value is one ``exact_sum`` over them: each row's alpha values (left
+    out at the first 0) times beta of its word."""
     if isinstance(alpha, LBCoeff) and alpha(EMPTY_WORD) != 0:
         raise DomainError("substitution needs a field: alpha(1) must be 0")
     if beta.N < N:
         raise DomainError(f"series truncated at {beta.N}, need {N}")
-
-    memo: dict = {}  # the images of the words, owned by the returned map
     factors = beta._factors
 
+    def terms(w: PlanarForest):
+        for u, weights in _astar_rows(w):
+            f = factors(u)
+            if all(f):
+                for c, values in _products(alpha, weights):
+                    values.extend(f)
+                    yield c, values
+
     def fn(w: PlanarForest) -> Fraction:
-        return exact_sum((1, (c, *factors(u))) for u, c in _astar(alpha, w, memo))
+        return exact_sum(terms(w))
 
     return LBCoeff(beta.kind, N, fn)

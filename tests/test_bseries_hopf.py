@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import pytest
 
-from bflow import bseries_hopf, forest_core
+from bflow import bseries_hopf
 from bflow.algebra import FormalSum, Tensor, render_sum, tensor_sum
 from bflow.bseries_hopf import (
     BCoeff,
@@ -672,8 +672,8 @@ def fresh_memos(monkeypatch):
     """Empty coproduct memos and intern tables, for the rest of the test."""
     for memo in COPRODUCT_MEMOS:
         monkeypatch.setattr(bseries_hopf, memo, {})
-    monkeypatch.setattr(forest_core, "_INTERNED_TREES", {})
-    monkeypatch.setattr(forest_core, "_INTERNED_FORESTS", {})
+    monkeypatch.setattr(RootedTree, "_interned", {})
+    monkeypatch.setattr(Forest, "_interned", {})
 
 
 def test_the_coproduct_fill_adds_no_fractions(monkeypatch, no_fraction_sums):
@@ -714,11 +714,11 @@ def test_coproduct_rows_hold_the_interned_trees():
         assert hash(Forest((plain, DOT))) == hash(Forest.interned((shared, DOT)))
     tree = RootedTree.interned((L2, CHERRY), 2)
     forest = Forest.interned((tree, DOT))
-    sizes = len(forest_core._INTERNED_TREES), len(forest_core._INTERNED_FORESTS)
+    sizes = len(RootedTree._interned), len(Forest._interned)
     for x in (tree, forest):
         for twin in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
             assert twin == x and hash(twin) == hash(x) and twin is not x
-    assert (len(forest_core._INTERNED_TREES), len(forest_core._INTERNED_FORESTS)) == sizes
+    assert (len(RootedTree._interned), len(Forest._interned)) == sizes
 
 
 def test_forest_coproducts_are_memoised(monkeypatch):

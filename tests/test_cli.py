@@ -230,6 +230,30 @@ class TestAnalysisCommands:
         assert len(out.splitlines()) == lines
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "argv,lines,digest",
+        [
+            (
+                "coproduct mkw --table 7",
+                625,
+                "79cae3ef8195f01e7a2e54baa731336cedba23328cc3dabf73b51d92c0d39e5d",
+            ),
+            (
+                "series --method lie_implicit_midpoint --rep type3 -N 7",
+                607,
+                "6600a239160cd59f7de72e06b694e74e6ae92fe0c713e1fd7f31f78c39472ba5",
+            ),
+        ],
+        ids=["coproduct_mkw", "series_midpoint_type3"],
+    )
+    def test_planar_order_seven_tables_are_pinned(self, capsys, argv, lines, digest):
+        # line counts and sha256 of the stdout as printed when the Dynkin
+        # map was expanded afresh for every word of every map
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert len(out.splitlines()) == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestRunCommands:
     def test_integrate_rotation_with_norm_drift(self, capsys):

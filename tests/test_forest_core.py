@@ -8,6 +8,7 @@ factorial, and exhaustive increasing-labelling counts.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import os
@@ -384,6 +385,44 @@ def test_twin_families_do_not_mix():
         RootedTree.interned((DOT, pdot))
     with pytest.raises(TypeError):
         Forest.interned((DOT, pdot))
+
+
+def test_planar_interning_keeps_order_and_colour():
+    kids = (parse_tree("[[]]", planar=True), psingle(), psingle(2))
+    tree = PlanarTree.interned(kids, 1)
+    assert tree is PlanarTree.interned(list(kids), 1)
+    assert tree == PlanarTree(kids, 1) and hash(tree) == hash(PlanarTree(kids, 1))
+    assert tree is not PlanarTree(kids, 1)
+    assert tree.children == kids and tree.children[0] is PlanarTree.interned(kids[0].children)
+    others = (kids[::-1], 1), (kids, 0), (kids, 2)
+    for other in itertools.starmap(PlanarTree.interned, others):
+        assert other is not tree and other != tree
+    word = PlanarForest.interned((tree, psingle()))
+    assert word is PlanarForest.interned([PlanarTree(kids, 1), psingle()])
+    assert word.word[0] is tree
+    assert PlanarForest.interned((psingle(), tree)) is not word
+    assert PlanarForest.interned(()) is EMPTY_WORD
+    # a product of words is the interned word of the joined letters
+    assert PlanarForest((tree,)) * PlanarForest((psingle(),)) is word
+    # the non-planar twin keeps its own table and sorts
+    twin = RootedTree.interned(project_nonplanar(k) for k in kids[::-1])
+    assert twin is RootedTree.interned(project_nonplanar(k) for k in kids)
+    with pytest.raises(TypeError):
+        PlanarTree.interned((psingle(), single()))
+    with pytest.raises(TypeError):
+        PlanarForest.interned((psingle(), single()))
+
+
+def test_planar_interned_words_survive_pickle_and_deepcopy():
+    tree = PlanarTree.interned((parse_tree("[[][2:]]", planar=True), psingle(1)), 2)
+    word = PlanarForest.interned((tree, psingle(), tree))
+    sizes = len(PlanarTree._interned), len(PlanarForest._interned)
+    for x in (tree, word):
+        for twin in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert twin == x and hash(twin) == hash(x) and twin.serial == x.serial
+            assert twin is not x and type(twin) is type(x)
+            assert type(x).interned(*twin.__reduce__()[1]) is x
+    assert (len(PlanarTree._interned), len(PlanarForest._interned)) == sizes
 
 
 def test_pickles_load_in_a_process_with_another_hash_seed():

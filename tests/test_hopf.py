@@ -21,7 +21,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bflow import bseries_hopf, lbseries
+from bflow import bseries_hopf
 from bflow.bseries_hopf import (
     BCoeff,
     builtin_tableau,
@@ -56,6 +56,8 @@ from bflow.lbseries import (
     lb_substitute,
     q_apply,
 )
+
+from test_lbseries import astar_reference
 
 N = 5
 VALUES = [
@@ -188,9 +190,10 @@ def ref_substitute(alpha: BCoeff, beta: BCoeff, x) -> Fraction:
 
 
 def ref_lb_substitute(alpha: LBCoeff, beta: LBCoeff, w) -> Fraction:
-    """beta paired term by term with the image of w under alpha."""
+    """beta paired term by term with the image of w under alpha, the
+    image from the per-map recursion kept in test_lbseries."""
     total = Fraction(0)
-    for u, c in lbseries._astar(alpha, w, {}):
+    for u, c in astar_reference(alpha, w, {}):
         total += c * beta(u)
     return total
 

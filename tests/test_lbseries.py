@@ -14,6 +14,8 @@ grafting.
 
 from __future__ import annotations
 
+import collections
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -21,6 +23,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bflow import lbseries
 from bflow.algebra import FormalSum, Tensor, render_sum
 from bflow.bseries_hopf import exact_gamma
 from bflow.errors import CapacityError, DomainError
@@ -29,6 +32,8 @@ from bflow.forest_core import (
     PlanarForest,
     PlanarTree,
     _shuffle,
+    bplus,
+    concat,
     enumerate_forests,
     forest_sigma,
     left_graft,
@@ -712,6 +717,51 @@ def test_coproduct_kernels_stay_integer_and_exact():
         for out in memo.values():
             assert all(c.denominator == 1 for _, c in out)
     assert all(type(c) is int for triples in _MKW_LIFTED.values() for _, _, c in triples)
+    fill_row_tables(words_up_to(6))
+    assert all(
+        type(c) is int
+        for rows in lbseries._ASTAR_ROWS.values()
+        for _, weights in rows
+        for c, _ in weights
+    )
+    assert all(type(c) is int for rows in lbseries._DYNKIN_ROWS.values() for _, c in rows)
+    for den, rows in lbseries._Q_ROWS.values():
+        assert type(den) is int and all(type(c) is int for c, _ in rows)
+
+
+def fill_row_tables(words) -> None:
+    """Build the substitution, Dynkin and Q rows of the nonempty words."""
+    for w in words:
+        if w.word:
+            lbseries._astar_rows(w), lbseries._dynkin_rows(w), lbseries._q_rows(w)
+
+
+def interned(x) -> bool:
+    """Whether x is the interned planar tree or word for its serial, with
+    interned members."""
+    if isinstance(x, PlanarTree):
+        return PlanarTree.interned(x.children, x.color) is x and all(map(interned, x.children))
+    return PlanarForest.interned(x.word) is x and all(map(interned, x.word))
+
+
+def test_planar_rows_hold_the_interned_words():
+    coloured = [w for w in random_coloured_words(41, 40) if w.order <= 7]
+    for w in words_up_to(7) + coloured:
+        for t, _ in delta_mkw(w):
+            assert interned(t.left) and interned(t.right), (w.serial, t.serial)
+    for tree, triples in _MKW_LIFTED.items():
+        assert interned(tree), tree.serial
+        for left, right, _ in triples:
+            assert interned(left) and interned(right), (tree.serial, left.serial, right.serial)
+    fill_row_tables(words_up_to(6) + [w for w in coloured if w.order <= 6])
+    for w, rows in lbseries._ASTAR_ROWS.items():
+        assert interned(w), w.serial
+        for u, weights in rows:
+            assert interned(u) and all(interned(r) for _, rests in weights for r in rests), w.serial
+    for w, rows in lbseries._DYNKIN_ROWS.items():
+        assert interned(w) and all(interned(u) for u, _ in rows), w.serial
+    for w, (_, rows) in lbseries._Q_ROWS.items():
+        assert interned(w) and all(interned(b) for _, blocks in rows for b in blocks), w.serial
 
 
 # ---------------------------------------------------------------------------
@@ -1094,6 +1144,37 @@ def test_method_series_rejects_unknown_names():
 # ---------------------------------------------------------------------------
 
 
+def astar_reference(alpha, omega: PlanarForest, memo: dict) -> FormalSum:
+    """The image of omega under substitution by alpha, with alpha's
+    values applied at every step, in a memo that belongs to one alpha.
+
+    Over the splits omega = w1 w2 (w2 nonempty) and the terms
+    c pruned (x) rest of Delta(w2) whose right word has as many trees as
+    w2: c alpha(rest) times A(w1) concatenated with B+ of A(pruned)."""
+    if not omega.word:
+        return FormalSum.term(EMPTY_WORD)
+    if omega in memo:
+        return memo[omega]
+    terms = []
+    parts = omega.word
+    for i in range(len(parts)):
+        w1 = PlanarForest(parts[:i])
+        w2 = PlanarForest(parts[i:])
+        left = astar_reference(alpha, w1, memo)
+        for t, c in delta_mkw(w2):
+            pruned, rest = t.left, t.right
+            if len(rest.word) != len(w2.word):
+                continue
+            weight = alpha(rest)
+            if weight:
+                grafted = astar_reference(alpha, pruned, memo).map_basis(
+                    lambda u: PlanarForest((bplus(u),))
+                )
+                terms.append((concat(left, grafted), c * weight))
+    out = memo[omega] = FormalSum(terms)
+    return out
+
+
 ASTAR_ALPHA = {
     "[]": Fraction(2),
     "[[]]": Fraction(3),
@@ -1172,6 +1253,106 @@ def astar_oracle(alpha: LBCoeff, omega: PlanarForest, N: int) -> FormalSum:
         if coeff:
             out = out + FormalSum.term(source, coeff)
     return out
+
+
+def seeded_word_map(seed: str, N: int) -> LBCoeff:
+    """A plain map with seeded values on every nonempty word, coloured
+    ones too, a sixth of them 0, and 0 on the empty word."""
+
+    def value(w: PlanarForest) -> Fraction:
+        if not w.word:
+            return Fraction(0)
+        rng = random.Random(f"{seed}-{w.serial}")
+        return Fraction(rng.choice((-3, -2, -1, 0, 1, 2)), rng.randint(1, 4))
+
+    return LBCoeff.from_function(value, N)
+
+
+def test_substitution_matches_the_per_map_reference():
+    # The rows are built once per word with the alpha values left
+    # symbolic; the reference applies them at every step of its own
+    # recursion, in a memo per map.
+    N = 6
+    coloured = [w for w in random_coloured_words(61, 60) if w.order <= N]
+    words = words_up_to(N) + coloured
+    assert any(c.color for w in coloured for c in w.word)
+    beta = seeded_word_map("beta", N)
+    alphas = {
+        "dot": dot_lb(N),
+        "midpoint": method_series("lie_implicit_midpoint", "type3", N),
+        "plain": seeded_word_map("alpha", N),
+    }
+    assert any(alphas["plain"](w) and len(w.word) > 1 for w in words)
+    for name, alpha in alphas.items():
+        memo: dict = {}
+        substituted = lb_substitute(alpha, beta, N)
+        for w in words:
+            image = astar_reference(alpha, w, memo)
+            assert lb_substitution_character(alpha, w) == image, (name, w.serial)
+            want = sum((c * beta(u) for u, c in image), Fraction(0))
+            assert substituted(w) == want, (name, w.serial)
+
+
+def test_a_new_map_pays_only_its_sums(monkeypatch):
+    # The substitution, Dynkin and Q structure of a word is shared by
+    # every map: once the tables of one round are built, the same tables
+    # from new maps build no word or tree, expand no Dynkin map, shuffle
+    # or block splitting, and read no coproduct.
+    N = 6
+    ms_values = method_series("lie_implicit_midpoint", "type3", N).table()
+    flow_values = q_apply(exact_flow_lb(N), N).table()
+
+    def tables():
+        dot = dot_lb(N)
+        ms = LBCoeff("infinitesimal", N, ms_values.__getitem__)
+        flow = LBCoeff("character", N, flow_values.__getitem__)
+        return (
+            lb_substitute(dot, ms, N).table(),
+            lb_substitute(ms, dot, N).table(),
+            dynkin_apply(flow, N).table(),
+            q_apply(ms, N).table(),
+        )
+
+    calls: collections.Counter = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for cls in (PlanarForest, PlanarTree):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+    for name in ("dynkin_map", "_compositions", "_shuffle", "delta_mkw"):
+        monkeypatch.setattr(lbseries, name, counting(name, getattr(lbseries, name)))
+    PlanarForest(), PlanarTree()
+    assert calls == {"PlanarForest": 1, "PlanarTree": 1}
+    first = tables()
+    calls.clear()
+    assert tables() == first
+    assert not calls, dict(calls)
+    assert first[0] == first[1] == ms_values
+
+
+def _table_digest(coeff: LBCoeff) -> str:
+    text = "".join(f"{w.serial}\t{v}\n" for w, v in coeff.table().items())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_substitution_tables_are_pinned():
+    # sha256 of the word tables as printed when every image was re-grafted
+    # per map; the vertex is the identity for substitution on both sides
+    ms = method_series("lie_implicit_midpoint", "type3", 6)
+    dot = dot_lb(6)
+    identity = "f1bbd530fbfd6b96d62a11ec4011fa12fe4de41403d0f01b6632598cfeb982fe"
+    assert _table_digest(ms) == identity
+    assert _table_digest(lb_substitute(dot, ms, 6)) == identity
+    assert _table_digest(lb_substitute(ms, dot, 6)) == identity
+    flow = q_apply(exact_flow_lb(6), 6)
+    assert _table_digest(lb_substitute(ms, flow, 6)) == (
+        "8528c5d586ec972eb6c1d970d54bca3ec5db1cea2388edbeefea8bc1241b0634"
+    )
 
 
 def test_substitution_character_matches_grafting_oracle():
