@@ -17,9 +17,11 @@ affine action in its homogeneous embedding.
 ``make_stepper`` resolves a Lie group method once, with its tableau's
 float coefficients and its dexpinv truncation, and returns the one-step
 map that ``integrate`` and ``convergence_order`` apply at every step. The
-so(3) kernels are closed-form scalar code: the Rodrigues exponential
-serves the rotation action and the 3x3 isospectral action, and the cross
-product is written out.
+so(3) kernels (Rodrigues, for the rotation and 3x3 isospectral actions,
+and the cross product), the 3x3 Toda field and the fixed-point residual
+are scalar code on Python floats, bit-identical to their numpy forms:
+elementwise float operations may leave numpy, matrix products may not
+(BLAS sums in its own order), so actions and commutators stay numpy.
 
 Polynomial fields are exact sparse polynomials (``bflow.poly``, standard
 library only), imported with the first field; no part of the package
@@ -420,10 +422,14 @@ def _hat(v: np.ndarray) -> np.ndarray:
 
 
 def _rodrigues(v) -> np.ndarray:
-    """Closed-form exponential of the skew matrix V of a 3-vector:
-    I + sin(t)/t V + (1 - cos t)/t^2 V^2 with t = |v|, the second weight
-    taken as (sin(t/2)/(t/2))^2 / 2, which stays accurate as t -> 0."""
-    x, y, z = map(float, v)
+    """Closed-form exponential of the skew matrix of a 3-vector array."""
+    return _rodrigues_xyz(*v.tolist())
+
+
+def _rodrigues_xyz(x: float, y: float, z: float) -> np.ndarray:
+    """I + sin(t)/t V + (1 - cos t)/t^2 V^2 for the skew matrix V of
+    v = (x, y, z), with t = |v|, the second weight taken as
+    (sin(t/2)/(t/2))^2 / 2, which stays accurate as t -> 0."""
     t2 = x * x + y * y + z * z
     theta = math.sqrt(t2)
     if theta < 1e-3:
@@ -437,27 +443,27 @@ def _rodrigues(v) -> np.ndarray:
     b = 0.5 * half * half
     bxy, bxz, byz = b * x * y, b * x * z, b * y * z
     return np.array(
-        [
-            [1.0 - b * (y * y + z * z), bxy - a * z, bxz + a * y],
-            [bxy + a * z, 1.0 - b * (x * x + z * z), byz - a * x],
-            [bxz - a * y, byz + a * x, 1.0 - b * (x * x + y * y)],
-        ]
-    )
+        (
+            1.0 - b * (y * y + z * z), bxy - a * z, bxz + a * y,
+            bxy + a * z, 1.0 - b * (x * x + z * z), byz - a * x,
+            bxz - a * y, byz + a * x, 1.0 - b * (x * x + y * y),
+        )
+    ).reshape(3, 3)
 
 
 def _cross(u, v) -> np.ndarray:
     """u x v for 3-vectors; np.cross spends tens of microseconds on
     argument handling at this size."""
-    u0, u1, u2 = map(float, u)
-    v0, v1, v2 = map(float, v)
-    return np.array([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
+    u0, u1, u2 = u.tolist()
+    v0, v1, v2 = v.tolist()
+    return np.array((u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0))
 
 
 def _so3_exp(V) -> np.ndarray:
     """Exponential of a 3x3 element of so(3): Rodrigues on the hat-vector
     of its skew part."""
-    (_, v01, v02), (v10, _, v12), (v20, v21, _) = np.asarray(V, dtype=float).tolist()
-    return _rodrigues((0.5 * (v21 - v12), 0.5 * (v02 - v20), 0.5 * (v10 - v01)))
+    (_, v01, v02), (v10, _, v12), (v20, v21, _) = V.tolist()
+    return _rodrigues_xyz(0.5 * (v21 - v12), 0.5 * (v02 - v20), 0.5 * (v10 - v01))
 
 
 def _expm(X) -> np.ndarray:
@@ -610,49 +616,55 @@ class LGProblem:
 # dexpinv and the Lie group steppers
 # ---------------------------------------------------------------------------
 
-_BERNOULLI = (
-    Fraction(1),
-    Fraction(-1, 2),
-    Fraction(1, 6),
-    Fraction(0),
-    Fraction(-1, 30),
-    Fraction(0),
-    Fraction(1, 42),
-    Fraction(0),
-    Fraction(-1, 30),
-    Fraction(0),
+# B_k/k! for the Bernoulli numbers B_0..B_9: the float weights of the terms
+# of dexpinv, the same floats as float(B_k) / k! from the Fractions
+_DEXPINV_WEIGHTS = tuple(
+    float(Fraction(b)) / math.factorial(k)
+    for k, b in enumerate((1, "-1/2", "1/6", 0, "-1/30", 0, "1/42", 0, "-1/30", 0))
 )
 
 
 def dexpinv(U, K, m: int, bracket=None):
     """Truncation of the inverse right-trivialized tangent of exp: the
     first m terms of sum_k B_k/k! ad_U^k(K). The default bracket is the
-    matrix commutator; vector-shaped algebras pass their own."""
+    matrix commutator; vector-shaped algebras pass their own. The result
+    is a new array, never K itself."""
     if m < 1:
         raise DomainError("dexpinv needs at least one term")
-    if m > len(_BERNOULLI):
-        raise DomainError(f"dexpinv truncation capped at {len(_BERNOULLI)} terms")
+    if m > len(_DEXPINV_WEIGHTS):
+        raise DomainError(f"dexpinv truncation capped at {len(_DEXPINV_WEIGHTS)} terms")
     if bracket is None:
         bracket = _commutator
     U = np.asarray(U, dtype=float)
-    term = np.asarray(K, dtype=float)
-    acc = term.copy()
-    fact = 1
+    acc = term = np.asarray(K, dtype=float)
+    if m == 1:
+        return acc.copy()
+    # B_1 is nonzero, so the first term replaces acc by a new array
     for k in range(1, m):
-        fact *= k
         term = bracket(U, term)
-        coeff = _BERNOULLI[k]
-        if coeff:
-            acc = acc + (float(coeff) / fact) * term
+        if _DEXPINV_WEIGHTS[k]:
+            acc = acc + _DEXPINV_WEIGHTS[k] * term
     return acc
+
+
+def _sup(x) -> float:
+    """max |v| over the entries of the array x, 0.0 when x is empty and nan
+    when any entry is nan: np.abs(x).max(initial=0.0) in scalar code. A nan
+    makes the sum nan; Python's max alone drops one that follows a larger
+    value."""
+    values = x.ravel().tolist()
+    total = sum(values)
+    if total != total and any(v != v for v in values):
+        return math.nan
+    return max(0.0, max(values, default=0.0), -min(values, default=0.0))
 
 
 def _fixed_point(update, start, tol: float, label: str):
     value = start
     for _ in range(100):
         new = update(value)
-        shift = float(np.abs(new - value).max(initial=0.0))
-        scale = max(1.0, float(np.abs(new).max(initial=0.0)))
+        shift = _sup(new - value)
+        scale = max(1.0, _sup(new))
         value = new
         if shift <= tol * scale:
             return value
@@ -663,10 +675,12 @@ def _rkmk_stepper(tableau: RKTableau, A: GroupAction, m: int, tol: float):
     s = tableau.s
     a, b, c = tableau.floats
     explicit = tableau.is_explicit
+    # no step writes into an algebra element, so every sum starts from one zero
+    zero = A.zero()
 
     def step(f, t, y, h):
         def stage(i, K):
-            U = A.zero()
+            U = zero
             for j in range(s):
                 if a[i][j]:
                     U = U + a[i][j] * K[j]
@@ -682,8 +696,8 @@ def _rkmk_stepper(tableau: RKTableau, A: GroupAction, m: int, tol: float):
                 K = list(stacked)
                 return np.stack([stage(i, K) for i in range(s)])
 
-            K = list(_fixed_point(update, np.stack([A.zero() for _ in range(s)]), tol, "rkmk stages"))
-        U = A.zero()
+            K = list(_fixed_point(update, np.stack([zero] * s), tol, "rkmk stages"))
+        U = zero
         for j in range(s):
             if b[j]:
                 U = U + b[j] * K[j]
@@ -885,12 +899,23 @@ def toda_problem(y0=None) -> LGProblem:
     y0 = np.asarray(y0, dtype=float)
     n = y0.shape[0]
     action = make_action("isospectral", n)
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    lower = upper.T
+    if n == 3:
 
-    def f(t, y):
-        # np.triu(y, 1) - np.tril(y, -1), with the masks built once
-        return np.where(upper, y, 0.0) - np.where(lower, y, 0.0)
+        def f(t, y):
+            # the masked difference below, entry by entry in its float ops
+            # (x - 0.0 above the diagonal, 0.0 - x below): the same bits
+            (_, y01, y02), (y10, _, y12), (y20, y21, _) = y.tolist()
+            return np.array(
+                (0.0, y01 - 0.0, y02 - 0.0, 0.0 - y10, 0.0, y12 - 0.0, 0.0 - y20, 0.0 - y21, 0.0)
+            ).reshape(3, 3)
+
+    else:
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        lower = upper.T
+
+        def f(t, y):
+            # np.triu(y, 1) - np.tril(y, -1), with the masks built once
+            return np.where(upper, y, 0.0) - np.where(lower, y, 0.0)
 
     return LGProblem(action, f, y0)
 

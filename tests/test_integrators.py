@@ -12,6 +12,7 @@ measured convergence slopes.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 import re
@@ -550,11 +551,22 @@ class TestRkStep:
 
     def test_stages_leaving_the_floats_do_not_converge(self):
         # y*y overflows: the stages go to inf and their differences to nan,
-        # which must not pass for a converged shift
-        with np.errstate(all="ignore"), pytest.raises(ConvergenceError) as exc:
-            rk_step(IMID, lambda y: y * y, [1e200], 1.0)
-        assert "implicit stage iteration" in str(exc.value)
-        assert np.isnan(exc.value.residual)
+        # which must not pass for a converged shift. The Lie group solvers
+        # start from zero, so they meet the nan through y0^2 - y1^2 = inf - inf.
+        def field(y):
+            return np.array([y[0] * y[0] - y[1] * y[1], y[0] * y[1]])
+
+        blowup = LGProblem(make_action("translation", 2), lambda t, y: field(y), [1e200, 1e200])
+        solves = {
+            "implicit stage iteration": lambda: rk_step(IMID, lambda y: y * y, [1e200], 1.0),
+            "lie_midpoint": lambda: lg_step("lie_midpoint", blowup, 0.0, blowup.y0, 1.0),
+            "rkmk stages": lambda: lg_step("rkmk", blowup, 0.0, blowup.y0, 1.0, m=1, tableau=IMID),
+        }
+        for label, solve in solves.items():
+            with np.errstate(all="ignore"), pytest.raises(ConvergenceError) as exc:
+                solve()
+            assert label in str(exc.value)
+            assert np.isnan(exc.value.residual)
 
 
 def _stiff_decay() -> LGProblem:
@@ -575,6 +587,31 @@ def test_stalled_fixed_point_raises_convergence_error(solve):
         solve()
     assert exc.value.residual is not None
     assert exc.value.residual > 1e-14
+
+
+def _sup_cases():
+    rng = np.random.default_rng(41)
+    yield from (np.zeros(0), np.zeros((0, 3)), np.zeros((2, 0, 3)), np.array([-0.0]))
+    yield from (np.full((3, 3), -0.0), np.array([np.inf]), np.array([-np.inf, 2.0]))
+    yield from (np.array([np.inf, -np.inf]), np.array([-np.inf, np.inf, 1.0]))
+    for shape in ((1,), (2,), (3,), (3, 3), (2, 3, 3)):
+        for _ in range(5):
+            yield rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300)
+        for fill in (1e3, -1e3, np.inf, -np.inf):
+            base = rng.normal(size=shape)
+            base.flat[0] = fill  # a nan behind it is one Python's max drops
+            for k in range(base.size):
+                for nan in (np.nan, -np.nan):
+                    x = base.copy()
+                    x.flat[k] = nan
+                    yield x
+
+
+def test_residual_is_the_numpy_sup_norm():
+    # same bits, the sign of a zero included; every nan reads nan
+    for x in _sup_cases():
+        want = float(np.abs(x).max(initial=0.0))
+        assert repr(integrators._sup(x)) == repr(want), x
 
 
 # ---------------------------------------------------------------------------
@@ -715,6 +752,17 @@ class TestDexpinv:
         k = np.array([1.0, 0.4, -0.7])
         got = dexpinv(u, k, 2, bracket=np.cross)
         assert np.allclose(got, k - np.cross(u, k) / 2)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_mutating_the_result_leaves_k_unchanged(self, m):
+        rng = np.random.default_rng(47)
+        vector = make_action("rotation_s2", 3).bracket
+        for shape, bracket in (((3, 3), None), ((3,), vector)):
+            u, k = rng.normal(size=shape), rng.normal(size=shape)
+            before = k.copy()
+            out = dexpinv(u, k, m, bracket)
+            out += 1.0
+            assert np.array_equal(k, before)
 
     def test_truncation_bounds(self):
         z = np.zeros((2, 2))
@@ -894,6 +942,145 @@ def test_trajectories_match_the_reference_routes(name):
         assert rel <= 1e-13, (method, rel)
 
 
+# The float kernels in their numpy-heavy form, kept verbatim as the
+# reference for the scalar rewrite. Both call the same BLAS for the matrix
+# products, so the trajectories must agree bit for bit on any machine.
+
+
+def _rodrigues_reference(v) -> np.ndarray:
+    x, y, z = map(float, v)
+    t2 = x * x + y * y + z * z
+    theta = math.sqrt(t2)
+    if theta < 1e-3:
+        a = 1.0 - t2 / 6.0 * (1.0 - t2 / 20.0)
+        half = 1.0 - t2 / 24.0 * (1.0 - t2 / 80.0)
+    else:
+        a = math.sin(theta) / theta
+        half = math.sin(0.5 * theta) / (0.5 * theta)
+    b = 0.5 * half * half
+    bxy, bxz, byz = b * x * y, b * x * z, b * y * z
+    return np.array(
+        [
+            [1.0 - b * (y * y + z * z), bxy - a * z, bxz + a * y],
+            [bxy + a * z, 1.0 - b * (x * x + z * z), byz - a * x],
+            [bxz - a * y, byz + a * x, 1.0 - b * (x * x + y * y)],
+        ]
+    )
+
+
+def _so3_exp_reference(V) -> np.ndarray:
+    (_, v01, v02), (v10, _, v12), (v20, v21, _) = np.asarray(V, dtype=float).tolist()
+    return _rodrigues_reference((0.5 * (v21 - v12), 0.5 * (v02 - v20), 0.5 * (v10 - v01)))
+
+
+def _cross_reference(u, v) -> np.ndarray:
+    u0, u1, u2 = map(float, u)
+    v0, v1, v2 = map(float, v)
+    return np.array([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
+
+
+def _masked_toda_field(n: int):
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    lower = upper.T
+
+    def f(t, y):
+        return np.where(upper, y, 0.0) - np.where(lower, y, 0.0)
+
+    return f
+
+
+_BERNOULLI = tuple(Fraction(b) for b in (1, "-1/2", "1/6", 0, "-1/30", 0, "1/42", 0, "-1/30", 0))
+
+
+def _dexpinv_reference(U, K, m: int, bracket=None):
+    if m < 1:
+        raise DomainError("dexpinv needs at least one term")
+    if m > len(_BERNOULLI):
+        raise DomainError(f"dexpinv truncation capped at {len(_BERNOULLI)} terms")
+    if bracket is None:
+        bracket = lambda u, v: u @ v - v @ u
+    U = np.asarray(U, dtype=float)
+    term = np.asarray(K, dtype=float)
+    acc = term.copy()
+    fact = 1
+    for k in range(1, m):
+        fact *= k
+        term = bracket(U, term)
+        coeff = _BERNOULLI[k]
+        if coeff:
+            acc = acc + (float(coeff) / fact) * term
+    return acc
+
+
+def _fixed_point_reference(update, start, tol: float, label: str):
+    value = start
+    for _ in range(100):
+        new = update(value)
+        shift = float(np.abs(new - value).max(initial=0.0))
+        scale = max(1.0, float(np.abs(new).max(initial=0.0)))
+        value = new
+        if shift <= tol * scale:
+            return value
+    raise ConvergenceError(f"{label}: fixed point stalled", shift)
+
+
+def test_dexpinv_matches_the_fraction_weights_bit_for_bit():
+    # large U, so that the last terms of a long truncation reach the result
+    rng = np.random.default_rng(53)
+    vector = make_action("rotation_s2", 3).bracket
+    for m in range(1, 11):
+        for shape, bracket in (((3, 3), None), ((3,), vector)):
+            for scale in (0.1, 1.0, 3.0):
+                u, k = scale * rng.normal(size=shape), rng.normal(size=shape)
+                assert np.array_equal(dexpinv(u, k, m, bracket), _dexpinv_reference(u, k, m, bracket))
+
+
+REFERENCE_KERNELS = {
+    "_rodrigues": _rodrigues_reference,
+    "_so3_exp": _so3_exp_reference,
+    "_cross": _cross_reference,
+    "dexpinv": _dexpinv_reference,
+    "_fixed_point": _fixed_point_reference,
+}
+
+
+def _time_dependent_rotation() -> LGProblem:
+    def f(t, y):
+        return np.array([np.sin(t) + y[0] * y[1], np.cos(t) - 0.3 * y[2], y[2] ** 2 + 0.2])
+
+    return LGProblem(make_action("rotation_s2", 3), f, np.array([0.6, 0.0, 0.8]))
+
+
+BITWISE_PROBLEMS = {
+    "rigid_body": rigid_body_problem,
+    "toda": toda_problem,
+    "time_dependent_rotation": _time_dependent_rotation,
+}
+
+
+@pytest.mark.parametrize("name", BITWISE_PROBLEMS)
+def test_trajectories_match_the_reference_kernels_bit_for_bit(name, monkeypatch):
+    methods = ("lie_euler", "lie_midpoint", "lie_rk4", "cf4", "rkmk:rk4", "rkmk:implicit_midpoint")
+    # at h = 0.01 the rounding of the quadratic Rodrigues terms is mostly
+    # absorbed by the linear ones; the long steps show it
+    runs = [(method, h, steps) for method in methods for h, steps in ((0.01, 1000), (0.3, 100))]
+    problem = BITWISE_PROBLEMS[name]()
+    got = {run: np.array(integrate(run[0], problem, run[1], run[2])) for run in runs}
+    for attr, kernel in REFERENCE_KERNELS.items():
+        monkeypatch.setattr(integrators, attr, kernel)
+    # built after the patch, so its action holds the reference kernels
+    reference = BITWISE_PROBLEMS[name]()
+    if name == "toda":
+        reference = LGProblem(reference.action, _masked_toda_field(3), reference.y0)
+        assert reference.action.exp is _so3_exp_reference
+    else:
+        assert reference.action.exp is _rodrigues_reference
+        assert reference.action.bracket is _cross_reference
+    for run in runs:
+        want = np.array(integrate(run[0], reference, run[1], run[2]))
+        assert np.array_equal(got[run], want), run
+
+
 class TestConvergence:
     def test_first_and_second_order_methods(self):
         p = rigid_body_problem()
@@ -960,6 +1147,26 @@ class TestStockProblems:
         v = p.f(0.0, p.y0)
         assert np.allclose(v, -v.T)
         assert np.allclose(p.y0, p.y0.T)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_toda_field_is_the_triangle_difference_bit_for_bit(self, n, monkeypatch):
+        # n = 3 is scalar code, the other sizes the masks: both must give
+        # np.triu(y, 1) - np.tril(y, -1) to the bit, signed zeros and nan
+        # payloads included
+        specials = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.5, -2.25])
+        rng = np.random.default_rng(43)
+        f = toda_problem(np.eye(n)).f
+        calls = []
+        where = np.where
+        for _ in range(200):
+            y = rng.choice(specials, size=(n, n))
+            want = np.triu(y, 1) - np.tril(y, -1)
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "where", lambda *args: calls.append(1) or where(*args))
+                got = f(0.0, y)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), y
+        assert len(calls) == (0 if n == 3 else 400)
 
     def test_bell_word_bookkeeping(self):
         assert bell_frechet_word(BellWord(())) == "1"
