@@ -16,6 +16,7 @@ mutated, because memo tables hand the same instance to every caller.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
 
@@ -171,15 +172,20 @@ def bilinear(fn: Callable[[Any, Any], Any]) -> Callable[[Any, Any], FormalSum]:
     return lifted
 
 
-class Tensor:
-    """An ordered pair of basis elements, used for coproduct output."""
+class Tensor(tuple):
+    """An ordered pair of basis elements, used for coproduct output. A
+    tuple, so that it is compared and hashed in C."""
 
-    __slots__ = ("left", "right", "_hash")
+    __slots__ = ()
 
-    def __init__(self, left: Any, right: Any):
-        self.left = left
-        self.right = right
-        self._hash = hash((left, right))
+    def __new__(cls, left: Any, right: Any):
+        return tuple.__new__(cls, (left, right))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    left = property(operator.itemgetter(0))
+    right = property(operator.itemgetter(1))
 
     @property
     def serial(self) -> str:
@@ -189,15 +195,7 @@ class Tensor:
 
     def __mul__(self, other: "Tensor") -> "Tensor":
         """The product of the tensor square of an algebra, slot by slot."""
-        return Tensor(self.left * other.left, self.right * other.right)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Tensor):
-            return self.left == other.left and self.right == other.right
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
+        return Tensor(self[0] * other[0], self[1] * other[1])
 
     def __repr__(self) -> str:
         return f"Tensor({self.left!r}, {self.right!r})"
@@ -215,8 +213,8 @@ def render_sum(fs: FormalSum, sort_key: Callable[[Any], Any]) -> str:
     if not fs:
         return "0"
     parts = []
-    for basis in sorted(fs.support(), key=sort_key):
-        coeff = fs.coeff(basis)
+    for basis in sorted(fs._terms, key=sort_key):
+        coeff = fs._terms[basis]
         serial = getattr(basis, "serial", None) or str(basis)
         parts.append(serial if coeff == 1 else f"{coeff} * {serial}")
     return " + ".join(parts)

@@ -21,12 +21,13 @@ Ebrahimi-Fard & Manchon, "Two interacting Hopf algebras of trees", Adv.
 Appl. Math. 2011). The enumerations over cuts and edge subsets are the
 independent routes in the tests.
 
-The memos are integer rows over interned trees. Every tree and forest in
-them comes from ``RootedTree.interned`` or ``Forest.interned`` (forest
-products too), so each distinct one is built once; multiplicities are
-added as ints, and each distinct term of a memoised sum gets one shared
-Fraction. On a forest, each coproduct and the antipode are the product of
-its trees' rows, memoised per forest.
+The memos are integer rows over trees and forests, each of which the
+constructor builds once and shares (``forest_core``), so rows compare and
+hash their keys by identity; multiplicities are added as ints, and each
+distinct term of a memoised sum gets one shared Fraction. Each row of
+the contraction memo carries its trees, each built once: the root's
+component, the left forest and the quotient. On a forest, each coproduct and the
+antipode are the product of its trees' rows, memoised per forest.
 
 Runge-Kutta tableaus and their elementary weights connect the algebra to
 actual methods: the weight map of a tableau is a character, and order
@@ -35,7 +36,6 @@ conditions are equalities against the exact-flow coefficients 1/tree!.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
 from .algebra import FormalSum, Tensor
@@ -51,7 +51,7 @@ from .forest_core import (
     single,
     tree_stats,
 )
-from .hopf import Coeff, convolution_exp, convolution_log, convolve, exact_sum
+from .hopf import Coeff, convolution_exp, convolution_log, convolve, exact_sum, wrap_rows
 
 DOT = single()
 DOT_FOREST = Forest((DOT,))
@@ -62,17 +62,12 @@ DOT_FOREST = Forest((DOT,))
 # ---------------------------------------------------------------------------
 
 
-_tree_of = RootedTree.interned
-_forest_of = Forest.interned
-# one Fraction per distinct multiplicity, shared by every memoised sum
-_fraction = functools.lru_cache(maxsize=None)(Fraction)
 _UNIT_TENSOR = Tensor(EMPTY_FOREST, EMPTY_FOREST)
 
 
 def _product_rows(sums, unit) -> dict:
     """The product of sums over forests, or over tensors of forests,
-    basis element by basis element, with int multiplicities; the product
-    forests are interned."""
+    basis element by basis element, with int multiplicities."""
     rows = {unit: 1}
     for s in sums:
         factor = [(y, c.numerator) for y, c in s]
@@ -83,11 +78,6 @@ def _product_rows(sums, unit) -> dict:
                 joined[z] = joined.get(z, 0) + m * n
         rows = joined
     return rows
-
-
-def _wrap_rows(rows: dict) -> FormalSum:
-    """Integer rows as a sum, one shared Fraction per nonzero row."""
-    return FormalSum._wrap({x: _fraction(m) for x, m in rows.items() if m})
 
 
 def _multiplicative(per_tree, memo: dict, omega: Forest | RootedTree, unit) -> FormalSum:
@@ -101,7 +91,7 @@ def _multiplicative(per_tree, memo: dict, omega: Forest | RootedTree, unit) -> F
         return per_tree(trees[0])
     out = memo.get(omega)
     if out is None:
-        out = memo[omega] = _wrap_rows(_product_rows(map(per_tree, trees), unit))
+        out = memo[omega] = wrap_rows(_product_rows(map(per_tree, trees), unit))
     return out
 
 
@@ -112,10 +102,10 @@ def _delta_bck_tree(tree: RootedTree) -> FormalSum:
     out = _BCK_CACHE.get(tree)
     if out is None:
         below = _product_rows(map(_delta_bck_tree, bminus(tree).trees), _UNIT_TENSOR)
-        rows = {Tensor(_forest_of((tree,)), EMPTY_FOREST): 1}
-        for t, m in below.items():
-            rows[Tensor(t.left, _forest_of((_tree_of(t.right.trees, tree.color),)))] = m
-        out = _BCK_CACHE[tree] = _wrap_rows(rows)
+        rows = {Tensor(Forest((tree,)), EMPTY_FOREST): 1}
+        for (left, right), m in below.items():
+            rows[Tensor(left, Forest((RootedTree(right.trees, tree.color),)))] = m
+        out = _BCK_CACHE[tree] = wrap_rows(rows)
     return out
 
 
@@ -148,8 +138,8 @@ def antipode_bck(omega: Forest | RootedTree) -> FormalSum:
     Ebrahimi-Fard & Manchon, Adv. Appl. Math. 2011). The quotient r has
     one vertex per component, so S(t) reads only the left forest and
     the int multiplicity of each integer row of the contraction memo
-    (``_cefm_parts``), never the quotient, and builds its left forests
-    interned. Each tree's and each forest's antipode is memoised.
+    (``_cefm_parts``), never the quotient, and builds no tree or forest
+    of its own. Each tree's and each forest's antipode is memoised.
     """
     return _multiplicative(_antipode_tree, _ANTIPODE_CACHE, omega, EMPTY_FOREST)
 
@@ -158,11 +148,10 @@ def _antipode_tree(tree: RootedTree) -> FormalSum:
     out = _ANTIPODE_CACHE.get(tree)
     if out is None:
         rows: dict[Forest, int] = {}
-        for (l, c, _), m in _cefm_parts(tree).items():
-            left = _forest_of(l + (_tree_of(c, tree.color),))
+        for l, _, m, _, left, _ in _cefm_parts(tree):
             # r has one vertex per component: |r| = 1 + len(l)
             rows[left] = rows.get(left, 0) + (m if len(l) % 2 else -m)
-        out = _ANTIPODE_CACHE[tree] = _wrap_rows(rows)
+        out = _ANTIPODE_CACHE[tree] = wrap_rows(rows)
     return out
 
 
@@ -428,28 +417,30 @@ def order_of(alpha: BCoeff, N: int) -> int:
 
 
 _CEFM_CACHE: dict[RootedTree | Forest, FormalSum] = {}
-_CEFM_PARTS: dict[RootedTree, dict[tuple, int]] = {}
+_CEFM_PARTS: dict[RootedTree, tuple] = {}
 
 
 def _by_serial(trees: tuple[RootedTree, ...]) -> tuple[RootedTree, ...]:
     return tuple(sorted(trees, key=_SERIAL))
 
 
-def _cefm_parts(tree: RootedTree) -> dict[tuple, int]:
-    """The edge subsets of a tree, collected as triples (L, C, Q) with
-    multiplicities: L the components without the root, C the children of
-    the root's component, Q the children of the quotient's root, each a
-    tuple sorted by serial. Built by folding in one child at a time."""
+def _cefm_parts(tree: RootedTree) -> tuple[tuple, ...]:
+    """The edge subsets of a tree, collected as rows (L, Q, m, top, left,
+    right): L the components without the root and Q the children of the
+    quotient's root, each a tuple sorted by serial, m the multiplicity,
+    top = B+(C) the root's component (C the children it keeps), left the
+    forest L top and right the one-tree forest of the quotient B+(Q),
+    with the root's colour. Built by folding in one child at a time over
+    the child's rows, whose trees are built once, with the row."""
     if tree in _CEFM_PARTS:
         return _CEFM_PARTS[tree]
     parts: dict[tuple, int] = {((), (), ()): 1}
     for child in tree.children:
         options = []
-        for (lc, cc, qc), m in _cefm_parts(child).items():
-            top = _tree_of(cc, child.color)
+        for lc, qc, m, top, left, right in _cefm_parts(child):
             # cut the edge to the child: its root component joins L and
             # its quotient hangs below the quotient root
-            options.append((lc + (top,), (), (_tree_of(qc, child.color),), m))
+            options.append((left.trees, (), right.trees, m))
             # keep it: the child's root component merges into the root's
             options.append((lc, (top,), qc, m))
         folded: dict[tuple, int] = {}
@@ -462,19 +453,23 @@ def _cefm_parts(tree: RootedTree) -> dict[tuple, int]:
                 )
                 folded[key] = folded.get(key, 0) + m * mo
         parts = folded
-    _CEFM_PARTS[tree] = parts
-    return parts
+    rows = []
+    for (l, c, q), m in parts.items():
+        top = RootedTree(c, tree.color)
+        right = Forest((RootedTree(q, tree.color),))
+        rows.append((l, q, m, top, Forest(l + (top,)), right))
+    _CEFM_PARTS[tree] = rows = tuple(rows)
+    return rows
 
 
 def _delta_cefm_tree(tree: RootedTree) -> FormalSum:
     out = _CEFM_CACHE.get(tree)
     if out is None:
         rows: dict[Tensor, int] = {}
-        for (l, c, q), m in _cefm_parts(tree).items():
-            left = _forest_of(l + (_tree_of(c, tree.color),))
-            key = Tensor(left, _forest_of((_tree_of(q, tree.color),)))
+        for _, _, m, _, left, right in _cefm_parts(tree):
+            key = Tensor(left, right)
             rows[key] = rows.get(key, 0) + m
-        out = _CEFM_CACHE[tree] = _wrap_rows(rows)
+        out = _CEFM_CACHE[tree] = wrap_rows(rows)
     return out
 
 

@@ -12,7 +12,8 @@ the default 0 is tagged as in ``[2:[][]]``.
 
 Non-planar trees keep their children sorted by serialized form, so two
 trees are isomorphic exactly when their serial strings are equal. Planar
-trees keep child order as given.
+trees keep child order as given. The constructors build each tree and
+forest once and return the shared object afterwards (``_Basis``).
 
 The products implemented here:
 
@@ -61,22 +62,21 @@ def _check_capacity(n: int) -> None:
 
 
 class _Basis:
-    """A tree or a forest: equal to another of its own class with the same
-    serial, hashed by ``planar`` and the serial, so that the planar and
-    non-planar families stay apart as dict keys. Pickling and copying
-    rebuild through the constructor, so that the string hash is the
-    loading process's own."""
+    """A tree or a forest. The constructor is the one way to build one: it
+    looks the arguments up in the class's intern table, ``_interned``,
+    and builds and stores the object only on a miss, so there is one
+    object per class and serial. Equality and hashing are therefore
+    identity, inherited from ``object`` and computed in C, and the planar
+    and non-planar families stay apart as dict keys. Pickling and
+    copying rebuild through the constructor, so they return the shared
+    object, and a pickle loads under any hash seed.
 
-    __slots__ = ("order", "serial", "_hash")
+    An intern table only grows. No code may empty one while objects from
+    it are alive: a tree built afterwards would be a second object with
+    the same serial, equal to nothing built before."""
+
+    __slots__ = ("order", "serial")
     planar: bool
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, type(self)):
-            return self.serial == other.serial
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.serial!r})"
@@ -85,47 +85,38 @@ class _Basis:
 class _Tree(_Basis):
     """A root colour and its children. ``planar`` is the one difference
     between the two tree classes: a non-planar tree sorts its children by
-    serial, so that isomorphic trees have equal serials."""
+    serial, so that isomorphic trees are one object. The intern table is
+    keyed by (children, colour), the children sorted or in order."""
 
     __slots__ = ("children", "color")
     _forest: type  # the forest class of the same family, for B-
 
-    def __init__(self, children: Iterable = (), color: int = 0):
-        cls = type(self)
+    def __new__(cls, children: Iterable = (), color: int = 0):
         kids = tuple(children)
-        for kid in kids:
-            if not isinstance(kid, cls):
-                raise TypeError(f"{cls.__name__} children must be {cls.__name__}, got {type(kid)}")
-        if not self.planar:
-            kids = tuple(sorted(kids, key=_SERIAL))
-        self.children = kids
-        self.color = color
-        tag = f"{color}:" if color else ""
-        self.serial = "[" + tag + "".join(t.serial for t in kids) + "]"
-        self.order = 1 + sum(t.order for t in kids)
-        self._hash = hash((self.planar, self.serial))
+        tree = cls._interned.get((kids, color))
+        if tree is None:
+            for kid in kids:
+                if not isinstance(kid, cls):
+                    raise TypeError(
+                        f"{cls.__name__} children must be {cls.__name__}, got {type(kid)}"
+                    )
+            if not cls.planar:
+                # the table holds the children sorted
+                kids = tuple(sorted(kids, key=_SERIAL))
+                tree = cls._interned.get((kids, color))
+        if tree is None:
+            tree = object.__new__(cls)
+            tree.children = kids
+            tree.color = color
+            tag = f"{color}:" if color else ""
+            tree.serial = "[" + tag + "".join(t.serial for t in kids) + "]"
+            tree.order = 1 + sum(t.order for t in kids)
+            # setdefault keeps the object another thread may have stored
+            tree = cls._interned.setdefault((kids, color), tree)
+        return tree
 
     def __reduce__(self):
         return type(self), (self.children, self.color)
-
-    @classmethod
-    def interned(cls, children: Iterable = (), color: int = 0):
-        """The one shared tree with these children and this root colour:
-        built on the first call, and found by (children, colour) afterwards,
-        the children sorted for a non-planar tree and kept in order for a
-        planar one. Its children are the interned ones too. Equal to, and
-        hashed like, ``cls(children, color)``."""
-        kids = tuple(children) if cls.planar else tuple(sorted(children, key=_SERIAL))
-        table = cls._interned
-        tree = table.get((kids, color))
-        if tree is None:
-            # anything but a tree of this class is passed on, for the
-            # constructor to refuse
-            kids = tuple(
-                cls.interned(k.children, k.color) if isinstance(k, cls) else k for k in kids
-            )
-            tree = table[kids, color] = cls(kids, color)
-        return tree
 
 
 class RootedTree(_Tree):
@@ -148,48 +139,41 @@ class _Forest(_Basis):
     """The member trees and their product, which joins the members. A
     non-planar forest sorts its members (a multiset, with a commutative
     product); a planar one keeps them in order (a word, with
-    concatenation). The empty forest serialises as ``1``."""
+    concatenation). The intern table is keyed by the member tuple. The
+    empty forest serialises as ``1``."""
 
     __slots__ = ("_members",)
     _tree: type  # the member class, for B+
 
-    def __init__(self, trees: Iterable = ()):
-        tree = self._tree
-        ts = tuple(trees)
-        for t in ts:
-            if not isinstance(t, tree):
-                raise TypeError(
-                    f"{type(self).__name__} members must be {tree.__name__}, got {type(t)}"
-                )
-        if not self.planar:
-            ts = tuple(sorted(ts, key=_SERIAL))
-        self._members = ts
-        self.order = sum(t.order for t in ts)
-        self.serial = " ".join(t.serial for t in ts) if ts else "1"
-        self._hash = hash((self.planar, self.serial))
+    def __new__(cls, trees: Iterable = ()):
+        members = tuple(trees)
+        forest = cls._interned.get(members)
+        if forest is None:
+            tree = cls._tree
+            for t in members:
+                if not isinstance(t, tree):
+                    raise TypeError(
+                        f"{cls.__name__} members must be {tree.__name__}, got {type(t)}"
+                    )
+            if not cls.planar:
+                # the table holds the members sorted
+                members = tuple(sorted(members, key=_SERIAL))
+                forest = cls._interned.get(members)
+        if forest is None:
+            forest = object.__new__(cls)
+            forest._members = members
+            forest.order = sum(t.order for t in members)
+            forest.serial = " ".join(t.serial for t in members) if members else "1"
+            # setdefault keeps the object another thread may have stored
+            forest = cls._interned.setdefault(members, forest)
+        return forest
 
     def __reduce__(self):
         return type(self), (self._members,)
 
-    @classmethod
-    def interned(cls, trees: Iterable = ()):
-        """The one shared forest of these trees, found by its member tuple
-        (sorted for a non-planar forest, in order for a word); its members
-        are the interned trees. Equal to, and hashed like, ``cls(trees)``."""
-        tree = cls._tree
-        members = tuple(trees) if cls.planar else tuple(sorted(trees, key=_SERIAL))
-        table = cls._interned
-        forest = table.get(members)
-        if forest is None:
-            members = tuple(
-                tree.interned(t.children, t.color) if isinstance(t, tree) else t for t in members
-            )
-            forest = table[members] = cls(members)
-        return forest
-
     def __mul__(self, other):
-        """The interned forest of the joined members."""
-        return type(self).interned(self._members + other._members)
+        """The forest of the joined members."""
+        return type(self)(self._members + other._members)
 
     def __len__(self) -> int:
         return len(self._members)
@@ -233,12 +217,6 @@ AnyForest = Union[Forest, PlanarForest]
 
 EMPTY_FOREST = Forest()
 EMPTY_WORD = PlanarForest()
-
-# The intern tables, one per class, are the classes' ``_interned`` dicts.
-# They only grow; the plain constructors never read them. The empty
-# forests are the interned ones.
-Forest._interned[()] = EMPTY_FOREST
-PlanarForest._interned[()] = EMPTY_WORD
 
 
 def single(color: int = 0) -> RootedTree:
@@ -314,10 +292,8 @@ def forest_sigma(forest: Forest) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _trees(n: int, planar: bool) -> tuple[Tree, ...]:
-    # the planar trees and words are the interned ones
     if planar:
-        trees = (PlanarTree.interned(w.word) for w in _planar_forests(n - 1))
-        return tuple(sorted(trees, key=_SERIAL))
+        return tuple(sorted(map(bplus, _planar_forests(n - 1)), key=_SERIAL))
     if n == 1:
         return (single(),)
     return tuple(sorted(set(map(bplus, _nonplanar_forests(n - 1))), key=_SERIAL))
@@ -359,7 +335,7 @@ def _planar_forests(n: int) -> tuple[PlanarForest, ...]:
     for k in range(1, n + 1):
         for head in _trees(k, True):
             for tail in _planar_forests(n - k):
-                out.append(PlanarForest.interned((head,) + tail.word))
+                out.append(PlanarForest((head,) + tail.word))
     return tuple(sorted(out, key=lambda f: f.serial))
 
 
@@ -521,12 +497,11 @@ def left_graft(x, y) -> FormalSum:
 
 @functools.lru_cache(maxsize=None)
 def _shuffle(w1: PlanarForest, w2: PlanarForest) -> FormalSum:
-    # the words of the sum are the interned ones, whatever the arguments
-    word = PlanarForest.interned
+    word = PlanarForest
     if not w1.word:
-        return FormalSum.term(word(w2.word))
+        return FormalSum.term(w2)
     if not w2.word:
-        return FormalSum.term(word(w1.word))
+        return FormalSum.term(w1)
     h1, t1 = w1.word[0], word(w1.word[1:])
     h2, t2 = w2.word[0], word(w2.word[1:])
     first = _shuffle(t1, w2).map_basis(lambda w: word((h1,) + w.word))

@@ -64,6 +64,16 @@ def exact_sum(terms: Iterable[tuple[int, Iterable[Fraction]]], divisor: int = 1)
     return Fraction(total, scale * divisor)
 
 
+# one Fraction per distinct multiplicity, shared by every memoised sum
+_fraction = functools.lru_cache(maxsize=None)(Fraction)
+
+
+def wrap_rows(rows: dict) -> FormalSum:
+    """Integer rows, basis element to int multiplicity, as a sum: one
+    shared Fraction per nonzero row, and no Fraction added."""
+    return FormalSum._wrap({x: _fraction(m) for x, m in rows.items() if m})
+
+
 class Coeff:
     """A truncated rational coefficient map on the forests of one Hopf
     algebra.

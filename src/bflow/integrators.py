@@ -376,7 +376,7 @@ def rk_step(tableau: RKTableau, field, y, h: float, solver_tol: float = 1e-14):
     evaluated once, and iterate the stage fixed point to solver_tol
     (scaled by the stage magnitude) through ``_fixed_point``, which raises
     ConvergenceError after 100 iterations, as it does when the stages
-    turn nan."""
+    turn nan or overflow."""
     f = field.as_callable() if isinstance(field, PolyVectorField) else field
     y = np.asarray(y, dtype=float)
     s = tableau.s
@@ -666,7 +666,9 @@ def _fixed_point(update, start, tol: float, label: str):
         shift = _sup(new - value)
         scale = max(1.0, _sup(new))
         value = new
-        if shift <= tol * scale:
+        # a stage that overflowed makes the bound inf, which any shift but
+        # nan would meet: an infinite scale is never converged
+        if shift <= tol * scale and scale != math.inf:
             return value
     raise ConvergenceError(f"{label}: fixed point stalled", shift)
 

@@ -14,7 +14,8 @@ the substitution law for replacing the vector field by a series.
 
 Both coproducts are built by memoised recursion. Their coefficients are
 integers: each recursion step adds them as ints, read off the memoised
-sums of smaller elements, and wraps the result in exact rationals once.
+sums of smaller elements, and wraps the result with ``hopf.wrap_rows``,
+one shared Fraction per distinct multiplicity.
 The planar (MKW) coproduct recurses over the last tree of a word,
 Delta(omega t) = omega t (x) 1 + Delta(omega) * Delta'(t) with
 Delta'(t) = (id (x) B+) Delta(B-(t)), where * shuffles the left slots and
@@ -25,13 +26,13 @@ d_a u = D(d_{a-1} u) - d_{a-1} D(u) reduces d_a to d_{a-1}.
 
 The substitution law, the Dynkin map and the Q (block-composition) map
 are fixed integer structures on a word, paired with a map's values. Each
-is a module-wide memo of integer rows over interned words
-(``_astar_rows``, ``_dynkin_rows``, ``_q_rows``), built once per word and
-shared by every map, so a new map pays only its own sums: one
-``exact_sum`` per value.
+is a module-wide memo of integer rows over words (``_astar_rows``,
+``_dynkin_rows``, ``_q_rows``), built once per word and shared by every
+map, so a new map pays only its own sums: one ``exact_sum`` per value.
 
-Words are PlanarForest values throughout; the memos hold the interned
-ones (``PlanarForest.interned``). Coefficients are exact rationals.
+Words are PlanarForest values throughout, each built once by its
+constructor and shared (``forest_core``), so the memos compare and hash
+them by identity. Coefficients are exact rationals.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .algebra import FormalSum, tensor_sum
+from .algebra import FormalSum, Tensor, tensor_sum
 from .errors import DomainError
 from .forest_core import (
     _SERIAL,
@@ -52,13 +53,10 @@ from .forest_core import (
     enumerate_forests,
     shuffle,
 )
-from .hopf import Coeff, convolution_exp, convolution_log, convolve, exact_sum
+from .hopf import Coeff, convolution_exp, convolution_log, convolve, exact_sum, wrap_rows
 
-_word = PlanarForest.interned
-_ptree = PlanarTree.interned
-
-PDOT = _ptree()
-DOT_WORD = _word((PDOT,))
+PDOT = PlanarTree()
+DOT_WORD = PlanarForest((PDOT,))
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +84,9 @@ def _mkw_lifted(tree: PlanarTree) -> list[tuple[PlanarForest, PlanarForest, int]
     (left, right, multiplicity) triples."""
     out = _MKW_LIFTED.get(tree)
     if out is None:
-        out = _MKW_LIFTED[_ptree(tree.children, tree.color)] = [
-            (t.left, _word((_ptree(t.right.word, tree.color),)), c.numerator)
-            for t, c in delta_mkw(_word(tree.children))
+        out = _MKW_LIFTED[tree] = [
+            (left, PlanarForest((PlanarTree(right.word, tree.color),)), c.numerator)
+            for (left, right), c in delta_mkw(PlanarForest(tree.children))
         ]
     return out
 
@@ -103,22 +101,20 @@ def delta_mkw(omega: PlanarForest | PlanarTree) -> FormalSum:
     where * shuffles the left slots and concatenates the right ones
     (Munthe-Kaas & Wright 2008). The multiplicities are integers, so the
     recursion adds them as ints, reading the memoised sums' numerators.
-    Its words are the interned ones.
     """
     omega = _as_word(omega)
     out = _MKW_CACHE.get(omega)
     if out is None:
-        omega = _word(omega.word)
         acc = {(omega, EMPTY_WORD): 1}
         lifted = _mkw_lifted(omega.word[-1])
-        for t, c1 in delta_mkw(_word(omega.word[:-1])):
-            l1, r1, c1 = t.left, t.right, c1.numerator
+        for (l1, r1), c1 in delta_mkw(PlanarForest(omega.word[:-1])):
+            c1 = c1.numerator
             for l2, r2, c2 in lifted:
                 right = r1 * r2
                 for left, m in _shuffle(l1, l2):
                     key = (left, right)
                     acc[key] = acc.get(key, 0) + c1 * c2 * m.numerator
-        out = _MKW_CACHE[omega] = tensor_sum((l, r, c) for (l, r), c in acc.items())
+        out = _MKW_CACHE[omega] = wrap_rows({Tensor(l, r): c for (l, r), c in acc.items()})
     return out
 
 
@@ -132,7 +128,6 @@ def antipode_mkw(omega: PlanarForest | PlanarTree) -> FormalSum:
     omega = _as_word(omega)
     out = _S_MKW_CACHE.get(omega)
     if out is None:
-        omega = _word(omega.word)
         acc = {omega: -1}
         for t, c in delta_mkw(omega):
             if t.left.word and t.right.word:
@@ -140,7 +135,7 @@ def antipode_mkw(omega: PlanarForest | PlanarTree) -> FormalSum:
                     ca = c.numerator * a.numerator
                     for w, m in _shuffle(u, t.right):
                         acc[w] = acc.get(w, 0) - ca * m.numerator
-        out = _S_MKW_CACHE[omega] = FormalSum(acc)
+        out = _S_MKW_CACHE[omega] = wrap_rows(acc)
     return out
 
 
@@ -349,7 +344,7 @@ def _fdb(word: tuple[int, ...]) -> FormalSum:
         acc: dict = {}
         if a == 1:
             for t, c in _fdb(rest):
-                acc[(1,) + t.left.word, (1,) + t.right.word] = c
+                acc[(1,) + t.left.word, (1,) + t.right.word] = c.numerator
         else:
             for t, c in _fdb((a - 1,) + rest):
                 l, r, c = t.left.word, t.right.word, c.numerator
@@ -361,8 +356,8 @@ def _fdb(word: tuple[int, ...]) -> FormalSum:
                 for t, c in _fdb((a - 1,) + v):
                     key = t.left.word, t.right.word
                     acc[key] = acc.get(key, 0) - c.numerator
-        out = _FDB_CACHE[word] = tensor_sum(
-            (BellWord(l), BellWord(r), c) for (l, r), c in acc.items() if c
+        out = _FDB_CACHE[word] = wrap_rows(
+            {Tensor(BellWord(l), BellWord(r)): c for (l, r), c in acc.items() if c}
         )
     return out
 
@@ -427,18 +422,18 @@ _DYNKIN_ROWS: dict[PlanarForest, tuple] = {}
 
 
 def _dynkin_rows(w: PlanarForest) -> tuple:
-    """dynkin_map(w) as (word, int multiplicity) rows over interned
-    words, built once per word."""
+    """dynkin_map(w) as (word, int multiplicity) rows, built once per
+    word."""
     rows = _DYNKIN_ROWS.get(w)
     if rows is None:
         parts = w.word
         acc: dict[PlanarForest, int] = {}
         for i in range(len(parts)):
-            right = _word(parts[i:])
+            right = PlanarForest(parts[i:])
             sign = (-1) ** i * right.order
-            for u, m in _shuffle(_word(parts[:i][::-1]), right):
+            for u, m in _shuffle(PlanarForest(parts[:i][::-1]), right):
                 acc[u] = acc.get(u, 0) + sign * m.numerator
-        rows = _DYNKIN_ROWS[_word(parts)] = tuple((u, c) for u, c in acc.items() if c)
+        rows = _DYNKIN_ROWS[w] = tuple((u, c) for u, c in acc.items() if c)
     return rows
 
 
@@ -507,7 +502,7 @@ def _q_rows(w: PlanarForest) -> tuple[int, tuple]:
         ]
         den = math.lcm(*(k.denominator for k, _ in splits))
         rows = tuple((k.numerator * (den // k.denominator), blocks) for k, blocks in splits)
-        out = _Q_ROWS[_word(w.word)] = (den, rows)
+        out = _Q_ROWS[w] = (den, rows)
     return out
 
 
@@ -516,7 +511,7 @@ def _compositions(parts: tuple) -> Iterable[tuple[PlanarForest, ...]]:
         yield ()
         return
     for i in range(1, len(parts) + 1):
-        head = _word(parts[:i])
+        head = PlanarForest(parts[:i])
         for rest in _compositions(parts[i:]):
             yield (head,) + rest
 
@@ -555,7 +550,7 @@ def exact_flow_lb(N: int) -> LBCoeff:
     for n in range(1, N + 1):
         q = q_apply(gamma, n - 1) if n > 1 else None
         for w in enumerate_forests(n - 1, planar=True):
-            target = _word((_ptree(w.word),))
+            target = PlanarForest((PlanarTree(w.word),))
             values[target] = (q(w) if q else Fraction(1)) / n
     return LBCoeff.from_table(values, N, kind="infinitesimal")
 
@@ -583,7 +578,7 @@ def _sigma_midpoint(N: int) -> dict[PlanarForest, Fraction]:
             scale = Fraction(1, 2**j * fact)
             for w, c in layer.items():
                 if w.order == n - 1:
-                    target = _word((_ptree(w.word),))
+                    target = PlanarForest((PlanarTree(w.word),))
                     total[target] = total.get(target, Fraction(0)) + scale * c
         values.update(total)
     return values
@@ -668,28 +663,28 @@ def _astar_rows(omega: PlanarForest) -> tuple:
     and each Delta' puts one tree on the right, so that product is the
     part of Delta(w2) whose right word has as many trees as w2. The rests
     of a row are sorted by serial, so equal products share one int c.
-    Built once per word, over interned words.
+    Built once per word.
     """
     rows = _ASTAR_ROWS.get(omega)
     if rows is None:
         acc: dict[PlanarForest, dict[tuple, int]] = {}
         parts = omega.word
         for i in range(len(parts)):
-            left = _astar_rows(_word(parts[:i]))
+            left = _astar_rows(PlanarForest(parts[:i]))
             size = len(parts) - i
-            for t, c in delta_mkw(_word(parts[i:])):
-                pruned, rest, c = t.left, t.right, c.numerator
+            for (pruned, rest), c in delta_mkw(PlanarForest(parts[i:])):
                 if len(rest.word) != size:
                     continue
+                c = c.numerator
                 for inner, weights2 in _astar_rows(pruned):
-                    grafted = (_ptree(inner.word),)
+                    grafted = (PlanarTree(inner.word),)
                     for u1, weights1 in left:
-                        row = acc.setdefault(_word(u1.word + grafted), {})
+                        row = acc.setdefault(PlanarForest(u1.word + grafted), {})
                         for c1, rests1 in weights1:
                             for c2, rests2 in weights2:
                                 key = tuple(sorted((*rests1, rest, *rests2), key=_SERIAL))
                                 row[key] = row.get(key, 0) + c * c1 * c2
-        rows = _ASTAR_ROWS[_word(parts)] = tuple(
+        rows = _ASTAR_ROWS[omega] = tuple(
             (u, tuple((c, rests) for rests, c in row.items())) for u, row in acc.items()
         )
     return rows

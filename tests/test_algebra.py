@@ -1,10 +1,22 @@
 """Sanity checks for sparse formal sums and rendering."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 
-from bflow import FormalSum, Tensor, as_sum, bilinear, enumerate_forests, render_sum, tensor_sum
+from bflow import (
+    EMPTY_FOREST,
+    FormalSum,
+    Tensor,
+    as_sum,
+    bilinear,
+    enumerate_forests,
+    parse_forest,
+    render_sum,
+    tensor_sum,
+)
 from bflow.lbseries import antipode_mkw, delta_mkw, eulerian_apply, exact_flow_lb, q_apply
 
 
@@ -87,11 +99,27 @@ def test_as_sum_wraps_bare_values():
 
 def test_tensor_identity():
     t = Tensor("l", "r")
-    assert t == Tensor("l", "r")
+    assert t == Tensor("l", "r") and hash(t) == hash(Tensor("l", "r"))
     assert t != Tensor("r", "l")
+    assert (t.left, t.right) == ("l", "r")
     assert t.serial == "l (x) r"
+    assert repr(t) == "Tensor('l', 'r')"
     s = tensor_sum([("a", "b", 2), ("a", "b", 1)])
     assert s.coeff(Tensor("a", "b")) == 3
+
+
+def test_tensors_of_forests_compare_and_multiply_slot_by_slot():
+    f, g = parse_forest("[[]] []"), parse_forest("[[][]]")
+    t = Tensor(f, g)
+    assert t == Tensor(f, g) and hash(t) == hash(Tensor(f, g))
+    assert repr(t) == "Tensor(Forest('[[]] []'), Forest('[[][]]'))"
+    u = Tensor(g, EMPTY_FOREST)
+    product = t * u
+    assert type(product) is Tensor
+    assert product.left is f * g is parse_forest("[[][]] [[]] []")
+    assert product.right is g
+    for twin in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert type(twin) is Tensor and twin == t and twin.left is f and twin.right is g
 
 
 def test_render_sum():

@@ -669,11 +669,11 @@ COPRODUCT_MEMOS = ("_CEFM_CACHE", "_CEFM_PARTS", "_ANTIPODE_CACHE", "_BCK_CACHE"
 
 
 def fresh_memos(monkeypatch):
-    """Empty coproduct memos and intern tables, for the rest of the test."""
+    """Empty coproduct memos, for the rest of the test. The intern tables
+    stay: emptying one while its trees are alive would make a tree built
+    afterwards a second object, equal to none of them."""
     for memo in COPRODUCT_MEMOS:
         monkeypatch.setattr(bseries_hopf, memo, {})
-    monkeypatch.setattr(RootedTree, "_interned", {})
-    monkeypatch.setattr(Forest, "_interned", {})
 
 
 def test_the_coproduct_fill_adds_no_fractions(monkeypatch, no_fraction_sums):
@@ -691,10 +691,12 @@ def test_the_coproduct_fill_adds_no_fractions(monkeypatch, no_fraction_sums):
 
 
 def interned(x) -> bool:
-    """Whether x is the interned tree or forest for its serial."""
+    """Whether x is the tree or forest its intern table holds for its
+    children and colour, or members, and so are its trees."""
     if isinstance(x, RootedTree):
-        return RootedTree.interned(x.children, x.color) is x
-    return Forest.interned(x.trees) is x and all(map(interned, x.trees))
+        key = x.children, x.color
+        return RootedTree._interned.get(key) is x and all(map(interned, x.children))
+    return Forest._interned.get(x.trees) is x and all(map(interned, x.trees))
 
 
 def test_coproduct_rows_hold_the_interned_trees():
@@ -703,21 +705,22 @@ def test_coproduct_rows_hold_the_interned_trees():
             assert interned(t.left) and interned(t.right), (tree.serial, t.serial)
         for f, _ in antipode_bck(tree):
             assert interned(f), (tree.serial, f.serial)
-    # the plain constructors build separate objects, equal and hashed alike
+        for _, _, _, top, left, right in bseries_hopf._CEFM_PARTS[tree]:
+            assert interned(top) and interned(left) and interned(right), tree.serial
+    # the constructor returns the one shared object, whatever the order
+    # of the children or members
     for tree in RANDOM_TREES:
-        plain = RootedTree(tree.children, tree.color)
-        shared = RootedTree.interned(tree.children, tree.color)
-        assert plain is not shared
-        assert shared is RootedTree.interned(reversed(tree.children), tree.color)
-        assert plain == shared and hash(plain) == hash(shared) and plain.serial == shared.serial
-        assert Forest((plain, DOT)) == Forest.interned((DOT, shared))
-        assert hash(Forest((plain, DOT))) == hash(Forest.interned((shared, DOT)))
-    tree = RootedTree.interned((L2, CHERRY), 2)
-    forest = Forest.interned((tree, DOT))
+        assert interned(tree)
+        assert RootedTree(tree.children, tree.color) is tree
+        assert RootedTree(reversed(tree.children), tree.color) is tree
+        assert Forest((tree, DOT)) is Forest((DOT, tree)) is Forest((DOT,)) * Forest((tree,))
+        assert parse_tree(tree.serial) is tree
+    tree = RootedTree((L2, CHERRY), 2)
+    forest = Forest((tree, DOT))
     sizes = len(RootedTree._interned), len(Forest._interned)
     for x in (tree, forest):
         for twin in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
-            assert twin == x and hash(twin) == hash(x) and twin is not x
+            assert twin is x
     assert (len(RootedTree._interned), len(Forest._interned)) == sizes
 
 

@@ -461,6 +461,39 @@ def test_start_up_leaves_heavy_modules_unloaded(code, absent):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+_ADDRESS_PROBE = """
+import sys
+# objects allocated ahead of bflow move every address it takes afterwards
+junk = [bytearray(64) for _ in range(int(sys.argv[1]))]
+from bflow.cli import main
+for argv in (
+    ["coproduct", "bck", "--table", "6"],
+    ["coproduct", "cefm", "[[][[]]]"],
+    ["coproduct", "mkw", "[[]] [1:[][]]"],
+    ["modified", "--builtin", "rk4", "--mode", "backward_error", "-N", "6"],
+):
+    assert main(argv) == 0
+"""
+
+
+def test_outputs_do_not_depend_on_memory_addresses():
+    """Trees and forests hash by identity, so by address: no output may
+    follow the iteration order of a set of them. Two fresh processes with
+    different hash seeds, one of them holding a few MB of other objects
+    first, print the same bytes."""
+    src = os.path.dirname(os.path.dirname(bflow.__file__))
+    outs = []
+    for seed, junk in (("1", "0"), ("2", "40000")):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-c", _ADDRESS_PROBE, junk],
+            capture_output=True, env=env, check=True,
+        )
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count(b"\n") == 84 + 1 + 1 + 20
+
+
 _SYMPY_BLOCKED = """
 import sys
 sys.modules["sympy"] = None  # any import of sympy now raises ImportError
@@ -589,6 +622,24 @@ class TestExitCodes:
         assert done.returncode == 2 and done.stdout == ""
         lines = done.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
+
+    @pytest.mark.parametrize("method", ["lie_midpoint", "rkmk:implicit_midpoint"])
+    def test_lie_stages_overflowing_print_one_error_line(self, method):
+        # The first sweep of y0^2 from 1e200 is inf, against a scale of
+        # inf: an error, not a trajectory of inf.
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bflow.__file__)))
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "bflow.cli",
+                "integrate", "--method", method, "--action", "translation",
+                "--f", "y0^2", "--y0", "1e200", "--h", "1", "--steps", "2",
+            ],
+            capture_output=True, text=True, env=env,
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
+        assert method.split(":")[0] in lines[0] and "residual nan" in lines[0]
 
     def test_wrong_y0_length_is_domain(self, capsys):
         code, _, err = run(

@@ -49,6 +49,7 @@ from bflow import (
     single,
     tree_stats,
 )
+from bflow.forest_core import _Basis, _Forest, _Tree
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -381,54 +382,65 @@ def test_twin_families_do_not_mix():
         PlanarForest((pdot, DOT))
     with pytest.raises(TypeError):
         Forest((DOT,)) * PlanarForest((pdot,))
-    with pytest.raises(TypeError):
-        RootedTree.interned((DOT, pdot))
-    with pytest.raises(TypeError):
-        Forest.interned((DOT, pdot))
+
+
+def test_equality_and_hashing_are_identity():
+    # One object per class and serial, so equality and hashing are the
+    # ones of object, computed in C; no class of the family overrides them.
+    classes = (_Basis, _Tree, _Forest, RootedTree, PlanarTree, Forest, PlanarForest)
+    assert _Basis.__eq__ is object.__eq__ and _Basis.__hash__ is object.__hash__
+    for cls in classes:
+        assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls), cls
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, cls
+    for n in range(1, 7):
+        for tree in enumerate_trees(n):
+            twin = parse_tree(tree.serial, planar=True)
+            assert twin.serial == tree.serial and twin != tree and tree != twin
+            assert hash(tree) == object.__hash__(tree)
+            assert parse_tree(tree.serial) is tree and bplus(bminus(tree)) is tree
 
 
 def test_planar_interning_keeps_order_and_colour():
     kids = (parse_tree("[[]]", planar=True), psingle(), psingle(2))
-    tree = PlanarTree.interned(kids, 1)
-    assert tree is PlanarTree.interned(list(kids), 1)
-    assert tree == PlanarTree(kids, 1) and hash(tree) == hash(PlanarTree(kids, 1))
-    assert tree is not PlanarTree(kids, 1)
-    assert tree.children == kids and tree.children[0] is PlanarTree.interned(kids[0].children)
+    tree = PlanarTree(kids, 1)
+    assert tree is PlanarTree(list(kids), 1) is PlanarTree(iter(kids), 1)
+    assert PlanarTree._interned[kids, 1] is tree
+    assert tree.children == kids and tree.children[0] is PlanarTree(kids[0].children)
     others = (kids[::-1], 1), (kids, 0), (kids, 2)
-    for other in itertools.starmap(PlanarTree.interned, others):
+    for other in itertools.starmap(PlanarTree, others):
         assert other is not tree and other != tree
-    word = PlanarForest.interned((tree, psingle()))
-    assert word is PlanarForest.interned([PlanarTree(kids, 1), psingle()])
+    word = PlanarForest((tree, psingle()))
+    assert word is PlanarForest([PlanarTree(kids, 1), psingle()])
     assert word.word[0] is tree
-    assert PlanarForest.interned((psingle(), tree)) is not word
-    assert PlanarForest.interned(()) is EMPTY_WORD
-    # a product of words is the interned word of the joined letters
+    assert PlanarForest((psingle(), tree)) is not word
+    assert PlanarForest(()) is EMPTY_WORD and PlanarForest._interned[()] is EMPTY_WORD
+    # a product of words is the word of the joined letters
     assert PlanarForest((tree,)) * PlanarForest((psingle(),)) is word
     # the non-planar twin keeps its own table and sorts
-    twin = RootedTree.interned(project_nonplanar(k) for k in kids[::-1])
-    assert twin is RootedTree.interned(project_nonplanar(k) for k in kids)
+    twin = RootedTree(project_nonplanar(k) for k in kids[::-1])
+    assert twin is RootedTree(project_nonplanar(k) for k in kids)
+    assert twin is project_nonplanar(PlanarTree(kids))
+    assert Forest(twin.children) is Forest(twin.children[::-1])
     with pytest.raises(TypeError):
-        PlanarTree.interned((psingle(), single()))
+        PlanarTree((psingle(), single()))
     with pytest.raises(TypeError):
-        PlanarForest.interned((psingle(), single()))
+        PlanarForest((psingle(), single()))
 
 
 def test_planar_interned_words_survive_pickle_and_deepcopy():
-    tree = PlanarTree.interned((parse_tree("[[][2:]]", planar=True), psingle(1)), 2)
-    word = PlanarForest.interned((tree, psingle(), tree))
+    tree = PlanarTree((parse_tree("[[][2:]]", planar=True), psingle(1)), 2)
+    word = PlanarForest((tree, psingle(), tree))
     sizes = len(PlanarTree._interned), len(PlanarForest._interned)
     for x in (tree, word):
-        for twin in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
-            assert twin == x and hash(twin) == hash(x) and twin.serial == x.serial
-            assert twin is not x and type(twin) is type(x)
-            assert type(x).interned(*twin.__reduce__()[1]) is x
+        for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert twin is x
     assert (len(PlanarTree._interned), len(PlanarForest._interned)) == sizes
 
 
 def test_pickles_load_in_a_process_with_another_hash_seed():
-    # A tree or forest hashes by a string hash, which differs between
-    # processes: one pickled by another process must hash as this one
-    # would hash it, or it misses every dict it is looked up in.
+    # A pickle holds the children and colour, or the members, and loads
+    # through the constructor, so it returns this process's own object
+    # whatever the hash seed of the process that wrote it.
     serials = ("[[][1:[]]]", "[] [[]]", "[[]] []")
     dump = (
         "import pickle, sys\n"
@@ -446,7 +458,7 @@ def test_pickles_load_in_a_process_with_another_hash_seed():
     tree, forest, word = pickle.loads(bytes.fromhex(out))
     here = parse_tree(serials[0]), parse_forest(serials[1]), parse_forest(serials[2], planar=True)
     for loaded, own in zip((tree, forest, word), here):
-        assert loaded == own and loaded in {own: 1}, own.serial
+        assert loaded is own and loaded in {own: 1}, own.serial
 
 
 def test_bplus_and_bminus_stay_in_one_family():

@@ -552,17 +552,22 @@ class TestRkStep:
     def test_stages_leaving_the_floats_do_not_converge(self):
         # y*y overflows: the stages go to inf and their differences to nan,
         # which must not pass for a converged shift. The Lie group solvers
-        # start from zero, so they meet the nan through y0^2 - y1^2 = inf - inf.
+        # start from zero, so they meet the nan through y0^2 - y1^2 = inf - inf
+        # on the 2-D field; on the 1-D one their first sweep is inf, against
+        # a scale of inf, which must not pass either.
         def field(y):
             return np.array([y[0] * y[0] - y[1] * y[1], y[0] * y[1]])
 
         blowup = LGProblem(make_action("translation", 2), lambda t, y: field(y), [1e200, 1e200])
-        solves = {
-            "implicit stage iteration": lambda: rk_step(IMID, lambda y: y * y, [1e200], 1.0),
-            "lie_midpoint": lambda: lg_step("lie_midpoint", blowup, 0.0, blowup.y0, 1.0),
-            "rkmk stages": lambda: lg_step("rkmk", blowup, 0.0, blowup.y0, 1.0, m=1, tableau=IMID),
-        }
-        for label, solve in solves.items():
+        square = LGProblem(make_action("translation", 1), lambda t, y: y * y, [1e200])
+        solves = [
+            ("implicit stage iteration", lambda: rk_step(IMID, lambda y: y * y, [1e200], 1.0)),
+            ("lie_midpoint", lambda: lg_step("lie_midpoint", blowup, 0.0, blowup.y0, 1.0)),
+            ("rkmk stages", lambda: lg_step("rkmk", blowup, 0.0, blowup.y0, 1.0, m=1, tableau=IMID)),
+            ("lie_midpoint", lambda: lg_step("lie_midpoint", square, 0.0, square.y0, 1.0)),
+            ("rkmk stages", lambda: lg_step("rkmk", square, 0.0, square.y0, 1.0, m=1, tableau=IMID)),
+        ]
+        for label, solve in solves:
             with np.errstate(all="ignore"), pytest.raises(ConvergenceError) as exc:
                 solve()
             assert label in str(exc.value)

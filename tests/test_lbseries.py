@@ -729,6 +729,24 @@ def test_coproduct_kernels_stay_integer_and_exact():
         assert type(den) is int and all(type(c) is int for c, _ in rows)
 
 
+def test_the_planar_coproduct_fill_adds_no_fractions(monkeypatch, no_fraction_sums):
+    # The memos are filled from integer rows: each term's coefficient is
+    # built as a Fraction once, and no Fraction is added. The shuffles are
+    # read warm, as sums memoised before the fill.
+    words, bells = words_up_to(6), [w for n in range(0, 8) for w in bell_words(n)]
+    want = [[delta_mkw(w) for w in words], [antipode_mkw(w) for w in words_up_to(5)]]
+    want.append([fdb_coproduct(w) for w in bells])
+    for name in ("_MKW_CACHE", "_S_MKW_CACHE", "_FDB_CACHE"):
+        memo = getattr(lbseries, name)
+        monkeypatch.setattr(lbseries, name, {k: v for k, v in memo.items() if not len(k)})
+    monkeypatch.setattr(lbseries, "_MKW_LIFTED", {})
+    with no_fraction_sums():
+        got = [[delta_mkw(w) for w in words], [antipode_mkw(w) for w in words_up_to(5)]]
+        got.append([fdb_coproduct(w) for w in bells])
+    assert got == want
+    assert len(lbseries._MKW_CACHE) > 100 and len(lbseries._FDB_CACHE) > 100
+
+
 def fill_row_tables(words) -> None:
     """Build the substitution, Dynkin and Q rows of the nonempty words."""
     for w in words:
@@ -737,11 +755,12 @@ def fill_row_tables(words) -> None:
 
 
 def interned(x) -> bool:
-    """Whether x is the interned planar tree or word for its serial, with
-    interned members."""
+    """Whether x is the planar tree or word its intern table holds for its
+    children and colour, or letters, and so are its trees."""
     if isinstance(x, PlanarTree):
-        return PlanarTree.interned(x.children, x.color) is x and all(map(interned, x.children))
-    return PlanarForest.interned(x.word) is x and all(map(interned, x.word))
+        key = x.children, x.color
+        return PlanarTree._interned.get(key) is x and all(map(interned, x.children))
+    return PlanarForest._interned.get(x.word) is x and all(map(interned, x.word))
 
 
 def test_planar_rows_hold_the_interned_words():
