@@ -198,10 +198,11 @@ class BCoeff(Coeff):
     # -- evaluation ---------------------------------------------------
 
     def tree_value(self, tree: RootedTree) -> Fraction:
-        if self.kind == "plain":
-            return self._cached(Forest((tree,)))
         value = self._cache.get(tree)
-        return self._cached(tree) if value is None else value
+        if value is None:
+            # a plain map stores forest values, the other kinds tree values
+            value = self._cached(Forest((tree,)) if self.kind == "plain" else tree)
+        return value
 
     def unit_value(self) -> Fraction:
         if self.kind == "plain":
@@ -213,6 +214,9 @@ class BCoeff(Coeff):
         gives the values of its trees (none on the empty forest), an
         infinitesimal map the value of its one tree (None, for 0, on the
         unit and on products), and a plain map its stored value."""
+        value = self._cache.get(x)
+        if value is not None:
+            return (value,)
         if isinstance(x, RootedTree):
             return (self.tree_value(x),)
         if not isinstance(x, Forest):
@@ -360,36 +364,27 @@ def builtin_tableau(name: str) -> RKTableau:
 
 
 def _stage_weights(tableau: RKTableau, tree: RootedTree, cache) -> tuple[Fraction, ...]:
-    if tree in cache:
-        return cache[tree]
-    factors = [_stage_weights(tableau, child, cache) for child in tree.children]
-    out = []
-    for i in range(tableau.s):
-        total = Fraction(0)
-        for j in range(tableau.s):
-            term = tableau.a[i][j]
-            if term:
-                for f in factors:
-                    term *= f[j]
-            total += term
-        out.append(total)
-    result = tuple(out)
-    cache[tree] = result
-    return result
+    """The stage weights of a tree, sum_j a_ij prod over the children of
+    their stage weights at j, one ``exact_sum`` per stage; memoised in
+    ``cache``."""
+    out = cache.get(tree)
+    if out is None:
+        factors = [_stage_weights(tableau, child, cache) for child in tree.children]
+        out = cache[tree] = tuple(
+            exact_sum((1, (a, *(f[j] for f in factors))) for j, a in enumerate(row) if a)
+            for row in tableau.a
+        )
+    return out
 
 
 def elementary_weights(tableau: RKTableau, tree: RootedTree) -> Fraction:
-    """The elementary weight of a tree: sum over stage assignments."""
+    """The elementary weight of a tree: sum over stage assignments, one
+    ``exact_sum``."""
     cache = tableau._weights
     factors = [_stage_weights(tableau, child, cache) for child in tree.children]
-    total = Fraction(0)
-    for j in range(tableau.s):
-        term = tableau.b[j]
-        if term:
-            for f in factors:
-                term *= f[j]
-        total += term
-    return total
+    return exact_sum(
+        (1, (b, *(f[j] for f in factors))) for j, b in enumerate(tableau.b) if b
+    )
 
 
 def rk_character(tableau: RKTableau, N: int) -> BCoeff:

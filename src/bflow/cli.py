@@ -12,24 +12,12 @@ errors (unknown names, unsupported combinations, capacity limits).
 from __future__ import annotations
 
 import argparse
+import importlib
 import re
 import sys
 from fractions import Fraction
 
 from .algebra import render_sum
-from .bseries_hopf import (
-    builtin_tableau,
-    convolve_bck,
-    delta_bck,
-    delta_cefm,
-    exact_gamma,
-    check_geometric,
-    order_report,
-    read_tableau,
-    rk_character,
-    solve_modified,
-    substitute_b,
-)
 from .errors import CapacityError, DomainError, ParseError
 from .forest_core import (
     enumerate_forests,
@@ -39,7 +27,6 @@ from .forest_core import (
     parse_tree,
     tree_stats,
 )
-from .lbseries import BellWord, _fdb_words, delta_mkw, fdb_coproduct, method_series
 
 
 class _UsageError(Exception):
@@ -65,7 +52,9 @@ def _tensor_key(t):
     return (-t.left.order, t.left.serial, t.right.serial)
 
 
-def _parse_bell_word(text: str) -> BellWord:
+def _parse_bell_word(text: str):
+    from .lbseries import BellWord
+
     text = text.strip()
     if text == "1":
         return BellWord(())
@@ -77,11 +66,13 @@ def _parse_bell_word(text: str) -> BellWord:
     return BellWord(letters)
 
 
+# algebra: (parser, module, coproduct), the module imported when the
+# coproduct is used, so each subcommand loads only the layer it runs
 _COPRODUCTS = {
-    "bck": (lambda text: parse_forest(text), delta_bck),
-    "cefm": (lambda text: parse_tree(text), delta_cefm),
-    "mkw": (lambda text: parse_forest(text, planar=True), delta_mkw),
-    "fdb": (_parse_bell_word, fdb_coproduct),
+    "bck": (lambda text: parse_forest(text), "bseries_hopf", "delta_bck"),
+    "cefm": (lambda text: parse_tree(text), "bseries_hopf", "delta_cefm"),
+    "mkw": (lambda text: parse_forest(text, planar=True), "lbseries", "delta_mkw"),
+    "fdb": (_parse_bell_word, "lbseries", "fdb_coproduct"),
 }
 
 
@@ -101,14 +92,16 @@ def cmd_trees(args) -> int:
 
 
 def cmd_coproduct(args) -> int:
-    parse, delta = _COPRODUCTS[args.algebra]
+    parse, layer, name = _COPRODUCTS[args.algebra]
+    module = importlib.import_module(f".{layer}", __package__)
+    delta = getattr(module, name)
     key = _tensor_key if args.algebra != "fdb" else lambda t: (t.left.serial, t.right.serial)
     if args.table is not None:
         if args.algebra == "fdb":
             basis = [
                 w
                 for n in range(args.table + 1)
-                for w in sorted(_fdb_words(n), key=lambda word: word.serial)
+                for w in sorted(module._fdb_words(n), key=lambda word: word.serial)
             ]
         elif args.algebra == "bck":
             basis = [f for n in range(1, args.table + 1) for f in enumerate_forests(n)]
@@ -129,6 +122,8 @@ def cmd_coproduct(args) -> int:
 
 
 def _load_character(args, N: int, name_attr: str = "builtin", file_attr: str = "tableau"):
+    from .bseries_hopf import builtin_tableau, read_tableau, rk_character
+
     path = getattr(args, file_attr, None)
     if path:
         return rk_character(read_tableau(path), N)
@@ -150,6 +145,8 @@ def _print_tree_table(alpha, N: int) -> None:
 
 
 def cmd_compose(args) -> int:
+    from .bseries_hopf import convolve_bck
+
     first = _load_character(args, args.N, "first", "tableau_first")
     second = _load_character(args, args.N, "second", "tableau_second")
     _print_tree_table(convolve_bck(first, second, args.N), args.N)
@@ -157,6 +154,14 @@ def cmd_compose(args) -> int:
 
 
 def cmd_substitute(args) -> int:
+    from .bseries_hopf import (
+        builtin_tableau,
+        exact_gamma,
+        rk_character,
+        solve_modified,
+        substitute_b,
+    )
+
     alpha = _load_character(args, args.N)
     beta = solve_modified(alpha, args.mode, args.N)
     if args.into == "exact":
@@ -168,12 +173,16 @@ def cmd_substitute(args) -> int:
 
 
 def cmd_modified(args) -> int:
+    from .bseries_hopf import solve_modified
+
     alpha = _load_character(args, args.N)
     _print_tree_table(solve_modified(alpha, args.mode, args.N), args.N)
     return 0
 
 
 def cmd_order(args) -> int:
+    from .bseries_hopf import order_report
+
     alpha = _load_character(args, args.N)
     order, witness = order_report(alpha, args.N)
     print(f"order: {order}")
@@ -187,6 +196,8 @@ def cmd_order(args) -> int:
 
 
 def cmd_geometric(args) -> int:
+    from .bseries_hopf import check_geometric, solve_modified
+
     kind = {"symplectic": "symplectic_method", "hamiltonian": "hamiltonian_field"}[args.kind]
     alpha = _load_character(args, args.N)
     if args.kind == "hamiltonian":
@@ -201,6 +212,8 @@ def cmd_geometric(args) -> int:
 
 
 def cmd_series(args) -> int:
+    from .lbseries import method_series
+
     series = method_series(args.method, args.rep, args.N)
     for n in range(0, args.N + 1):
         for word in enumerate_forests(n, planar=True):

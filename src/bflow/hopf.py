@@ -16,9 +16,17 @@ Fractions. A coefficient map splits a value into the factors of its kind
 rule (``Coeff._factors``), every coproduct multiplicity is an integer,
 and ``exact_sum`` adds the integer numerators of all the terms of one
 value over one common denominator, building a single Fraction per value.
-Convolution, the exp/log series, substitution, the modified-field solve,
-and the planar ``dynkin_apply``, ``q_apply`` and ``lb_substitute`` all
-sum through it.
+Convolution, substitution, the modified-field solve, and the planar
+``dynkin_apply``, ``q_apply`` and ``lb_substitute`` all sum through it.
+The exp/log series keeps the same integer arithmetic in its own loop:
+one pass over the coproduct of a forest adds each row into the running
+integer total and common denominator of every power at once, and builds
+one Fraction per power at the end.
+
+A map's values are computed once and held in its memo, ``_cache``.
+Every lookup (``__call__``, ``_factors``, ``tree_value``) reads the memo
+first; only a miss converts the argument, checks the truncation order
+and calls ``fn``.
 """
 
 from __future__ import annotations
@@ -110,7 +118,10 @@ class Coeff:
         if value is None:
             if x.order > self.N:
                 raise self._beyond(x)
-            value = self._cache[x] = Fraction(self._fn(x))
+            value = self._fn(x)
+            if type(value) is not Fraction:
+                value = Fraction(value)
+            self._cache[x] = value
         return value
 
     def _factors(self, x) -> tuple[Fraction, ...] | None:
@@ -123,8 +134,14 @@ class Coeff:
         return functools.reduce(operator.mul, factors) if factors else _ONE
 
     def __call__(self, x) -> Fraction:
+        try:
+            value = self._cache.get(x)
+        except TypeError:  # unhashable, so neither a basis element nor a sum
+            raise DomainError(f"cannot evaluate coefficients on {type(x).__name__}") from None
+        if value is not None:
+            return value
         if isinstance(x, FormalSum):
-            return sum((coeff * self(basis) for basis, coeff in x), Fraction(0))
+            return exact_sum((1, (coeff, self(basis))) for basis, coeff in x)
         return self._value(x)
 
     def table(self, N: int | None = None) -> dict:
@@ -155,10 +172,10 @@ def convolve(alpha: Coeff, beta: Coeff, N: int) -> Coeff:
     left, right = alpha._factors, beta._factors
 
     def terms(x):
-        for t, c in cls.coproduct(x):
-            a = left(t.left)
+        for (l, r), c in cls.coproduct(x):
+            a = left(l)
             if a is not None:
-                b = right(t.right)
+                b = right(r)
                 if b is not None:
                     yield c.numerator, a + b
 
@@ -176,10 +193,13 @@ def convolution_series(x: Coeff, coeffs: list[Fraction], kind: str, N: int) -> C
     x is read only on nonempty forests, as if it vanished on the empty
     one, so x^{*k} vanishes below order k and x^{*k}(w) = sum c
     x^{*(k-1)}(left) x(right) over the terms of Delta(w) with both sides
-    nonempty. The powers x^{*1}(w), ..., x^{*|w|}(w) are filled together
-    from one pass over Delta(w), which collects the rows (c, factors of
-    x(right), powers of left); each power is one ``exact_sum`` over the
-    rows, and the memo of powers belongs to the returned map.
+    nonempty. The powers x^{*1}(w), ..., x^{*|w|}(w) are filled in one
+    integer pass over Delta(w): each row whose c x(right) is not 0 is
+    read once, and c x(right) x^{*j}(left) is added, for every j at
+    once, into the integer total of power j + 1 over that power's common
+    denominator, rescaled to the lcm as ``exact_sum`` does. One Fraction
+    is built per power, at the end. The memo of powers belongs to the
+    returned map.
     """
     coproduct, factors, as_forest = type(x).coproduct, x._factors, x.basis._of
     memo: dict = {}
@@ -187,17 +207,31 @@ def convolution_series(x: Coeff, coeffs: list[Fraction], kind: str, N: int) -> C
     def powers(w) -> list[Fraction]:
         out = memo.get(w)
         if out is None:
-            rows = []
-            for t, c in coproduct(w):
-                if t.left.order and t.right.order:
-                    f = factors(t.right)
-                    if f is not None:
-                        rows.append((c.numerator, f, powers(t.left)))
-            out = [x._value(w)] + [
-                exact_sum((c, f + (p[k - 1],)) for c, f, p in rows if k <= len(p))
-                for k in range(1, w.order)
-            ]
-            memo[w] = out
+            # totals[j] / scales[j] is x^{*(j+2)}(w)
+            totals, scales = [0] * (w.order - 1), [1] * (w.order - 1)
+            for (l, r), c in coproduct(w):
+                if not (l.order and r.order):
+                    continue
+                f = factors(r)
+                if f is None:
+                    continue
+                num, den = c.numerator, 1
+                for g in f:
+                    num *= g.numerator
+                    den *= g.denominator
+                if not num:
+                    continue
+                for j, p in enumerate(powers(l)):
+                    pnum = num * p.numerator
+                    if pnum:
+                        pden = den * p.denominator
+                        scale = scales[j]
+                        if scale % pden:
+                            grown = math.lcm(scale, pden)
+                            totals[j] *= grown // scale
+                            scales[j] = scale = grown
+                        totals[j] += pnum * (scale // pden)
+            out = memo[w] = [x._value(w), *map(Fraction, totals, scales)]
         return out
 
     def fn(w) -> Fraction:

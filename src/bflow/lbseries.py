@@ -175,11 +175,13 @@ class LBCoeff(Coeff):
         return cls(kind, N, fn)
 
     def _value(self, x) -> Fraction:
-        return self._cached(_as_word(x))
+        value = self._cache.get(x)
+        return self._cached(_as_word(x)) if value is None else value
 
     def _factors(self, x) -> tuple[Fraction]:
         # values are stored per word, so the kind rule is the word value
-        return (self._value(x),)
+        value = self._cache.get(x)
+        return (self._cached(_as_word(x)) if value is None else value,)
 
     def validate(self) -> None:
         """Check the claimed kind on the words up to the truncation order,

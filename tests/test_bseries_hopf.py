@@ -496,6 +496,62 @@ def test_elementary_weights_closed_forms():
         )
 
 
+def _stage_weights_reference(tableau, tree, cache):
+    """The stage weights as each was summed before, one Fraction at a
+    time with the zero terms added."""
+    if tree in cache:
+        return cache[tree]
+    factors = [_stage_weights_reference(tableau, child, cache) for child in tree.children]
+    out = []
+    for i in range(tableau.s):
+        total = Fraction(0)
+        for j in range(tableau.s):
+            term = tableau.a[i][j]
+            if term:
+                for f in factors:
+                    term *= f[j]
+            total += term
+        out.append(total)
+    cache[tree] = tuple(out)
+    return cache[tree]
+
+
+def _elementary_weight_reference(tableau, tree, cache):
+    factors = [_stage_weights_reference(tableau, child, cache) for child in tree.children]
+    total = Fraction(0)
+    for j in range(tableau.s):
+        term = tableau.b[j]
+        if term:
+            for f in factors:
+                term *= f[j]
+        total += term
+    return total
+
+
+def _sparse_tableau(rng: random.Random, s: int) -> RKTableau:
+    """A full tableau whose entries are 0 about half the time."""
+    entry = lambda: Fraction(rng.choice((0, 0, 0, 1, -2, 3)), rng.choice((1, 2, 3, 7)))
+    return RKTableau([[entry() for _ in range(s)] for _ in range(s)], [entry() for _ in range(s)])
+
+
+def test_weights_match_the_fraction_loop():
+    # Each stage weight and each elementary weight is one exact_sum; the
+    # reference adds Fractions term by term, zeros included.
+    rng = random.Random("weights")
+    tableaus = list(bseries_hopf.BUILTIN_TABLEAUS.values())
+    tableaus += [_sparse_tableau(rng, s) for s in (1, 2, 3, 4, 4, 5)]
+    trees = [t for n in range(1, 9) for t in enumerate_trees(n)]
+    for tab in tableaus:
+        cache = {}
+        for tree in trees:
+            want = _elementary_weight_reference(tab, tree, cache)
+            got = elementary_weights(tab, tree)
+            assert type(got) is Fraction and got == want, (tab.a, tab.b, tree.serial)
+            stages = bseries_hopf._stage_weights(tab, tree, tab._weights)
+            assert stages == _stage_weights_reference(tab, tree, cache), tree.serial
+    assert any(not elementary_weights(tab, t) for tab in tableaus for t in trees)
+
+
 def test_implicit_midpoint_weights():
     tab = builtin_tableau("implicit_midpoint")
     assert [elementary_weights(tab, t) for t in (DOT, L2, CHERRY, L3)] == [

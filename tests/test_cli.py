@@ -421,7 +421,10 @@ _HEAVY = ("numpy", "scipy", "sympy")
     "code, absent",
     [
         ("import bflow.cli", _HEAVY),
-        ("from bflow.cli import main; main(['trees', '-N', '3'])", _HEAVY),
+        (
+            "from bflow.cli import main; main(['trees', '-N', '3'])",
+            _HEAVY + ("bflow.hopf", "bflow.bseries_hopf", "bflow.lbseries"),
+        ),
         ("import bflow.integrators", ("scipy", "sympy")),
         (
             "from bflow.integrators import integrate, toda_problem\n"
@@ -446,13 +449,24 @@ _HEAVY = ("numpy", "scipy", "sympy")
             "      '--f', 'y0**2,y1', '--h', '0.1', '--steps', '3'])",
             ("scipy", "sympy"),
         ),
+        (
+            "from bflow.cli import main; main(['coproduct', 'bck', '--table', '3'])",
+            _HEAVY + ("bflow.lbseries",),
+        ),
+        (
+            "from bflow.cli import main\n"
+            "main(['series', '--method', 'exponential_euler', '--rep', 'type1', '-N', '3'])",
+            _HEAVY + ("bflow.bseries_hopf",),
+        ),
     ],
 )
 def test_start_up_leaves_heavy_modules_unloaded(code, absent):
-    """The exact commands run without numpy, sympy or scipy. The float
-    layer never loads sympy, polynomial fields included; it loads
-    ``bflow.poly`` only for a polynomial field and scipy only for an
-    exponential the closed forms do not cover."""
+    """The exact commands run without numpy, sympy or scipy, and each
+    subcommand loads only the layer it runs: ``trees`` no Hopf algebra,
+    a pruning coproduct no planar one, and the Lie-Butcher ``series`` no
+    B-series layer. The float layer never loads sympy, polynomial fields
+    included; it loads ``bflow.poly`` only for a polynomial field and
+    scipy only for an exponential the closed forms do not cover."""
     probe = f"{code}\nimport sys\nprint(sorted(set({absent!r}) & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bflow.__file__)))
     done = subprocess.run(

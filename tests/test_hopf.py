@@ -9,12 +9,21 @@ The two are compared on seeded maps of every kind, on trees and forests
 of the pruning algebra and on planar words, with values that mix coprime
 denominators, integers and zeros, so that a wrong common denominator, a
 wrong padding or a dropped term shows.
+
+The exp/log series fills every power of a forest in one integer pass
+over its coproduct. Its reference is the kernel it replaced, kept here:
+the rows of the coproduct collected once, then one ``exact_sum`` per
+power. The coefficient maps read their memo before anything else; the
+tests at the end check that what only the miss path does (the order
+check, reading a planar tree as its one-letter word, the kind rule on
+products) still happens with the memo full.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +31,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bflow import bseries_hopf
+from bflow.algebra import FormalSum
 from bflow.bseries_hopf import (
     BCoeff,
     builtin_tableau,
@@ -41,9 +51,17 @@ from bflow.forest_core import (
     PlanarForest,
     enumerate_forests,
     enumerate_trees,
+    parse_forest,
     parse_tree,
 )
-from bflow.hopf import convolution_exp, convolution_log, convolution_series, convolve, exact_sum
+from bflow.hopf import (
+    Coeff,
+    convolution_exp,
+    convolution_log,
+    convolution_series,
+    convolve,
+    exact_sum,
+)
 from bflow.lbseries import (
     EMPTY_WORD,
     LBCoeff,
@@ -395,6 +413,202 @@ def test_the_kernel_adds_no_fractions(monkeypatch, no_fraction_sums):
             planar(w), flow(w)
     for t in trees:
         assert exp(t) == rk4(t) == recovered(t)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass exp/log kernel against the per-power series
+# ---------------------------------------------------------------------------
+
+
+def series_reference(x: Coeff, coeffs: list[Fraction], kind: str, N: int) -> Coeff:
+    """The exp/log series as it was summed before the one-pass kernel:
+    the rows (c, factors of x(right), powers of left) of Delta(w) are
+    collected once, then each power is its own ``exact_sum`` over them."""
+    coproduct, factors, as_forest = type(x).coproduct, x._factors, x.basis._of
+    memo: dict = {}
+
+    def powers(w) -> list[Fraction]:
+        out = memo.get(w)
+        if out is None:
+            rows = []
+            for t, c in coproduct(w):
+                if t.left.order and t.right.order:
+                    f = factors(t.right)
+                    if f is not None:
+                        rows.append((c.numerator, f, powers(t.left)))
+            out = [x._value(w)] + [
+                exact_sum((c, f + (p[k - 1],)) for c, f, p in rows if k <= len(p))
+                for k in range(1, w.order)
+            ]
+            memo[w] = out
+        return out
+
+    def fn(w) -> Fraction:
+        if not w.order:
+            return coeffs[0]
+        return exact_sum((1, (a, p)) for a, p in zip(coeffs[1:], powers(as_forest(w))))
+
+    return type(x)(kind, N, fn)
+
+
+def log_coeffs(n: int) -> list[Fraction]:
+    return [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, n + 1)]
+
+
+def exp_coeffs(n: int) -> list[Fraction]:
+    return [Fraction(1, math.factorial(k)) for k in range(n + 1)]
+
+
+def shuffle_character(rng: random.Random, n: int) -> LBCoeff:
+    """rho(t1 ... tk) = a(t1) ... a(tk) / k!, a shuffle character, with
+    letter values a drawn from VALUES, zeros among them."""
+    letters = {t: rng.choice(VALUES) for m in range(1, n + 1) for t in enumerate_trees(m, planar=True)}
+
+    def rho(w):
+        out = Fraction(1)
+        for k, t in enumerate(w.word, start=1):
+            out *= letters[t] / k
+        return out
+
+    return LBCoeff.from_function(rho, n, kind="character")
+
+
+def test_planar_exp_and_log_match_the_per_power_series():
+    # every planar word of order <= 6
+    rng = random.Random("planar-series")
+    characters = [q_apply(exact_flow_lb(6), 6)] + [shuffle_character(rng, 6) for _ in range(3)]
+    for alpha in characters:
+        log = eulerian_apply(alpha, 6)
+        want_log = series_reference(alpha, log_coeffs(6), "infinitesimal", 6).table()
+        assert log.table() == want_log
+        back = gl_exp(log, 6)
+        want_back = series_reference(log, exp_coeffs(6), "character", 6).table()
+        assert back.table() == want_back == alpha.table()
+        assert len(want_log) == 197
+    # the seeded characters have zero letters, so zero rows and zero powers
+    assert all(0 in c.table().values() for c in characters[1:])
+
+
+def test_bck_exp_and_log_match_the_per_power_series():
+    # every forest of order <= 7
+    rng = random.Random("bck-series")
+    trees = [t for n in range(1, 8) for t in enumerate_trees(n)]
+    characters = [rk_character(builtin_tableau("rk4"), 7)]
+    characters += [BCoeff.character(_draw(rng, trees), 7) for _ in range(2)]
+    for alpha in characters:
+        log = log_bck(alpha, 7)
+        want_log = series_reference(alpha, log_coeffs(7), "infinitesimal", 7).table()
+        assert log.table() == want_log
+        assert len(want_log) == 200
+        field = BCoeff.infinitesimal(_draw(rng, trees), 7)
+        for beta in (log, field):
+            want = series_reference(beta, exp_coeffs(7), "character", 7).table()
+            assert exp_bck(beta, 7).table() == want
+        assert exp_bck(log, 7).table() == alpha.table()
+
+
+def test_zero_rows_leave_the_left_powers_unread():
+    # x is 0 on every right side of Delta(w), so no row of Delta(w)
+    # contributes and the powers of the left sides are never needed
+    w = parse_forest("[[]] [] [[][]]", planar=True)
+    read = []
+
+    def value(u):
+        read.append(u)
+        return Fraction(1) if u is w else Fraction(0)
+
+    x = LBCoeff.from_function(value, 6, kind="plain")
+    exp = gl_exp(x, 6)
+    assert exp(w) == 1
+    lefts = {t.left for t, _ in delta_mkw(w) if t.left.order and t.right.order}
+    rights = {t.right for t, _ in delta_mkw(w) if t.left.order and t.right.order}
+    assert lefts - rights, "every left side is also a right side: the check has no teeth"
+    assert set(read) <= {EMPTY_WORD, w} | rights
+
+
+# ---------------------------------------------------------------------------
+# Memo-first lookups
+# ---------------------------------------------------------------------------
+
+
+def test_memo_first_lookups_keep_the_miss_path():
+    # the planar maps: full memo, then the order check and the trees
+    flow = q_apply(exact_flow_lb(4), 4)
+    table = flow.table()
+    deep = parse_tree("[[[[[]]]]]", planar=True)
+    for probe in (deep, PlanarForest((deep,)), parse_forest("[[]] [[]] []", planar=True)):
+        with pytest.raises(CapacityError, match="truncated at order 4, asked for order 5"):
+            flow(probe)
+        with pytest.raises(CapacityError, match="truncated at order 4, asked for order 5"):
+            flow._factors(probe)
+    fresh = q_apply(exact_flow_lb(4), 4)
+    for n in range(1, 5):
+        for t in enumerate_trees(n, planar=True):
+            word = PlanarForest((t,))
+            # asked as a tree first on the fresh map, after its word on the full one
+            assert fresh(t) == flow(t) == table[word]
+            assert fresh._factors(t) == flow._factors(t) == (table[word],)
+            assert t not in fresh._cache
+    with pytest.raises(DomainError, match="cannot evaluate coefficients on list"):
+        flow([deep])
+
+    # the pruning maps: the order check, and the kind rule on products
+    gamma = exact_gamma(3)
+    gamma.table()
+    four = parse_tree("[[[[]]]]")
+    for probe in (parse_tree("[[][][]]"), Forest((four,)), parse_forest("[[]] [[]]")):
+        with pytest.raises(CapacityError, match="truncated at order 3, asked for order 4"):
+            gamma(probe)
+    with pytest.raises(CapacityError, match="truncated at order 3, asked for order 4"):
+        gamma.tree_value(parse_tree("[[][][]]"))
+    trees = [t for n in range(1, 4) for t in enumerate_trees(n)]
+    field = BCoeff.infinitesimal({t: Fraction(n + 2, 3) for n, t in enumerate(trees)}, 3)
+    field.table()
+    for f in enumerate_forests(3):
+        if len(f.trees) > 1:
+            assert field._factors(f) is None and field(f) == 0, f.serial
+        else:
+            assert field._factors(f) == (field(f.trees[0]),), f.serial
+    assert field._factors(EMPTY_FOREST) is None and field(EMPTY_FOREST) == 0
+    with pytest.raises(DomainError, match="cannot evaluate coefficients on list"):
+        field([DOT])
+    plain = BCoeff.plain({Forest((DOT,)): 2, EMPTY_FOREST: 3}, 3)
+    assert plain.tree_value(DOT) == plain(DOT) == 2 and plain(EMPTY_FOREST) == 3
+    assert plain(Forest((DOT, DOT))) == 0
+
+
+def test_a_fraction_from_fn_is_stored_as_it_is():
+    value = Fraction(5, 7)
+    words = LBCoeff.from_function(lambda w: value, 3)
+    forests = BCoeff.plain(lambda f: value, 3)
+    assert words(EMPTY_WORD) is value and forests(EMPTY_FOREST) is value
+    ints = LBCoeff.from_function(lambda w: 2, 3)
+    assert type(ints(EMPTY_WORD)) is Fraction and ints(EMPTY_WORD) == 2
+
+
+def test_a_formal_sum_is_one_exact_sum(no_fraction_sums):
+    # both families, each sum with a basis element on which the map is 0
+    rk4 = rk_character(builtin_tableau("rk4"), 5)
+    zero_tree = next(t for n in range(1, 6) for t in enumerate_trees(n) if rk4(t) == 0)
+    tree_sum = FormalSum(
+        [(zero_tree, Fraction(3)), (parse_forest("[] [[]]"), Fraction(-2, 7)), (DOT, Fraction(5, 3))]
+    )
+    rng = random.Random("formal-sum")
+    word_map = mkw_map(rng, "plain", unit=1)
+    zero_word = next(w for w in WORDS if word_map(w) == 0)
+    word_sum = FormalSum(
+        [(zero_word, Fraction(4)), (WORDS[3], Fraction(-1, 6)), (EMPTY_WORD, Fraction(2, 9))]
+    )
+    cases = []
+    for m, x in ((rk4, tree_sum), (word_map, word_sum)):
+        want = Fraction(0)
+        for basis, c in x:
+            want += c * m(basis)
+        cases.append((m, x, want))
+    with no_fraction_sums():
+        for m, x, want in cases:
+            got = m(x)
+            assert type(got) is Fraction and got == want
 
 
 # ---------------------------------------------------------------------------
