@@ -1,7 +1,10 @@
 """The integrate and converge subcommands of the command line frontend.
 
 They are the only commands that need numpy and the float steppers, so
-``bflow.cli`` imports this module when one of them runs.
+``bflow.cli`` imports this module when one of them runs. A Lie group
+method on a stock problem loads the float layer alone: the B-series layer
+loads for a classical tableau, ``--tableau`` or an rkmk method, and the
+polynomial fields for ``--f``.
 """
 
 from __future__ import annotations
@@ -10,11 +13,9 @@ import sys
 
 import numpy as np
 
-from .bseries_hopf import BUILTIN_TABLEAUS, builtin_tableau, read_tableau
 from .errors import DomainError
-from .integrators import (
+from .steppers import (
     LGProblem,
-    PolyVectorField,
     affine_element,
     convergence_order,
     integrate,
@@ -45,6 +46,8 @@ def _resolve_field(spec: str):
     else:
         texts = [c.strip() for c in spec.split(",")]
         y0 = tuple(1.0 / (k + 1) for k in range(len(texts)))
+    from .integrators import PolyVectorField
+
     return PolyVectorField.from_strings(texts).as_callable(), y0
 
 
@@ -109,12 +112,33 @@ def _invariant_tracker(kind, y0):
     raise DomainError(f"unknown invariant {kind!r}; choose norm or spectrum")
 
 
+def _builtin_tableau(method: str):
+    """The built-in classical tableau that method names, or None. The Lie
+    group method names are tested first, so that they never load the
+    B-series layer."""
+    if method in ("lie_euler", "lie_midpoint", "lie_rk4", "cf4") or method.startswith("rkmk"):
+        return None
+    from .bseries_hopf import BUILTIN_TABLEAUS
+
+    return BUILTIN_TABLEAUS.get(method)
+
+
+def _read_tableau(path):
+    if not path:
+        return None
+    from .bseries_hopf import read_tableau
+
+    return read_tableau(path)
+
+
 def _run_trajectory(args, problem):
     method = args.method
-    if method in BUILTIN_TABLEAUS or (method == "custom" and args.tableau):
+    tab = _builtin_tableau(method)
+    if tab is not None or (method == "custom" and args.tableau):
         if problem.action.kind != "translation":
             raise DomainError("classical methods integrate the translation action only")
-        tab = read_tableau(args.tableau) if method == "custom" else builtin_tableau(method)
+        if tab is None:
+            tab = _read_tableau(args.tableau)
         field = problem.f
         y = problem.y0.copy()
         out = [y]
@@ -124,7 +148,7 @@ def _run_trajectory(args, problem):
             t += args.h
             out.append(y)
         return out
-    tableau = read_tableau(args.tableau) if args.tableau else None
+    tableau = _read_tableau(args.tableau)
     return integrate(method, problem, args.h, args.steps, m=args.m, tableau=tableau)
 
 
@@ -151,10 +175,10 @@ def integrate_command(args) -> int:
 
 def converge_command(args) -> int:
     problem = _build_problem(args)
-    if args.method in BUILTIN_TABLEAUS:
+    if _builtin_tableau(args.method) is not None:
         raise DomainError("converge drives the Lie group methods; see integrate")
     h_list = args.h
-    tableau = read_tableau(args.tableau) if args.tableau else None
+    tableau = _read_tableau(args.tableau)
     with np.errstate(all="ignore"):
         slope, rows = convergence_order(
             args.method, problem, args.t_end, h_list, m=args.m, tableau=tableau

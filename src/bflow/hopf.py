@@ -134,14 +134,15 @@ class Coeff:
         return functools.reduce(operator.mul, factors) if factors else _ONE
 
     def __call__(self, x) -> Fraction:
+        # a sum is never a key, and hashing one hashes every term
+        if isinstance(x, FormalSum):
+            return exact_sum((1, (coeff, self(basis))) for basis, coeff in x)
         try:
             value = self._cache.get(x)
         except TypeError:  # unhashable, so neither a basis element nor a sum
             raise DomainError(f"cannot evaluate coefficients on {type(x).__name__}") from None
         if value is not None:
             return value
-        if isinstance(x, FormalSum):
-            return exact_sum((1, (coeff, self(basis))) for basis, coeff in x)
         return self._value(x)
 
     def table(self, N: int | None = None) -> dict:

@@ -415,6 +415,7 @@ class TestRunCommands:
 
 
 _HEAVY = ("numpy", "scipy", "sympy")
+_EXACT_LAYER = ("bflow.bseries_hopf", "bflow.hopf", "bflow.integrators", "bflow.poly")
 
 
 @pytest.mark.parametrize(
@@ -425,7 +426,20 @@ _HEAVY = ("numpy", "scipy", "sympy")
             "from bflow.cli import main; main(['trees', '-N', '3'])",
             _HEAVY + ("bflow.hopf", "bflow.bseries_hopf", "bflow.lbseries"),
         ),
-        ("import bflow.integrators", ("scipy", "sympy")),
+        ("import bflow.integrators", ("numpy", "scipy", "sympy", "bflow.steppers")),
+        (
+            "from fractions import Fraction\n"
+            "from bflow.bseries_hopf import (\n"
+            "    builtin_tableau, exact_gamma, rk_character, solve_modified)\n"
+            "from bflow.integrators import (\n"
+            "    PolyVectorField, eval_bseries, modified_field, rk_taylor_oracle)\n"
+            "beta = solve_modified(rk_character(builtin_tableau('euler'), 4), 'backward_error', 4)\n"
+            "F, h = PolyVectorField.from_strings(['y0**2']), Fraction(1, 10)\n"
+            "eval_bseries(exact_gamma(8), modified_field(beta, F, h, 4), [Fraction(1)], h, 8)\n"
+            "modified_field(beta, F, 'h', 4)\n"
+            "rk_taylor_oracle(builtin_tableau('rk4'), 4).table()",
+            _HEAVY + ("bflow.steppers",),
+        ),
         (
             "from bflow.integrators import integrate, toda_problem\n"
             "integrate('lie_rk4', toda_problem(), 0.01, 10)",
@@ -450,6 +464,18 @@ _HEAVY = ("numpy", "scipy", "sympy")
             ("scipy", "sympy"),
         ),
         (
+            "from bflow.cli import main\n"
+            "assert main(['integrate', '--method', 'lie_rk4', '--action', 'rotation',\n"
+            "             '--h', '0.1', '--steps', '3']) == 0",
+            _EXACT_LAYER + ("scipy", "sympy"),
+        ),
+        (
+            "from bflow.cli import main\n"
+            "assert main(['converge', '--method', 'lie_rk4', '--action', 'rotation',\n"
+            "             '--h', '0.2,0.1,0.05']) == 0",
+            _EXACT_LAYER + ("scipy", "sympy"),
+        ),
+        (
             "from bflow.cli import main; main(['coproduct', 'bck', '--table', '3'])",
             _HEAVY + ("bflow.lbseries",),
         ),
@@ -464,7 +490,9 @@ def test_start_up_leaves_heavy_modules_unloaded(code, absent):
     """The exact commands run without numpy, sympy or scipy, and each
     subcommand loads only the layer it runs: ``trees`` no Hopf algebra,
     a pruning coproduct no planar one, and the Lie-Butcher ``series`` no
-    B-series layer. The float layer never loads sympy, polynomial fields
+    B-series layer. The exact series layer loads neither numpy nor the
+    float steppers, and a Lie group method on a stock problem loads no
+    exact layer. The float layer never loads sympy, polynomial fields
     included; it loads ``bflow.poly`` only for a polynomial field and
     scipy only for an exponential the closed forms do not cover."""
     probe = f"{code}\nimport sys\nprint(sorted(set({absent!r}) & set(sys.modules)))"

@@ -586,8 +586,9 @@ def test_a_fraction_from_fn_is_stored_as_it_is():
     assert type(ints(EMPTY_WORD)) is Fraction and ints(EMPTY_WORD) == 2
 
 
-def test_a_formal_sum_is_one_exact_sum(no_fraction_sums):
-    # both families, each sum with a basis element on which the map is 0
+def formal_sum_cases() -> list:
+    """(map, sum, the sum of its terms added one by one) for both
+    families, each sum with a basis element on which the map is 0."""
     rk4 = rk_character(builtin_tableau("rk4"), 5)
     zero_tree = next(t for n in range(1, 6) for t in enumerate_trees(n) if rk4(t) == 0)
     tree_sum = FormalSum(
@@ -605,10 +606,28 @@ def test_a_formal_sum_is_one_exact_sum(no_fraction_sums):
         for basis, c in x:
             want += c * m(basis)
         cases.append((m, x, want))
+    return cases
+
+
+def test_a_formal_sum_is_one_exact_sum(no_fraction_sums):
+    cases = formal_sum_cases()
     with no_fraction_sums():
         for m, x, want in cases:
             got = m(x)
             assert type(got) is Fraction and got == want
+
+
+def test_a_formal_sum_is_never_hashed(monkeypatch):
+    # a sum is never a memo key; hashing one would hash every term
+    cases = formal_sum_cases()
+    assert {type(m) for m, _, _ in cases} == {BCoeff, LBCoeff}
+
+    def refuse(self):
+        raise AssertionError("a FormalSum was hashed")
+
+    monkeypatch.setattr(FormalSum, "__hash__", refuse)
+    for m, x, want in cases:
+        assert m(x) == want
 
 
 # ---------------------------------------------------------------------------
