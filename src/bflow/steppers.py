@@ -18,9 +18,11 @@ map that ``integrate`` and ``convergence_order`` apply at every step. The
 so(3) kernels (Rodrigues, for the rotation and 3x3 isospectral actions,
 and the cross product), the 3x3 Toda field and the fixed-point residual
 are scalar code on Python floats, bit-identical to their numpy forms:
-elementwise float operations may leave numpy, matrix products may not
-(``@`` is BLAS, which sums in its own order, so a product written as a
-Python sum changes the last bits), so actions and commutators stay numpy.
+elementwise float operations may leave numpy, matrix products may not.
+Every matrix product of the actions and of the commutator goes through
+``ndarray.dot``, which makes the BLAS call that ``@`` makes with less
+dispatch, and is never a Python sum: BLAS sums in its own order, so a
+product written out in Python changes the last bits.
 
 The B-series layer loads only for an ``rkmk`` method, which resolves its
 tableau and default truncation there. scipy loads with the first
@@ -52,8 +54,8 @@ def rk_step(tableau: RKTableau, field, y, h: float, solver_tol: float = 1e-14):
     one call of f per stage; implicit ones start every stage at f(y),
     evaluated once, and iterate the stage fixed point to solver_tol
     (scaled by the stage magnitude) through ``_fixed_point``, which raises
-    ConvergenceError after 100 iterations, as it does when the stages
-    turn nan or overflow."""
+    ConvergenceError after 100 iterations, or at the first sweep whose
+    shift is nan, when the stages have left the floats."""
     from .integrators import PolyVectorField  # the exact layer, not loaded with this module
 
     f = field.as_callable() if isinstance(field, PolyVectorField) else field
@@ -155,10 +157,11 @@ class GroupAction:
     """A Lie group acting on a state space, reduced to callables.
 
     ``bracket``, ``exp``, ``act`` and ``inf_act`` operate on numpy
-    arrays; ``zero()`` makes the algebra's zero element. The invariants
-    (exp of zero acts as the identity; inf_act is the derivative of the
-    action along exp) are checked by the test suite via finite
-    differences.
+    arrays; ``zero()`` makes the algebra's zero element. The stock actions
+    of ``make_action`` form their matrix products with ``ndarray.dot``,
+    the BLAS call of ``@``, never as Python sums. The invariants (exp of
+    zero acts as the identity; inf_act is the derivative of the action
+    along exp) are checked by the test suite via finite differences.
     """
 
     __slots__ = ("kind", "n", "algebra_dim", "bracket", "exp", "act", "inf_act", "_zero")
@@ -181,7 +184,7 @@ class GroupAction:
 
 
 def _commutator(u, v):
-    return u @ v - v @ u
+    return u.dot(v) - v.dot(u)
 
 
 def make_action(kind: str, n: int) -> GroupAction:
@@ -210,7 +213,7 @@ def make_action(kind: str, n: int) -> GroupAction:
             3,
             bracket=_cross,
             exp=_rodrigues,
-            act=lambda g, y: g @ y,
+            act=np.ndarray.dot,
             inf_act=_cross,
             zero=np.zeros(3),
         )
@@ -223,8 +226,8 @@ def make_action(kind: str, n: int) -> GroupAction:
             n * (n - 1) // 2,
             bracket=_commutator,
             exp=_so3_exp if n == 3 else _expm,
-            act=lambda g, y: g @ y @ g.T,
-            inf_act=lambda v, y: v @ y - y @ v,
+            act=lambda g, y: g.dot(y).dot(g.T),
+            inf_act=_commutator,
             zero=np.zeros((n, n)),
         )
     if kind == "affine":
@@ -232,7 +235,7 @@ def make_action(kind: str, n: int) -> GroupAction:
             raise DomainError("affine action needs n >= 1")
 
         def act(g, y):
-            return g[:n, :n] @ y + g[:n, n]
+            return g[:n, :n].dot(y) + g[:n, n]
 
         return GroupAction(
             kind,
@@ -241,7 +244,7 @@ def make_action(kind: str, n: int) -> GroupAction:
             bracket=_commutator,
             exp=_expm,
             act=act,
-            inf_act=lambda v, y: v[:n, :n] @ y + v[:n, n],
+            inf_act=act,
             zero=np.zeros((n + 1, n + 1)),
         )
     if kind == "translation":
@@ -326,27 +329,42 @@ def dexpinv(U, K, m: int, bracket=None):
     return acc
 
 
-def _sup(x) -> float:
-    """max |v| over the entries of the array x, 0.0 when x is empty and nan
-    when any entry is nan: np.abs(x).max(initial=0.0) in scalar code. A nan
-    makes the sum nan; Python's max alone drops one that follows a larger
-    value."""
-    values = x.ravel().tolist()
-    total = sum(values)
-    if total != total and any(v != v for v in values):
-        return math.nan
-    return max(0.0, max(values, default=0.0), -min(values, default=0.0))
+def _residual(new, old) -> tuple[float, float]:
+    """The shift and the scale of one fixed-point sweep from old to new,
+    np.abs(new - old).max(initial=0.0) and
+    max(1.0, np.abs(new).max(initial=0.0)), read off the entries in scalar
+    code. The shift is 0.0 when there are none and nan when one of
+    new - old is nan; the scale is 1.0 when an entry of new is nan, as
+    Python's max makes it. A nan makes a sum nan; Python's max alone drops
+    one that follows a larger value."""
+    diffs = (new - old).ravel().tolist()
+    values = new.ravel().tolist()
+    total = sum(diffs)
+    if diffs and total == total:
+        # no nan in new - old, so none in new, which it broadcasts
+        return max(0.0, max(diffs), -min(diffs)), max(1.0, max(values), -min(values))
+    if any(d != d for d in diffs):
+        shift = math.nan
+    else:
+        shift = max(0.0, max(diffs, default=0.0), -min(diffs, default=0.0))
+    if any(v != v for v in values):
+        return shift, 1.0
+    return shift, max(1.0, max(values, default=0.0), -min(values, default=0.0))
 
 
 def _fixed_point(update, start, tol: float, label: str):
     value = start
     for _ in range(100):
         new = update(value)
-        shift = _sup(new - value)
-        scale = max(1.0, _sup(new))
+        shift, scale = _residual(new, value)
         value = new
-        # a stage that overflowed makes the bound inf, which any shift but
-        # nan would meet: an infinite scale is never converged
+        # A nan shift comes from a nan stage, which stays nan under any
+        # arithmetic field, or from an entry infinite in two sweeps running:
+        # the stages have left the floats, so stop at once. A stage that
+        # overflowed makes the bound inf, which any other shift would meet:
+        # an infinite scale is never converged.
+        if shift != shift:
+            break
         if shift <= tol * scale and scale != math.inf:
             return value
     raise ConvergenceError(f"{label}: fixed point stalled", shift)

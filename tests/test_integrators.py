@@ -574,6 +574,30 @@ class TestRkStep:
             assert label in str(exc.value)
             assert np.isnan(exc.value.residual)
 
+    def test_stages_leaving_the_floats_stop_at_the_first_nan_shift(self):
+        # y*y from 1e200: the stages are inf after one call of f and inf - inf
+        # is nan after the next, so each solve raises after two calls, not
+        # after its 100 sweeps
+        calls = []
+
+        def square(y):
+            calls.append(1)
+            return y * y
+
+        problem = LGProblem(make_action("translation", 1), lambda t, y: square(y), [1e200])
+        solves = {
+            "implicit stage iteration": lambda: rk_step(IMID, square, [1e200], 1.0),
+            "lie_midpoint": lambda: lg_step("lie_midpoint", problem, 0.0, problem.y0, 1.0),
+            "rkmk stages": lambda: lg_step("rkmk", problem, 0.0, problem.y0, 1.0, m=1, tableau=IMID),
+        }
+        for label, solve in solves.items():
+            calls.clear()
+            with np.errstate(all="ignore"), pytest.raises(ConvergenceError) as exc:
+                solve()
+            assert str(exc.value) == f"{label}: fixed point stalled (residual nan)"
+            assert np.isnan(exc.value.residual)
+            assert len(calls) == 2, label
+
 
 def _stiff_decay() -> LGProblem:
     # y' = -100 y at h = 1: every stage fixed point below diverges
@@ -613,11 +637,39 @@ def _sup_cases():
                     yield x
 
 
+def _seeded_partner(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """An array of x's shape: finite entries over 600 decades, some entries
+    copied from x (a zero shift, or inf - inf) and some +-inf, nan or -0.0."""
+    old = rng.normal(size=x.shape) * 10.0 ** rng.integers(-300, 300)
+    for k in range(old.size):
+        pick = rng.integers(8)
+        if pick < 2:
+            old.flat[k] = x.flat[k]
+        elif pick < 6:
+            old.flat[k] = (np.inf, -np.inf, np.nan, -0.0)[pick - 2]
+    return old
+
+
 def test_residual_is_the_numpy_sup_norm():
-    # same bits, the sign of a zero included; every nan reads nan
+    # same bits, the sign of a zero included; every nan reads nan, and a
+    # nan in new makes the scale max(1.0, nan) = 1.0
+    rng = np.random.default_rng(59)
+    pairs = [
+        # shapes that broadcast; the last two have the same size, and the
+        # last broadcasts to 3x3
+        (np.array([2.0]), np.array([1.0, -3.0])),
+        (np.float64(-1.5), np.array([0.5, 2.0, -4.0])),
+        (np.arange(3.0).reshape(3, 1), np.array([0.5, -1.0, 4.0])),
+    ]
     for x in _sup_cases():
-        want = float(np.abs(x).max(initial=0.0))
-        assert repr(steppers._sup(x)) == repr(want), x
+        partner = _seeded_partner(x, rng)
+        pairs.extend(((x, np.zeros_like(x)), (x, partner), (partner, x)))
+    for new, old in pairs:
+        with np.errstate(invalid="ignore"):
+            got = steppers._residual(new, old)
+            shift = float(np.abs(new - old).max(initial=0.0))
+        want = (shift, max(1.0, float(np.abs(new).max(initial=0.0))))
+        assert repr(got) == repr(want), (new, old)
 
 
 # ---------------------------------------------------------------------------
@@ -1042,12 +1094,111 @@ def test_dexpinv_matches_the_fraction_weights_bit_for_bit():
                 assert np.array_equal(dexpinv(u, k, m, bracket), _dexpinv_reference(u, k, m, bracket))
 
 
+# make_action and the commutator with their products written as ``@``,
+# verbatim, as the reference for ``ndarray.dot``: both make the same BLAS
+# call, so the results must agree bit for bit. The kernels are read from
+# ``steppers`` when an action is built, so an action built while the
+# reference kernels above are patched in holds those.
+
+
+def _commutator_reference(u, v):
+    return u @ v - v @ u
+
+
+def _make_action_reference(kind: str, n: int) -> GroupAction:
+    if kind == "rotation":
+        kind = "rotation_s2"
+    if kind == "rotation_s2":
+        return GroupAction(
+            kind,
+            3,
+            3,
+            bracket=steppers._cross,
+            exp=steppers._rodrigues,
+            act=lambda g, y: g @ y,
+            inf_act=steppers._cross,
+            zero=np.zeros(3),
+        )
+    if kind == "isospectral":
+        return GroupAction(
+            kind,
+            n,
+            n * (n - 1) // 2,
+            bracket=_commutator_reference,
+            exp=steppers._so3_exp if n == 3 else steppers._expm,
+            act=lambda g, y: g @ y @ g.T,
+            inf_act=lambda v, y: v @ y - y @ v,
+            zero=np.zeros((n, n)),
+        )
+    if kind == "affine":
+
+        def act(g, y):
+            return g[:n, :n] @ y + g[:n, n]
+
+        return GroupAction(
+            kind,
+            n,
+            n * n + n,
+            bracket=_commutator_reference,
+            exp=steppers._expm,
+            act=act,
+            inf_act=lambda v, y: v[:n, :n] @ y + v[:n, n],
+            zero=np.zeros((n + 1, n + 1)),
+        )
+    if kind == "translation":
+        return GroupAction(
+            kind,
+            n,
+            n,
+            bracket=lambda u, v: np.zeros(n),
+            exp=lambda v: v,
+            act=lambda g, y: y + g,
+            inf_act=lambda v, y: v,
+            zero=np.zeros(n),
+        )
+    raise AssertionError(kind)
+
+
+KERNEL_ACTIONS = [
+    ("rotation_s2", 3),
+    ("isospectral", 2),
+    ("isospectral", 3),
+    ("isospectral", 4),
+    ("isospectral", 6),
+    ("affine", 1),
+    ("affine", 2),
+    ("affine", 3),
+    ("translation", 2),
+]
+
+
+@pytest.mark.parametrize("kind,n", KERNEL_ACTIONS)
+def test_action_products_match_the_matmul_forms_bit_for_bit(kind, n):
+    action, reference = make_action(kind, n), _make_action_reference(kind, n)
+    rng = np.random.default_rng(61)
+    for _ in range(300):
+        scale = 10.0 ** rng.uniform(-3, 1)
+        y, u = _action_samples(action, rng)
+        _, v = _action_samples(action, rng)
+        u, v = scale * u, scale * v
+        g = action.exp(u)
+        for got, want in (
+            (action.act(g, y), reference.act(g, y)),
+            (action.inf_act(u, y), reference.inf_act(u, y)),
+            (action.bracket(u, v), reference.bracket(u, v)),
+            (dexpinv(u, v, 4, action.bracket), dexpinv(u, v, 4, reference.bracket)),
+        ):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (kind, n)
+
+
 REFERENCE_KERNELS = {
     "_rodrigues": _rodrigues_reference,
     "_so3_exp": _so3_exp_reference,
     "_cross": _cross_reference,
     "dexpinv": _dexpinv_reference,
     "_fixed_point": _fixed_point_reference,
+    "_commutator": _commutator_reference,
+    "make_action": _make_action_reference,
 }
 
 
@@ -1055,13 +1206,37 @@ def _time_dependent_rotation() -> LGProblem:
     def f(t, y):
         return np.array([np.sin(t) + y[0] * y[1], np.cos(t) - 0.3 * y[2], y[2] ** 2 + 0.2])
 
-    return LGProblem(make_action("rotation_s2", 3), f, np.array([0.6, 0.0, 0.8]))
+    return LGProblem(steppers.make_action("rotation_s2", 3), f, np.array([0.6, 0.0, 0.8]))
+
+
+def _toda_4() -> LGProblem:
+    # n != 3: the masked field and scipy's expm
+    return toda_problem(
+        [[1.0, 1.0, 0.0, 0.0], [1.0, 2.0, 1.0, 0.0], [0.0, 1.0, 3.0, 1.0], [0.0, 0.0, 1.0, 4.0]]
+    )
+
+
+def _cli_affine() -> LGProblem:
+    # the stock problem of ``bflow integrate --action affine``
+    V = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    b = np.array([1.0, 0.0])
+    return LGProblem(
+        steppers.make_action("affine", 2), lambda t, y: affine_element(V, b), np.array([1.0, 0.0])
+    )
+
+
+def _damped_translation() -> LGProblem:
+    fn = PolyVectorField.from_strings(["y1", "-y0 - y1/2 - y0**3/4"]).as_callable()
+    return LGProblem(steppers.make_action("translation", 2), lambda t, y: fn(y), [1.0, 0.5])
 
 
 BITWISE_PROBLEMS = {
     "rigid_body": rigid_body_problem,
     "toda": toda_problem,
     "time_dependent_rotation": _time_dependent_rotation,
+    "toda_4": _toda_4,
+    "cli_affine": _cli_affine,
+    "damped_translation": _damped_translation,
 }
 
 
@@ -1080,11 +1255,14 @@ def test_trajectories_match_the_reference_kernels_bit_for_bit(name, monkeypatch)
     if name == "toda":
         reference = LGProblem(reference.action, _masked_toda_field(3), reference.y0)
         assert reference.action.exp is _so3_exp_reference
-    else:
+    elif reference.action.kind == "rotation_s2":
         assert reference.action.exp is _rodrigues_reference
         assert reference.action.bracket is _cross_reference
+    if reference.action.kind in ("isospectral", "affine"):
+        assert reference.action.bracket is _commutator_reference
     for run in runs:
         want = np.array(integrate(run[0], reference, run[1], run[2]))
+        assert np.isfinite(want).all(), run
         assert np.array_equal(got[run], want), run
 
 
