@@ -21,13 +21,18 @@ Ebrahimi-Fard & Manchon, "Two interacting Hopf algebras of trees", Adv.
 Appl. Math. 2011). The enumerations over cuts and edge subsets are the
 independent routes in the tests.
 
-The memos are integer rows over trees and forests, each of which the
-constructor builds once and shares (``forest_core``), so rows compare and
-hash their keys by identity; multiplicities are added as ints, and each
-distinct term of a memoised sum gets one shared Fraction. Each row of
-the contraction memo carries its trees, each built once: the root's
-component, the left forest and the quotient. On a forest, each coproduct and the
-antipode are the product of its trees' rows, memoised per forest.
+The memos are cached functions (``functools.cache``): one per tree for
+each coproduct and the antipode, ``_cefm_parts`` for the contraction
+rows, and ``_forest_product`` for the product of a forest's tree rows,
+which gives each coproduct and the antipode on a forest. Their values
+are integer rows over trees and forests, each of which the constructor
+builds once and shares (``forest_core``), so rows compare and hash their
+keys by identity; multiplicities are added as ints, and each distinct
+term of a cached sum gets one shared Fraction. Each contraction row
+carries its trees, each built once: the root's component, the left
+forest and the quotient. A cache may be emptied (``cache_clear``) at any
+time, since it is rebuilt from the same interned trees; an intern table
+never is.
 
 Runge-Kutta tableaus and their elementary weights connect the algebra to
 actual methods: the weight map of a tableau is a character, and order
@@ -36,6 +41,7 @@ conditions are equalities against the exact-flow coefficients 1/tree!.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .algebra import FormalSum, Tensor
@@ -80,33 +86,33 @@ def _product_rows(sums, unit) -> dict:
     return rows
 
 
-def _multiplicative(per_tree, memo: dict, omega: Forest | RootedTree, unit) -> FormalSum:
-    """A tree's memoised image per_tree(t); on a forest the product of the
-    images of its trees on integer rows, memoised in ``memo`` (the empty
-    forest gives the unit)."""
+@functools.cache
+def _forest_product(per_tree, forest: Forest, unit) -> FormalSum:
+    """The product of per_tree over the trees of a forest, on integer rows;
+    cached per (per_tree, forest, unit)."""
+    return wrap_rows(_product_rows(map(per_tree, forest.trees), unit))
+
+
+def _multiplicative(per_tree, omega: Forest | RootedTree, unit) -> FormalSum:
+    """A per-tree map extended multiplicatively to forests: per_tree(t) on
+    a tree or a one-tree forest, and on any other forest the product of
+    its trees' images (``_forest_product``), the unit on the empty one.
+    per_tree is a cached function, so both sides are computed once."""
     if isinstance(omega, RootedTree):
         return per_tree(omega)
     trees = Forest._of(omega).trees
     if len(trees) == 1:
         return per_tree(trees[0])
-    out = memo.get(omega)
-    if out is None:
-        out = memo[omega] = wrap_rows(_product_rows(map(per_tree, trees), unit))
-    return out
+    return _forest_product(per_tree, omega, unit)
 
 
-_BCK_CACHE: dict[RootedTree | Forest, FormalSum] = {}
-
-
+@functools.cache
 def _delta_bck_tree(tree: RootedTree) -> FormalSum:
-    out = _BCK_CACHE.get(tree)
-    if out is None:
-        below = _product_rows(map(_delta_bck_tree, bminus(tree).trees), _UNIT_TENSOR)
-        rows = {Tensor(Forest((tree,)), EMPTY_FOREST): 1}
-        for (left, right), m in below.items():
-            rows[Tensor(left, Forest((RootedTree(right.trees, tree.color),)))] = m
-        out = _BCK_CACHE[tree] = wrap_rows(rows)
-    return out
+    below = _product_rows(map(_delta_bck_tree, bminus(tree).trees), _UNIT_TENSOR)
+    rows = {Tensor(Forest((tree,)), EMPTY_FOREST): 1}
+    for (left, right), m in below.items():
+        rows[Tensor(left, Forest((RootedTree(right.trees, tree.color),)))] = m
+    return wrap_rows(rows)
 
 
 def delta_bck(omega: Forest | RootedTree) -> FormalSum:
@@ -121,10 +127,7 @@ def delta_bck(omega: Forest | RootedTree) -> FormalSum:
     coproducts on integer rows; each tree's and each forest's coproduct
     is memoised.
     """
-    return _multiplicative(_delta_bck_tree, _BCK_CACHE, omega, _UNIT_TENSOR)
-
-
-_ANTIPODE_CACHE: dict[RootedTree | Forest, FormalSum] = {}
+    return _multiplicative(_delta_bck_tree, omega, _UNIT_TENSOR)
 
 
 def antipode_bck(omega: Forest | RootedTree) -> FormalSum:
@@ -141,18 +144,16 @@ def antipode_bck(omega: Forest | RootedTree) -> FormalSum:
     (``_cefm_parts``), never the quotient, and builds no tree or forest
     of its own. Each tree's and each forest's antipode is memoised.
     """
-    return _multiplicative(_antipode_tree, _ANTIPODE_CACHE, omega, EMPTY_FOREST)
+    return _multiplicative(_antipode_tree, omega, EMPTY_FOREST)
 
 
+@functools.cache
 def _antipode_tree(tree: RootedTree) -> FormalSum:
-    out = _ANTIPODE_CACHE.get(tree)
-    if out is None:
-        rows: dict[Forest, int] = {}
-        for l, _, m, _, left, _ in _cefm_parts(tree):
-            # r has one vertex per component: |r| = 1 + len(l)
-            rows[left] = rows.get(left, 0) + (m if len(l) % 2 else -m)
-        out = _ANTIPODE_CACHE[tree] = wrap_rows(rows)
-    return out
+    rows: dict[Forest, int] = {}
+    for l, _, m, _, left, _ in _cefm_parts(tree):
+        # r has one vertex per component: |r| = 1 + len(l)
+        rows[left] = rows.get(left, 0) + (m if len(l) % 2 else -m)
+    return wrap_rows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +412,11 @@ def order_of(alpha: BCoeff, N: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-_CEFM_CACHE: dict[RootedTree | Forest, FormalSum] = {}
-_CEFM_PARTS: dict[RootedTree, tuple] = {}
-
-
 def _by_serial(trees: tuple[RootedTree, ...]) -> tuple[RootedTree, ...]:
     return tuple(sorted(trees, key=_SERIAL))
 
 
+@functools.cache
 def _cefm_parts(tree: RootedTree) -> tuple[tuple, ...]:
     """The edge subsets of a tree, collected as rows (L, Q, m, top, left,
     right): L the components without the root and Q the children of the
@@ -427,8 +425,6 @@ def _cefm_parts(tree: RootedTree) -> tuple[tuple, ...]:
     forest L top and right the one-tree forest of the quotient B+(Q),
     with the root's colour. Built by folding in one child at a time over
     the child's rows, whose trees are built once, with the row."""
-    if tree in _CEFM_PARTS:
-        return _CEFM_PARTS[tree]
     parts: dict[tuple, int] = {((), (), ()): 1}
     for child in tree.children:
         options = []
@@ -453,19 +449,16 @@ def _cefm_parts(tree: RootedTree) -> tuple[tuple, ...]:
         top = RootedTree(c, tree.color)
         right = Forest((RootedTree(q, tree.color),))
         rows.append((l, q, m, top, Forest(l + (top,)), right))
-    _CEFM_PARTS[tree] = rows = tuple(rows)
-    return rows
+    return tuple(rows)
 
 
+@functools.cache
 def _delta_cefm_tree(tree: RootedTree) -> FormalSum:
-    out = _CEFM_CACHE.get(tree)
-    if out is None:
-        rows: dict[Tensor, int] = {}
-        for _, _, m, _, left, right in _cefm_parts(tree):
-            key = Tensor(left, right)
-            rows[key] = rows.get(key, 0) + m
-        out = _CEFM_CACHE[tree] = wrap_rows(rows)
-    return out
+    rows: dict[Tensor, int] = {}
+    for _, _, m, _, left, right in _cefm_parts(tree):
+        key = Tensor(left, right)
+        rows[key] = rows.get(key, 0) + m
+    return wrap_rows(rows)
 
 
 def delta_cefm(omega: Forest | RootedTree) -> FormalSum:
@@ -484,7 +477,7 @@ def delta_cefm(omega: Forest | RootedTree) -> FormalSum:
     Ebrahimi-Fard & Manchon, Adv. Appl. Math. 2011). Multiplicative on
     forests.
     """
-    return _multiplicative(_delta_cefm_tree, _CEFM_CACHE, omega, _UNIT_TENSOR)
+    return _multiplicative(_delta_cefm_tree, omega, _UNIT_TENSOR)
 
 
 def substitute_b(alpha: BCoeff, beta: BCoeff, N: int) -> BCoeff:

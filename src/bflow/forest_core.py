@@ -248,7 +248,7 @@ def bminus(tree: Tree) -> AnyForest:
     return tree._forest(tree.children)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def tree_stats(tree: RootedTree) -> tuple[int, int, int]:
     """Return ``(order, sigma, factorial)`` for a non-planar tree.
 
@@ -290,7 +290,7 @@ def forest_sigma(forest: Forest) -> int:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _trees(n: int, planar: bool) -> tuple[Tree, ...]:
     if planar:
         return tuple(sorted(map(bplus, _planar_forests(n - 1)), key=_SERIAL))
@@ -299,7 +299,7 @@ def _trees(n: int, planar: bool) -> tuple[Tree, ...]:
     return tuple(sorted(set(map(bplus, _nonplanar_forests(n - 1))), key=_SERIAL))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _nonplanar_pool(n: int) -> tuple[RootedTree, ...]:
     pool: list[RootedTree] = []
     for k in range(1, n + 1):
@@ -307,7 +307,7 @@ def _nonplanar_pool(n: int) -> tuple[RootedTree, ...]:
     return tuple(pool)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _nonplanar_forests(n: int) -> tuple[Forest, ...]:
     if n == 0:
         return (EMPTY_FOREST,)
@@ -327,7 +327,7 @@ def _nonplanar_forests(n: int) -> tuple[Forest, ...]:
     return tuple(sorted(forests, key=lambda f: f.serial))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _planar_forests(n: int) -> tuple[PlanarForest, ...]:
     if n == 0:
         return (EMPTY_WORD,)
@@ -446,7 +446,7 @@ def prelie_graft(t1: RootedTree, t2: RootedTree) -> FormalSum:
     return _prelie(t1, t2)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _prelie(t1: RootedTree, t2: RootedTree) -> FormalSum:
     kids = t2.children
     below = (
@@ -460,7 +460,7 @@ def _prelie(t1: RootedTree, t2: RootedTree) -> FormalSum:
 _as_word = PlanarForest._of  # a planar forest, or a planar tree as a one-letter word
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _graft(w1: PlanarForest, w2: PlanarForest) -> FormalSum:
     # The defining recursion. The only case not forced by bilinearity is a
     # single tree grafted onto a single tree, handled by attaching it as the
@@ -495,7 +495,7 @@ def left_graft(x, y) -> FormalSum:
     return lifted(x, y)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _shuffle(w1: PlanarForest, w2: PlanarForest) -> FormalSum:
     word = PlanarForest
     if not w1.word:

@@ -26,7 +26,13 @@ one Fraction per power at the end.
 A map's values are computed once and held in its memo, ``_cache``.
 Every lookup (``__call__``, ``_factors``, ``tree_value``) reads the memo
 first; only a miss converts the argument, checks the truncation order
-and calls ``fn``.
+and calls ``fn``. That memo, and the powers memo of each
+``convolution_series`` map, are plain dicts owned by one map, which die
+with it. Every module-wide memo of the exact engine is a cached function
+(``functools.cache``): ``_fraction`` here, the enumerations and products
+of ``forest_core``, and the coproducts and row tables of ``bseries_hopf``
+and ``lbseries``. Each can be inspected with ``cache_info()`` and
+emptied with ``cache_clear()``.
 """
 
 from __future__ import annotations
@@ -72,8 +78,8 @@ def exact_sum(terms: Iterable[tuple[int, Iterable[Fraction]]], divisor: int = 1)
     return Fraction(total, scale * divisor)
 
 
-# one Fraction per distinct multiplicity, shared by every memoised sum
-_fraction = functools.lru_cache(maxsize=None)(Fraction)
+# one Fraction per distinct multiplicity, shared by every cached sum
+_fraction = functools.cache(Fraction)
 
 
 def wrap_rows(rows: dict) -> FormalSum:

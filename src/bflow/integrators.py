@@ -13,7 +13,9 @@ the point). The floating-point layer, ``bflow.steppers``, supplies the
 steppers, the group actions, and a convergence-order harness in 64-bit
 floats.
 
-Importing this module loads neither numpy nor the float layer. The float
+Importing this module loads neither numpy, the float layer nor the
+B-series layer: the Taylor oracles import ``bflow.bseries_hopf`` to build
+their characters, and a polynomial field needs none of it. The float
 layer's public names stay readable here (``from bflow.integrators import
 integrate`` works): each is looked up in ``bflow.steppers`` on first
 access, which imports that module and numpy, and is then kept in this
@@ -32,12 +34,13 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .bseries_hopf import DOT, BCoeff, RKTableau
 from .errors import DomainError
-from .forest_core import Forest, RootedTree, bplus, enumerate_trees, tree_stats
+from .forest_core import Forest, RootedTree, bplus, enumerate_trees, single, tree_stats
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .bseries_hopf import BCoeff, RKTableau
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +276,7 @@ def modified_field(beta: BCoeff, field: PolyVectorField, h, N: int) -> PolyVecto
 
 
 def _expand_field(series: dict, N: int) -> dict:
-    out = {DOT: Fraction(1)}
+    out = {single(): Fraction(1)}
     items = [(t, c) for t, c in sorted(series.items(), key=lambda kv: kv[0].order) if c]
 
     def rec(idx: int, budget: int, chosen: list, coeff: Fraction) -> None:
@@ -346,6 +349,8 @@ def rk_taylor_oracle(tableau: RKTableau, N: int) -> BCoeff:
     coefficients straight off the Taylor series (times sigma, undoing the
     B-series normalization). Shares no code with elementary_weights.
     """
+    from .bseries_hopf import BCoeff
+
     _oracle_cap(N)
     final = _rk_deviation(tableau, {}, N)
     table = {t: c * tree_stats(t)[1] for t, c in final.items()}
@@ -356,6 +361,8 @@ def composed_taylor_oracle(first: RKTableau, second: RKTableau, N: int) -> BCoef
     """Taylor character of the composed map: a step of ``first``, then a
     step of ``second`` with the same h, expanded around the original
     point."""
+    from .bseries_hopf import BCoeff
+
     _oracle_cap(N)
     once = _rk_deviation(first, {}, N)
     final = _rk_deviation(second, once, N)

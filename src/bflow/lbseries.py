@@ -12,8 +12,8 @@ character), the backward-error field (the eulerian logarithm), and the
 Lie element whose exponential is the flow (Dynkin form), together with
 the substitution law for replacing the vector field by a series.
 
-Both coproducts are built by memoised recursion. Their coefficients are
-integers: each recursion step adds them as ints, read off the memoised
+Both coproducts are built by cached recursion. Their coefficients are
+integers: each recursion step adds them as ints, read off the cached
 sums of smaller elements, and wraps the result with ``hopf.wrap_rows``,
 one shared Fraction per distinct multiplicity.
 The planar (MKW) coproduct recurses over the last tree of a word,
@@ -26,17 +26,22 @@ d_a u = D(d_{a-1} u) - d_{a-1} D(u) reduces d_a to d_{a-1}.
 
 The substitution law, the Dynkin map and the Q (block-composition) map
 are fixed integer structures on a word, paired with a map's values. Each
-is a module-wide memo of integer rows over words (``_astar_rows``,
-``_dynkin_rows``, ``_q_rows``), built once per word and shared by every
-map, so a new map pays only its own sums: one ``exact_sum`` per value.
+is a table of integer rows over words (``_astar_rows``, ``_dynkin_rows``,
+``_q_rows``), built once per word and shared by every map, so a new map
+pays only its own sums: one ``exact_sum`` per value.
 
-Words are PlanarForest values throughout, each built once by its
-constructor and shared (``forest_core``), so the memos compare and hash
-them by identity. Coefficients are exact rationals.
+Every module-wide memo is a cached function (``functools.cache``).
+``delta_mkw``, ``antipode_mkw`` and ``bell`` check their argument and
+call one, which the recursions call directly. Words are PlanarForest
+values and Bell words ``BellWord``s, each built once by its constructor
+and shared, so the caches compare and hash them by identity. A cache may
+be emptied (``cache_clear``) at any time; an intern table never is.
+Coefficients are exact rationals.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
@@ -73,22 +78,14 @@ def deconcat(omega: PlanarForest | PlanarTree) -> FormalSum:
     )
 
 
-_MKW_CACHE: dict[PlanarForest, FormalSum] = {
-    EMPTY_WORD: tensor_sum([(EMPTY_WORD, EMPTY_WORD, 1)])
-}
-_MKW_LIFTED: dict[PlanarTree, list] = {}
-
-
-def _mkw_lifted(tree: PlanarTree) -> list[tuple[PlanarForest, PlanarForest, int]]:
+@functools.cache
+def _mkw_lifted(tree: PlanarTree) -> tuple[tuple[PlanarForest, PlanarForest, int], ...]:
     """Delta'(t) = (id (x) B+) Delta(B-(t)), B+ with the colour of t, as
     (left, right, multiplicity) triples."""
-    out = _MKW_LIFTED.get(tree)
-    if out is None:
-        out = _MKW_LIFTED[tree] = [
-            (left, PlanarForest((PlanarTree(right.word, tree.color),)), c.numerator)
-            for (left, right), c in delta_mkw(PlanarForest(tree.children))
-        ]
-    return out
+    return tuple(
+        (left, PlanarForest((PlanarTree(right.word, tree.color),)), c.numerator)
+        for (left, right), c in _delta_mkw(PlanarForest(tree.children))
+    )
 
 
 def delta_mkw(omega: PlanarForest | PlanarTree) -> FormalSum:
@@ -100,43 +97,46 @@ def delta_mkw(omega: PlanarForest | PlanarTree) -> FormalSum:
     Delta(omega) * Delta'(t) with Delta'(t) = (id (x) B+) Delta(B-(t)),
     where * shuffles the left slots and concatenates the right ones
     (Munthe-Kaas & Wright 2008). The multiplicities are integers, so the
-    recursion adds them as ints, reading the memoised sums' numerators.
+    recursion adds them as ints, reading the cached sums' numerators.
     """
-    omega = _as_word(omega)
-    out = _MKW_CACHE.get(omega)
-    if out is None:
-        acc = {(omega, EMPTY_WORD): 1}
-        lifted = _mkw_lifted(omega.word[-1])
-        for (l1, r1), c1 in delta_mkw(PlanarForest(omega.word[:-1])):
-            c1 = c1.numerator
-            for l2, r2, c2 in lifted:
-                right = r1 * r2
-                for left, m in _shuffle(l1, l2):
-                    key = (left, right)
-                    acc[key] = acc.get(key, 0) + c1 * c2 * m.numerator
-        out = _MKW_CACHE[omega] = wrap_rows({Tensor(l, r): c for (l, r), c in acc.items()})
-    return out
+    return _delta_mkw(_as_word(omega))
 
 
-_S_MKW_CACHE: dict[PlanarForest, FormalSum] = {EMPTY_WORD: FormalSum.term(EMPTY_WORD)}
+@functools.cache
+def _delta_mkw(omega: PlanarForest) -> FormalSum:
+    if not omega.word:
+        return wrap_rows({Tensor(EMPTY_WORD, EMPTY_WORD): 1})
+    acc = {(omega, EMPTY_WORD): 1}
+    lifted = _mkw_lifted(omega.word[-1])
+    for (l1, r1), c1 in _delta_mkw(PlanarForest(omega.word[:-1])):
+        c1 = c1.numerator
+        for l2, r2, c2 in lifted:
+            right = r1 * r2
+            for left, m in _shuffle(l1, l2):
+                key = (left, right)
+                acc[key] = acc.get(key, 0) + c1 * c2 * m.numerator
+    return wrap_rows({Tensor(l, r): c for (l, r), c in acc.items()})
 
 
 def antipode_mkw(omega: PlanarForest | PlanarTree) -> FormalSum:
     """Antipode for the planar coproduct (graded-connected recursion):
     S(omega) = -omega - sum c S(l) sh r over the terms c l (x) r of
     Delta(omega) with both sides nonempty, on integer coefficients."""
-    omega = _as_word(omega)
-    out = _S_MKW_CACHE.get(omega)
-    if out is None:
-        acc = {omega: -1}
-        for t, c in delta_mkw(omega):
-            if t.left.word and t.right.word:
-                for u, a in antipode_mkw(t.left):
-                    ca = c.numerator * a.numerator
-                    for w, m in _shuffle(u, t.right):
-                        acc[w] = acc.get(w, 0) - ca * m.numerator
-        out = _S_MKW_CACHE[omega] = wrap_rows(acc)
-    return out
+    return _antipode_mkw(_as_word(omega))
+
+
+@functools.cache
+def _antipode_mkw(omega: PlanarForest) -> FormalSum:
+    if not omega.word:
+        return wrap_rows({EMPTY_WORD: 1})
+    acc = {omega: -1}
+    for t, c in _delta_mkw(omega):
+        if t.left.word and t.right.word:
+            for u, a in _antipode_mkw(t.left):
+                ca = c.numerator * a.numerator
+                for w, m in _shuffle(u, t.right):
+                    acc[w] = acc.get(w, 0) - ca * m.numerator
+    return wrap_rows(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +156,7 @@ class LBCoeff(Coeff):
 
     __slots__ = ()
     basis = PlanarForest
-    coproduct = staticmethod(delta_mkw)
+    coproduct = staticmethod(_delta_mkw)
 
     @classmethod
     def from_table(cls, values: Mapping, N: int, kind: str = "plain") -> "LBCoeff":
@@ -236,32 +236,41 @@ convolve_mkw = convolve
 
 
 class BellWord:
-    """A word in the letters d_i, graded by the sum of the indices."""
+    """A word in the letters d_i, graded by the sum of the indices.
 
-    __slots__ = ("word", "grade", "serial", "_hash")
+    Bell words are interned as trees are (``forest_core._Basis``): the
+    constructor looks the letter tuple up in ``_interned`` and checks and
+    builds a word only on a miss, so equality and hashing are identity,
+    and pickling and copying rebuild through the constructor."""
 
-    def __init__(self, word: Iterable[int] = ()):
-        w = tuple(int(i) for i in word)
-        if any(i < 1 for i in w):
-            raise DomainError("Bell letters are indexed from 1")
-        self.word = w
-        self.grade = sum(w)
-        self.serial = ".".join(f"d{i}" for i in w) if w else "1"
-        self._hash = hash(w)
+    __slots__ = ("word", "grade", "serial")
+    _interned: dict = {}
+
+    def __new__(cls, word: Iterable[int] = ()):
+        w = tuple(word)
+        out = cls._interned.get(w)
+        if out is None:
+            w = tuple(int(i) for i in w)
+            if any(i < 1 for i in w):
+                raise DomainError("Bell letters are indexed from 1")
+            out = cls._interned.get(w)
+        if out is None:
+            out = object.__new__(cls)
+            out.word = w
+            out.grade = sum(w)
+            out.serial = ".".join(f"d{i}" for i in w) if w else "1"
+            # setdefault keeps the object another thread may have stored
+            out = cls._interned.setdefault(w, out)
+        return out
+
+    def __reduce__(self):
+        return BellWord, (self.word,)
 
     def __mul__(self, other: "BellWord") -> "BellWord":
         return BellWord(self.word + other.word)
 
     def __len__(self) -> int:
         return len(self.word)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, BellWord):
-            return self.word == other.word
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"BellWord({self.serial!r})"
@@ -277,18 +286,19 @@ def _bell_derive(x: FormalSum) -> FormalSum:
     return FormalSum((BellWord(u), c) for w, c in x for u in _raised(w.word))
 
 
-_BELL_CACHE: list[FormalSum] = [FormalSum.term(BellWord())]
-
-
 def bell(n: int) -> FormalSum:
     """The n-th non-commutative Bell polynomial."""
     if n < 0:
         raise DomainError("Bell polynomials are indexed from 0")
-    while len(_BELL_CACHE) <= n:
-        prev = _BELL_CACHE[-1]
-        step = prev.map_basis(lambda w: BellWord((1,) + w.word)) + _bell_derive(prev)
-        _BELL_CACHE.append(step)
-    return _BELL_CACHE[n]
+    return _bell(n)
+
+
+@functools.cache
+def _bell(n: int) -> FormalSum:
+    if not n:
+        return FormalSum.term(BellWord())
+    prev = _bell(n - 1)
+    return prev.map_basis(lambda w: BellWord((1,) + w.word)) + _bell_derive(prev)
 
 
 def bell_partial(n: int, k: int) -> FormalSum:
@@ -310,9 +320,6 @@ def _fdb_words(n: int) -> list[BellWord]:
 
     rec([], n)
     return out
-
-
-_FDB_CACHE: dict[tuple[int, ...], FormalSum] = {(): tensor_sum([(BellWord(), BellWord(), 1)])}
 
 
 def fdb_coproduct(x: BellWord | FormalSum) -> FormalSum:
@@ -337,31 +344,29 @@ def fdb_coproduct(x: BellWord | FormalSum) -> FormalSum:
     return _fdb(x.word)
 
 
+@functools.cache
 def _fdb(word: tuple[int, ...]) -> FormalSum:
-    """The recursion of fdb_coproduct on letter tuples, memoised; the
+    """The recursion of fdb_coproduct on letter tuples, cached; the
     coefficients are integers and are added as ints."""
-    out = _FDB_CACHE.get(word)
-    if out is None:
-        a, rest = word[0], word[1:]
-        acc: dict = {}
-        if a == 1:
-            for t, c in _fdb(rest):
-                acc[(1,) + t.left.word, (1,) + t.right.word] = c.numerator
-        else:
-            for t, c in _fdb((a - 1,) + rest):
-                l, r, c = t.left.word, t.right.word, c.numerator
-                for u in _raised(l):
-                    acc[u, r] = acc.get((u, r), 0) + c
-                for v in _raised(r):
-                    acc[(1,) + l, v] = acc.get(((1,) + l, v), 0) + c
-            for v in _raised(rest):
-                for t, c in _fdb((a - 1,) + v):
-                    key = t.left.word, t.right.word
-                    acc[key] = acc.get(key, 0) - c.numerator
-        out = _FDB_CACHE[word] = wrap_rows(
-            {Tensor(BellWord(l), BellWord(r)): c for (l, r), c in acc.items() if c}
-        )
-    return out
+    if not word:
+        return wrap_rows({Tensor(BellWord(), BellWord()): 1})
+    a, rest = word[0], word[1:]
+    acc: dict = {}
+    if a == 1:
+        for t, c in _fdb(rest):
+            acc[(1,) + t.left.word, (1,) + t.right.word] = c.numerator
+    else:
+        for t, c in _fdb((a - 1,) + rest):
+            l, r, c = t.left.word, t.right.word, c.numerator
+            for u in _raised(l):
+                acc[u, r] = acc.get((u, r), 0) + c
+            for v in _raised(r):
+                acc[(1,) + l, v] = acc.get(((1,) + l, v), 0) + c
+        for v in _raised(rest):
+            for t, c in _fdb((a - 1,) + v):
+                key = t.left.word, t.right.word
+                acc[key] = acc.get(key, 0) - c.numerator
+    return wrap_rows({Tensor(BellWord(l), BellWord(r)): c for (l, r), c in acc.items() if c})
 
 
 # ---------------------------------------------------------------------------
@@ -420,23 +425,18 @@ def dynkin_map(w: PlanarForest | PlanarTree) -> FormalSum:
     return FormalSum(_dynkin_rows(_as_word(w)))
 
 
-_DYNKIN_ROWS: dict[PlanarForest, tuple] = {}
-
-
+@functools.cache
 def _dynkin_rows(w: PlanarForest) -> tuple:
     """dynkin_map(w) as (word, int multiplicity) rows, built once per
     word."""
-    rows = _DYNKIN_ROWS.get(w)
-    if rows is None:
-        parts = w.word
-        acc: dict[PlanarForest, int] = {}
-        for i in range(len(parts)):
-            right = PlanarForest(parts[i:])
-            sign = (-1) ** i * right.order
-            for u, m in _shuffle(PlanarForest(parts[:i][::-1]), right):
-                acc[u] = acc.get(u, 0) + sign * m.numerator
-        rows = _DYNKIN_ROWS[w] = tuple((u, c) for u, c in acc.items() if c)
-    return rows
+    parts = w.word
+    acc: dict[PlanarForest, int] = {}
+    for i in range(len(parts)):
+        right = PlanarForest(parts[i:])
+        sign = (-1) ** i * right.order
+        for u, m in _shuffle(PlanarForest(parts[:i][::-1]), right):
+            acc[u] = acc.get(u, 0) + sign * m.numerator
+    return tuple((u, c) for u, c in acc.items() if c)
 
 
 def dynkin_apply(alpha: LBCoeff, N: int) -> LBCoeff:
@@ -490,22 +490,14 @@ def q_apply(gamma: LBCoeff, N: int) -> LBCoeff:
     return LBCoeff("character", N, fn)
 
 
-_Q_ROWS: dict[PlanarForest, tuple] = {}
-
-
+@functools.cache
 def _q_rows(w: PlanarForest) -> tuple[int, tuple]:
     """The splittings of a nonempty word into consecutive blocks as (den,
     rows): each row (c, blocks) has c / den the kappa of the block grades,
     den the lcm of the kappa denominators. Built once per word."""
-    out = _Q_ROWS.get(w)
-    if out is None:
-        splits = [
-            (kappa(tuple(b.order for b in blocks)), blocks) for blocks in _compositions(w.word)
-        ]
-        den = math.lcm(*(k.denominator for k, _ in splits))
-        rows = tuple((k.numerator * (den // k.denominator), blocks) for k, blocks in splits)
-        out = _Q_ROWS[w] = (den, rows)
-    return out
+    splits = [(kappa(tuple(b.order for b in blocks)), blocks) for blocks in _compositions(w.word)]
+    den = math.lcm(*(k.denominator for k, _ in splits))
+    return den, tuple((k.numerator * (den // k.denominator), blocks) for k, blocks in splits)
 
 
 def _compositions(parts: tuple) -> Iterable[tuple[PlanarForest, ...]]:
@@ -649,9 +641,7 @@ def lb_substitution_character(alpha, omega: PlanarForest | PlanarTree) -> Formal
     )
 
 
-_ASTAR_ROWS: dict[PlanarForest, tuple] = {EMPTY_WORD: ((EMPTY_WORD, ((1, ()),)),)}
-
-
+@functools.cache
 def _astar_rows(omega: PlanarForest) -> tuple:
     """The image of omega under substitution with the alpha values left
     symbolic, as rows (u, weights), weights = ((c, rests), ...): the
@@ -667,29 +657,26 @@ def _astar_rows(omega: PlanarForest) -> tuple:
     of a row are sorted by serial, so equal products share one int c.
     Built once per word.
     """
-    rows = _ASTAR_ROWS.get(omega)
-    if rows is None:
-        acc: dict[PlanarForest, dict[tuple, int]] = {}
-        parts = omega.word
-        for i in range(len(parts)):
-            left = _astar_rows(PlanarForest(parts[:i]))
-            size = len(parts) - i
-            for (pruned, rest), c in delta_mkw(PlanarForest(parts[i:])):
-                if len(rest.word) != size:
-                    continue
-                c = c.numerator
-                for inner, weights2 in _astar_rows(pruned):
-                    grafted = (PlanarTree(inner.word),)
-                    for u1, weights1 in left:
-                        row = acc.setdefault(PlanarForest(u1.word + grafted), {})
-                        for c1, rests1 in weights1:
-                            for c2, rests2 in weights2:
-                                key = tuple(sorted((*rests1, rest, *rests2), key=_SERIAL))
-                                row[key] = row.get(key, 0) + c * c1 * c2
-        rows = _ASTAR_ROWS[omega] = tuple(
-            (u, tuple((c, rests) for rests, c in row.items())) for u, row in acc.items()
-        )
-    return rows
+    if not omega.word:
+        return ((EMPTY_WORD, ((1, ()),)),)
+    acc: dict[PlanarForest, dict[tuple, int]] = {}
+    parts = omega.word
+    for i in range(len(parts)):
+        left = _astar_rows(PlanarForest(parts[:i]))
+        size = len(parts) - i
+        for (pruned, rest), c in _delta_mkw(PlanarForest(parts[i:])):
+            if len(rest.word) != size:
+                continue
+            c = c.numerator
+            for inner, weights2 in _astar_rows(pruned):
+                grafted = (PlanarTree(inner.word),)
+                for u1, weights1 in left:
+                    row = acc.setdefault(PlanarForest(u1.word + grafted), {})
+                    for c1, rests1 in weights1:
+                        for c2, rests2 in weights2:
+                            key = tuple(sorted((*rests1, rest, *rests2), key=_SERIAL))
+                            row[key] = row.get(key, 0) + c * c1 * c2
+    return tuple((u, tuple((c, rests) for rests, c in row.items())) for u, row in acc.items())
 
 
 def lb_substitute(alpha, beta: LBCoeff, N: int) -> LBCoeff:

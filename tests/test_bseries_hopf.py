@@ -702,11 +702,11 @@ def test_antipode_matches_the_cut_recursion():
     assert antipode_bck(forest) == antipode_by_cuts(forest, memo)
 
 
-def test_contraction_and_antipode_run_without_the_enumerations(monkeypatch):
+def test_contraction_and_antipode_run_without_the_enumerations():
     # The enumerations live only in this file, so bflow cannot reach them.
     for name in ("cefm_splits", "_vertex_table", "_tree_cuts", "delta_bck_recursive", "itertools"):
         assert not hasattr(bseries_hopf, name), name
-    fresh_memos(monkeypatch)
+    fresh_memos()
     for tree in TREES_TO_8:
         delta_cefm(tree)
         antipode_bck(tree)
@@ -721,25 +721,31 @@ def test_contraction_and_antipode_run_without_the_enumerations(monkeypatch):
         assert forward(tree) == gamma(tree)
 
 
-COPRODUCT_MEMOS = ("_CEFM_CACHE", "_CEFM_PARTS", "_ANTIPODE_CACHE", "_BCK_CACHE")
+COPRODUCT_MEMOS = (
+    bseries_hopf._cefm_parts,
+    bseries_hopf._delta_cefm_tree,
+    bseries_hopf._antipode_tree,
+    bseries_hopf._delta_bck_tree,
+    bseries_hopf._forest_product,
+)
 
 
-def fresh_memos(monkeypatch):
-    """Empty coproduct memos, for the rest of the test. The intern tables
-    stay: emptying one while its trees are alive would make a tree built
-    afterwards a second object, equal to none of them."""
+def fresh_memos():
+    """Empty the coproduct caches. The intern tables stay: emptying one
+    while its trees are alive would make a tree built afterwards a second
+    object, equal to none of them."""
     for memo in COPRODUCT_MEMOS:
-        monkeypatch.setattr(bseries_hopf, memo, {})
+        memo.cache_clear()
 
 
-def test_the_coproduct_fill_adds_no_fractions(monkeypatch, no_fraction_sums):
+def test_the_coproduct_fill_adds_no_fractions(no_fraction_sums):
     # The memos are filled from integer rows: each term's coefficient is
     # built as a Fraction once, and no Fraction is added.
     forests = [parse_forest("[[]] [1:[2:]] []"), parse_forest("[[]] [[]] [[][]]")]
     everything = TREES_TO_8 + RANDOM_TREES + forests
     maps = (delta_bck, delta_cefm, antipode_bck)
     want = [[f(x) for x in everything] for f in maps]
-    fresh_memos(monkeypatch)
+    fresh_memos()
     with no_fraction_sums():
         got = [[f(x) for x in everything] for f in maps]
     assert got == want
@@ -761,7 +767,7 @@ def test_coproduct_rows_hold_the_interned_trees():
             assert interned(t.left) and interned(t.right), (tree.serial, t.serial)
         for f, _ in antipode_bck(tree):
             assert interned(f), (tree.serial, f.serial)
-        for _, _, _, top, left, right in bseries_hopf._CEFM_PARTS[tree]:
+        for _, _, _, top, left, right in bseries_hopf._cefm_parts(tree):
             assert interned(top) and interned(left) and interned(right), tree.serial
     # the constructor returns the one shared object, whatever the order
     # of the children or members
@@ -790,14 +796,12 @@ def test_forest_coproducts_are_memoised(monkeypatch):
         calls["products"] += 1
         return product(sums, unit)
 
-    fresh_memos(monkeypatch)
+    fresh_memos()
     monkeypatch.setattr(bseries_hopf, "_product_rows", counting)
     trees = [t for n in range(1, 8) for t in enumerate_trees(n)]
     rk4 = rk_character(builtin_tableau("rk4"), 7)
     first = [log_bck(rk4, 7)(t) for t in trees]
-    assert calls["products"] and any(
-        isinstance(x, Forest) and len(x.trees) > 1 for x in bseries_hopf._BCK_CACHE
-    )
+    assert calls["products"] and bseries_hopf._forest_product.cache_info().currsize
     calls.clear()
     assert [log_bck(rk_character(builtin_tableau("rk4"), 7), 7)(t) for t in trees] == first
     assert not calls
@@ -813,7 +817,7 @@ def test_convolve_bck_enumerates_cuts_once_per_tree(monkeypatch):
         calls[tree] += 1
         return take_root(tree)
 
-    monkeypatch.setattr(bseries_hopf, "_BCK_CACHE", {})
+    fresh_memos()
     monkeypatch.setattr(bseries_hopf, "bminus", counting)
     rk4 = rk_character(builtin_tableau("rk4"), 6)
     trees = [t for n in range(1, 7) for t in enumerate_trees(n)]

@@ -210,6 +210,11 @@ class TestAnalysisCommands:
                 200,
                 "bd2d2a044f60891777cd1d7be3c50ab5875df3b1e79612e29a727ca66bf8c786",
             ),
+            (
+                "coproduct fdb --table 8",
+                256,
+                "aee1dc40f305ff89bacb4b737f396ed942f6455fa0451749434c9ce7e695db7b",
+            ),
         ],
         ids=[
             "compose",
@@ -219,12 +224,14 @@ class TestAnalysisCommands:
             "substitute_mi",
             "coproduct_bck",
             "coproduct_cefm",
+            "coproduct_fdb",
         ],
     )
     def test_order_eight_tables_are_pinned(self, capsys, argv, lines, digest):
         # line counts and sha256 of the stdout as printed when every sum
         # (and every coproduct and antipode) was accumulated term by term
-        # in Fractions
+        # in Fractions; the Faa di Bruno table as printed when Bell words
+        # were compared and hashed by their letters
         code, out, _ = run(capsys, *argv.split())
         assert code == 0
         assert len(out.splitlines()) == lines
@@ -484,6 +491,12 @@ _EXACT_LAYER = ("bflow.bseries_hopf", "bflow.hopf", "bflow.integrators", "bflow.
             "main(['series', '--method', 'exponential_euler', '--rep', 'type1', '-N', '3'])",
             _HEAVY + ("bflow.bseries_hopf",),
         ),
+        (
+            "from bflow.cli import main\n"
+            "assert main(['integrate', '--method', 'lie_rk4', '--action', 'translation',\n"
+            "             '--f', 'y0**2,y1', '--h', '0.1', '--steps', '3']) == 0",
+            ("scipy", "sympy", "bflow.bseries_hopf", "bflow.hopf"),
+        ),
     ],
 )
 def test_start_up_leaves_heavy_modules_unloaded(code, absent):
@@ -493,8 +506,9 @@ def test_start_up_leaves_heavy_modules_unloaded(code, absent):
     B-series layer. The exact series layer loads neither numpy nor the
     float steppers, and a Lie group method on a stock problem loads no
     exact layer. The float layer never loads sympy, polynomial fields
-    included; it loads ``bflow.poly`` only for a polynomial field and
-    scipy only for an exponential the closed forms do not cover."""
+    included; it loads ``bflow.poly`` only for a polynomial field, never
+    a Hopf algebra for one, and scipy only for an exponential the closed
+    forms do not cover."""
     probe = f"{code}\nimport sys\nprint(sorted(set({absent!r}) & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bflow.__file__)))
     done = subprocess.run(

@@ -16,7 +16,8 @@ the rows of the coproduct collected once, then one ``exact_sum`` per
 power. The coefficient maps read their memo before anything else; the
 tests at the end check that what only the miss path does (the order
 check, reading a planar tree as its one-letter word, the kind rule on
-products) still happens with the memo full.
+products) still happens with the memo full. The module-wide memos are
+cached functions, and the last test empties every one of them.
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bflow import bseries_hopf
-from bflow.algebra import FormalSum
+from bflow import bseries_hopf, forest_core, hopf, lbseries
+from bflow.algebra import FormalSum, Tensor
 from bflow.bseries_hopf import (
     BCoeff,
+    antipode_bck,
     builtin_tableau,
     delta_bck,
     delta_cefm,
@@ -64,10 +66,13 @@ from bflow.hopf import (
 )
 from bflow.lbseries import (
     EMPTY_WORD,
+    BellWord,
     LBCoeff,
+    antipode_mkw,
     delta_mkw,
     eulerian_apply,
     exact_flow_lb,
+    fdb_coproduct,
     gl_exp,
     method_series,
     kappa,
@@ -75,7 +80,7 @@ from bflow.lbseries import (
     q_apply,
 )
 
-from test_lbseries import astar_reference
+from test_lbseries import astar_reference, bell_words
 
 N = 5
 VALUES = [
@@ -692,3 +697,49 @@ def test_errors_are_unchanged():
         solve_modified(BCoeff.character({}, 3), "backward_error", 3)
     with pytest.raises(DomainError, match="unknown mode"):
         solve_modified(gamma3, "sideways", 3)
+
+
+def _interned(x) -> bool:
+    """Whether x is the object its class's intern table holds for it, and
+    so are its trees, down to the leaves; a tensor, whether both sides
+    are."""
+    if isinstance(x, Tensor):
+        return _interned(x.left) and _interned(x.right)
+    if isinstance(x, BellWord):
+        return BellWord._interned.get(x.word) is x
+    if hasattr(x, "children"):
+        key = x.children, x.color
+        return type(x)._interned.get(key) is x and all(map(_interned, x.children))
+    return type(x)._interned.get(x._members) is x and all(map(_interned, x._members))
+
+
+def test_clearing_every_cache_is_safe():
+    """A memo may be emptied at any time, an intern table never. With
+    every cached function of the exact engine cleared, the coproducts and
+    antipodes come out equal, over the same interned trees, words and
+    Bell words as before."""
+    caches = {
+        id(f): f
+        for module in (forest_core, hopf, bseries_hopf, lbseries)
+        for f in vars(module).values()
+        if hasattr(f, "cache_clear")
+    }
+    assert {bseries_hopf._cefm_parts, lbseries._delta_mkw, lbseries._fdb} <= set(caches.values())
+
+    def compute():
+        trees = [t for n in range(1, 8) for t in enumerate_trees(n)]
+        words = [w for n in range(7) for w in enumerate_forests(n, planar=True)]
+        bells = [w for n in range(8) for w in bell_words(n)]
+        sums = [f(t) for f in (delta_bck, delta_cefm, antipode_bck) for t in trees]
+        sums += [f(w) for f in (delta_mkw, antipode_mkw) for w in words]
+        sums += [fdb_coproduct(w) for w in bells]
+        return trees + words + bells, sums
+
+    basis, want = compute()
+    for f in caches.values():
+        f.cache_clear()
+        assert f.cache_info().currsize == 0
+    again, got = compute()
+    assert all(x is y for x, y in zip(basis, again, strict=True))
+    assert got == want
+    assert all(_interned(x) for s in got for x, _ in s)

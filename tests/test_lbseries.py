@@ -15,8 +15,10 @@ grafting.
 from __future__ import annotations
 
 import collections
+import copy
 import hashlib
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -43,10 +45,6 @@ from bflow.forest_core import (
     shuffle,
 )
 from bflow.lbseries import (
-    _FDB_CACHE,
-    _MKW_CACHE,
-    _MKW_LIFTED,
-    _S_MKW_CACHE,
     BellWord,
     DOT_WORD,
     LBCoeff,
@@ -497,6 +495,22 @@ def test_bell_word_basics():
         BellWord((0,))
 
 
+def test_bell_words_are_interned():
+    # one object per letter tuple, however the letters are given, so
+    # equality and hashing are identity
+    w = BellWord([1, 2])
+    assert w is BellWord((1, 2)) is BellWord(iter((1, 2))) is BellWord((1,)) * BellWord((2,))
+    assert BellWord() is BellWord(())
+    assert pickle.loads(pickle.dumps(w)) is w and copy.deepcopy(w) is w and copy.copy(w) is w
+    assert w != BellWord((2, 1)) and len({w, BellWord((1, 2))}) == 1
+    assert not hasattr(w, "__dict__") and "__eq__" not in vars(BellWord)
+    size = len(BellWord._interned)
+    for letters in ((0,), (1, 0), (2, -1)):
+        with pytest.raises(DomainError):
+            BellWord(letters)
+    assert len(BellWord._interned) == size
+
+
 # ---------------------------------------------------------------------------
 # Faa di Bruno coproduct
 # ---------------------------------------------------------------------------
@@ -704,54 +718,44 @@ def test_coproduct_kernels_stay_integer_and_exact():
         for v in words:
             if u.order + v.order <= 7:
                 assert all(c.denominator == 1 for _, c in _shuffle(u, v))
-    for w in words:
-        delta_mkw(w)
-    for w in words_up_to(6):
-        antipode_mkw(w)
-    for n in range(0, 9):
-        for w in bell_words(n):
-            fdb_coproduct(w)
-    memos = [_MKW_CACHE, _S_MKW_CACHE, _FDB_CACHE]
-    assert all(len(memo) > 150 for memo in memos)
-    for memo in memos:
-        for out in memo.values():
-            assert all(c.denominator == 1 for _, c in out)
-    assert all(type(c) is int for triples in _MKW_LIFTED.values() for _, _, c in triples)
-    fill_row_tables(words_up_to(6))
-    assert all(
-        type(c) is int
-        for rows in lbseries._ASTAR_ROWS.values()
-        for _, weights in rows
-        for c, _ in weights
-    )
-    assert all(type(c) is int for rows in lbseries._DYNKIN_ROWS.values() for _, c in rows)
-    for den, rows in lbseries._Q_ROWS.values():
+    outs = [delta_mkw(w) for w in words] + [antipode_mkw(w) for w in words_up_to(6)]
+    outs += [fdb_coproduct(w) for n in range(0, 9) for w in bell_words(n)]
+    memos = [lbseries._delta_mkw, lbseries._antipode_mkw, lbseries._fdb]
+    assert all(memo.cache_info().currsize > 150 for memo in memos)
+    for out in outs:
+        assert all(c.denominator == 1 for _, c in out)
+    letters = {t for w in words for t in w.word}
+    assert all(type(c) is int for t in letters for _, _, c in lbseries._mkw_lifted(t))
+    for _, astar, dynkin, (den, rows) in row_tables(words_up_to(6)):
+        assert all(type(c) is int for _, weights in astar for c, _ in weights)
+        assert all(type(c) is int for _, c in dynkin)
         assert type(den) is int and all(type(c) is int for c, _ in rows)
 
 
-def test_the_planar_coproduct_fill_adds_no_fractions(monkeypatch, no_fraction_sums):
+def test_the_planar_coproduct_fill_adds_no_fractions(no_fraction_sums):
     # The memos are filled from integer rows: each term's coefficient is
     # built as a Fraction once, and no Fraction is added. The shuffles are
     # read warm, as sums memoised before the fill.
     words, bells = words_up_to(6), [w for n in range(0, 8) for w in bell_words(n)]
     want = [[delta_mkw(w) for w in words], [antipode_mkw(w) for w in words_up_to(5)]]
     want.append([fdb_coproduct(w) for w in bells])
-    for name in ("_MKW_CACHE", "_S_MKW_CACHE", "_FDB_CACHE"):
-        memo = getattr(lbseries, name)
-        monkeypatch.setattr(lbseries, name, {k: v for k, v in memo.items() if not len(k)})
-    monkeypatch.setattr(lbseries, "_MKW_LIFTED", {})
+    for memo in (lbseries._delta_mkw, lbseries._antipode_mkw, lbseries._fdb, lbseries._mkw_lifted):
+        memo.cache_clear()
     with no_fraction_sums():
         got = [[delta_mkw(w) for w in words], [antipode_mkw(w) for w in words_up_to(5)]]
         got.append([fdb_coproduct(w) for w in bells])
     assert got == want
-    assert len(lbseries._MKW_CACHE) > 100 and len(lbseries._FDB_CACHE) > 100
+    assert lbseries._delta_mkw.cache_info().currsize > 100
+    assert lbseries._fdb.cache_info().currsize > 100
 
 
-def fill_row_tables(words) -> None:
-    """Build the substitution, Dynkin and Q rows of the nonempty words."""
-    for w in words:
-        if w.word:
-            lbseries._astar_rows(w), lbseries._dynkin_rows(w), lbseries._q_rows(w)
+def row_tables(words) -> list[tuple]:
+    """(w, substitution rows, Dynkin rows, Q rows) of each nonempty word."""
+    return [
+        (w, lbseries._astar_rows(w), lbseries._dynkin_rows(w), lbseries._q_rows(w))
+        for w in words
+        if w.word
+    ]
 
 
 def interned(x) -> bool:
@@ -768,19 +772,17 @@ def test_planar_rows_hold_the_interned_words():
     for w in words_up_to(7) + coloured:
         for t, _ in delta_mkw(w):
             assert interned(t.left) and interned(t.right), (w.serial, t.serial)
-    for tree, triples in _MKW_LIFTED.items():
+    for tree in {t for w in words_up_to(7) + coloured for t in w.word}:
         assert interned(tree), tree.serial
-        for left, right, _ in triples:
+        for left, right, _ in lbseries._mkw_lifted(tree):
             assert interned(left) and interned(right), (tree.serial, left.serial, right.serial)
-    fill_row_tables(words_up_to(6) + [w for w in coloured if w.order <= 6])
-    for w, rows in lbseries._ASTAR_ROWS.items():
+    small = words_up_to(6) + [w for w in coloured if w.order <= 6]
+    for w, astar, dynkin, (_, rows) in row_tables(small):
         assert interned(w), w.serial
-        for u, weights in rows:
+        for u, weights in astar:
             assert interned(u) and all(interned(r) for _, rests in weights for r in rests), w.serial
-    for w, rows in lbseries._DYNKIN_ROWS.items():
-        assert interned(w) and all(interned(u) for u, _ in rows), w.serial
-    for w, (_, rows) in lbseries._Q_ROWS.items():
-        assert interned(w) and all(interned(b) for _, blocks in rows for b in blocks), w.serial
+        assert all(interned(u) for u, _ in dynkin), w.serial
+        assert all(interned(b) for _, blocks in rows for b in blocks), w.serial
 
 
 # ---------------------------------------------------------------------------
