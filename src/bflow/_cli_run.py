@@ -2,8 +2,9 @@
 
 They are the only commands that need numpy and the float steppers, so
 ``bflow.cli`` imports this module when one of them runs. A Lie group
-method on a stock problem loads the float layer alone: the B-series layer
-loads for a classical tableau, ``--tableau`` or an rkmk method, and the
+method on a stock problem loads the float layer alone: the tableaus load
+for a classical tableau, ``--tableau`` or an rkmk method, the B-series
+layer only for an rkmk method on a tableau file without ``--m``, and the
 polynomial fields for ``--f``.
 """
 
@@ -115,10 +116,10 @@ def _invariant_tracker(kind, y0):
 def _builtin_tableau(method: str):
     """The built-in classical tableau that method names, or None. The Lie
     group method names are tested first, so that they never load the
-    B-series layer."""
+    tableaus."""
     if method in ("lie_euler", "lie_midpoint", "lie_rk4", "cf4") or method.startswith("rkmk"):
         return None
-    from .bseries_hopf import BUILTIN_TABLEAUS
+    from .tableaus import BUILTIN_TABLEAUS
 
     return BUILTIN_TABLEAUS.get(method)
 
@@ -126,7 +127,7 @@ def _builtin_tableau(method: str):
 def _read_tableau(path):
     if not path:
         return None
-    from .bseries_hopf import read_tableau
+    from .tableaus import read_tableau
 
     return read_tableau(path)
 

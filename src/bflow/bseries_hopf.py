@@ -14,8 +14,9 @@ Each coproduct has one algorithm, memoised per tree, and neither
 enumerates cuts or edge subsets. The pruning coproduct follows the B+
 recursion Delta(t) = t (x) 1 + (id (x) B+) Delta(B-(t)). The contraction
 coproduct folds in the children of a tree one at a time over a memo per
-subtree. The antipode of the pruning Hopf algebra is read off the
-contraction coproduct: S(t) = sum of c (-1)^|r| l over its terms c l (x) r,
+subtree; the fold's keys are interned forests, and every join of two of
+them is one cached product. The antipode of the pruning Hopf algebra is
+read off the contraction coproduct: S(t) = sum of c (-1)^|r| l over its terms c l (x) r,
 the edge-subset form of the Connes-Kreimer antipode (Calaque,
 Ebrahimi-Fard & Manchon, "Two interacting Hopf algebras of trees", Adv.
 Appl. Math. 2011). The enumerations over cuts and edge subsets are the
@@ -24,40 +25,57 @@ independent routes in the tests.
 The memos are cached functions (``functools.cache``): one per tree for
 each coproduct and the antipode, ``_cefm_parts`` for the contraction
 rows, and ``_forest_product`` for the product of a forest's tree rows,
-which gives each coproduct and the antipode on a forest. Their values
+which gives each coproduct and the antipode on a forest. Three more
+cache what the rows are built from: ``_join``, the product of two
+forests or of two tensors of them, ``_bplus``, B+ of a forest with a
+root colour, and ``_one_tree``, the one-tree forest of a tree. The rows
 are integer rows over trees and forests, each of which the constructor
 builds once and shares (``forest_core``), so rows compare and hash their
 keys by identity; multiplicities are added as ints, and each distinct
 term of a cached sum gets one shared Fraction. Each contraction row
-carries its trees, each built once: the root's component, the left
-forest and the quotient. A cache may be emptied (``cache_clear``) at any
-time, since it is rebuilt from the same interned trees; an intern table
-never is.
+carries its forests and trees, each built once: the components without
+the root, the quotient root's children, the root's component, the left
+forest and the quotient. A cache may be emptied (``cache_clear``, or
+``bflow.caches.clear()`` for all of them) at any time, since it is
+rebuilt from the same interned trees; an intern table never is.
 
-Runge-Kutta tableaus and their elementary weights connect the algebra to
-actual methods: the weight map of a tableau is a character, and order
+A character stores its value on a forest, the product of its tree
+values, in its own memo at the first lookup, so each forest of the
+pruning coproduct's rows is multiplied out once per map.
+
+Runge-Kutta tableaus (``bflow.tableaus``, whose names are re-exported
+here) and their elementary weights connect the algebra to actual
+methods: the weight map of a tableau is a character, and order
 conditions are equalities against the exact-flow coefficients 1/tree!.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from fractions import Fraction
 
 from .algebra import FormalSum, Tensor
-from .errors import DomainError, ParseError
+from .errors import DomainError
 from .forest_core import (
     EMPTY_FOREST,
     Forest,
     RootedTree,
-    _SERIAL,
     bminus,
+    bplus,
     butcher_product,
     enumerate_trees,
     single,
     tree_stats,
 )
 from .hopf import Coeff, convolution_exp, convolution_log, convolve, exact_sum, wrap_rows
+from .tableaus import (  # re-exported under their old names
+    BUILTIN_TABLEAUS,
+    RKTableau,
+    builtin_tableau,
+    parse_tableau,
+    read_tableau,
+)
 
 DOT = single()
 DOT_FOREST = Forest((DOT,))
@@ -71,6 +89,22 @@ DOT_FOREST = Forest((DOT,))
 _UNIT_TENSOR = Tensor(EMPTY_FOREST, EMPTY_FOREST)
 
 
+@functools.cache
+def _join(a, b):
+    """The product of two interned forests, or of two tensors of them."""
+    return a * b
+
+
+@functools.cache
+def _one_tree(tree: RootedTree) -> Forest:
+    """The one-tree forest of a tree."""
+    return Forest((tree,))
+
+
+# B+ of an interned forest with a root colour
+_bplus = functools.cache(bplus)
+
+
 def _product_rows(sums, unit) -> dict:
     """The product of sums over forests, or over tensors of forests,
     basis element by basis element, with int multiplicities."""
@@ -80,7 +114,7 @@ def _product_rows(sums, unit) -> dict:
         joined: dict = {}
         for x, m in rows.items():
             for y, n in factor:
-                z = x * y
+                z = _join(x, y)
                 joined[z] = joined.get(z, 0) + m * n
         rows = joined
     return rows
@@ -109,9 +143,9 @@ def _multiplicative(per_tree, omega: Forest | RootedTree, unit) -> FormalSum:
 @functools.cache
 def _delta_bck_tree(tree: RootedTree) -> FormalSum:
     below = _product_rows(map(_delta_bck_tree, bminus(tree).trees), _UNIT_TENSOR)
-    rows = {Tensor(Forest((tree,)), EMPTY_FOREST): 1}
+    rows = {Tensor(_one_tree(tree), EMPTY_FOREST): 1}
     for (left, right), m in below.items():
-        rows[Tensor(left, Forest((RootedTree(right.trees, tree.color),)))] = m
+        rows[Tensor(left, _one_tree(_bplus(right, tree.color)))] = m
     return wrap_rows(rows)
 
 
@@ -212,9 +246,10 @@ class BCoeff(Coeff):
 
     def _factors(self, x) -> tuple[Fraction, ...] | None:
         """The kind rule: a tree gives its value; on a forest a character
-        gives the values of its trees (none on the empty forest), an
-        infinitesimal map the value of its one tree (None, for 0, on the
-        unit and on products), and a plain map its stored value."""
+        gives the product of its tree values, stored in the memo on the
+        first lookup (none on the empty forest), an infinitesimal map the
+        value of its one tree (None, for 0, on the unit and on products),
+        and a plain map its stored value."""
         value = self._cache.get(x)
         if value is not None:
             return (value,)
@@ -228,7 +263,10 @@ class BCoeff(Coeff):
             raise self._beyond(x)
         trees = x.trees
         if self.kind == "character":
-            return (*map(self._cached, trees),)
+            if not trees:
+                return ()
+            value = self._cache[x] = functools.reduce(operator.mul, map(self._cached, trees))
+            return (value,)
         return (self._cached(trees[0]),) if len(trees) == 1 else None
 
 
@@ -262,106 +300,8 @@ convolve_bck = convolve
 
 
 # ---------------------------------------------------------------------------
-# Runge-Kutta tableaus and elementary weights
+# Elementary weights of Runge-Kutta tableaus
 # ---------------------------------------------------------------------------
-
-
-class RKTableau:
-    """An s-stage Runge-Kutta scheme with exact rational coefficients."""
-
-    __slots__ = ("name", "s", "a", "b", "c", "floats", "_weights")
-
-    def __init__(self, a, b, c=None, name: str = ""):
-        self._weights: dict = {}
-        self.a = tuple(tuple(Fraction(x) for x in row) for row in a)
-        self.b = tuple(Fraction(x) for x in b)
-        self.s = len(self.b)
-        if len(self.a) != self.s or any(len(row) != self.s for row in self.a):
-            raise DomainError("tableau matrix must be square and match b")
-        derived = tuple(sum(row, Fraction(0)) for row in self.a)
-        if c is not None:
-            given = tuple(Fraction(x) for x in c)
-            if given != derived:
-                raise DomainError("tableau abscissae must equal the row sums exactly")
-        self.c = derived
-        self.name = name
-        # a, b and c as floats, for the numerical steppers
-        self.floats = (
-            tuple(tuple(float(x) for x in row) for row in self.a),
-            tuple(float(x) for x in self.b),
-            tuple(float(x) for x in self.c),
-        )
-
-    @property
-    def is_explicit(self) -> bool:
-        return all(
-            self.a[i][j] == 0 for i in range(self.s) for j in range(i, self.s)
-        )
-
-    def __repr__(self) -> str:
-        return f"RKTableau(name={self.name!r}, s={self.s})"
-
-
-def parse_tableau(text: str, name: str = "file") -> RKTableau:
-    """Read the plain-text format: line 1 is s, then s rows of a, then b."""
-    tokens = [line.split() for line in text.splitlines() if line.strip()]
-    if not tokens:
-        raise ParseError("empty tableau", text, 0)
-    try:
-        s = int(tokens[0][0])
-    except (ValueError, IndexError) as exc:
-        raise ParseError("first tableau line must be the stage count", text, 0) from exc
-    if len(tokens) != s + 2:
-        raise ParseError(
-            f"expected {s} matrix rows plus weights, got {len(tokens) - 1} lines", text, 0
-        )
-    try:
-        a = [[Fraction(x) for x in tokens[1 + i]] for i in range(s)]
-        b = [Fraction(x) for x in tokens[1 + s]]
-    except ValueError as exc:
-        raise ParseError(f"bad rational in tableau: {exc}", text, 0) from exc
-    if any(len(row) != s for row in a) or len(b) != s:
-        raise ParseError("tableau rows must have exactly s entries", text, 0)
-    return RKTableau(a, b, name=name)
-
-
-def read_tableau(path: str) -> RKTableau:
-    """Read a tableau file in the ``parse_tableau`` format, named by its
-    path. An unreadable file raises OSError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_tableau(fh.read(), name=path)
-
-
-def _f(x: str) -> Fraction:
-    return Fraction(x)
-
-
-BUILTIN_TABLEAUS: dict[str, RKTableau] = {
-    "euler": RKTableau([[0]], [1], name="euler"),
-    "explicit_midpoint": RKTableau(
-        [[0, 0], [_f("1/2"), 0]], [0, 1], name="explicit_midpoint"
-    ),
-    "implicit_midpoint": RKTableau([[_f("1/2")]], [1], name="implicit_midpoint"),
-    "rk4": RKTableau(
-        [
-            [0, 0, 0, 0],
-            [_f("1/2"), 0, 0, 0],
-            [0, _f("1/2"), 0, 0],
-            [0, 0, 1, 0],
-        ],
-        [_f("1/6"), _f("1/3"), _f("1/3"), _f("1/6")],
-        name="rk4",
-    ),
-}
-
-
-def builtin_tableau(name: str) -> RKTableau:
-    try:
-        return BUILTIN_TABLEAUS[name]
-    except KeyError:
-        raise DomainError(
-            f"unknown tableau {name!r}; builtins: {', '.join(sorted(BUILTIN_TABLEAUS))}"
-        ) from None
 
 
 def _stage_weights(tableau: RKTableau, tree: RootedTree, cache) -> tuple[Fraction, ...]:
@@ -412,43 +352,37 @@ def order_of(alpha: BCoeff, N: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _by_serial(trees: tuple[RootedTree, ...]) -> tuple[RootedTree, ...]:
-    return tuple(sorted(trees, key=_SERIAL))
-
-
 @functools.cache
 def _cefm_parts(tree: RootedTree) -> tuple[tuple, ...]:
     """The edge subsets of a tree, collected as rows (L, Q, m, top, left,
-    right): L the components without the root and Q the children of the
-    quotient's root, each a tuple sorted by serial, m the multiplicity,
-    top = B+(C) the root's component (C the children it keeps), left the
-    forest L top and right the one-tree forest of the quotient B+(Q),
-    with the root's colour. Built by folding in one child at a time over
-    the child's rows, whose trees are built once, with the row."""
-    parts: dict[tuple, int] = {((), (), ()): 1}
+    right): L the forest of components without the root, Q the forest of
+    the quotient root's children, m the multiplicity, top = B+(C) the
+    root's component (C the children it keeps), left the forest L top and
+    right the one-tree forest of the quotient B+(Q), with the root's
+    colour. Built by folding in one child at a time over the child's rows:
+    the fold's keys (L, C, Q) are interned forests, each join is a
+    cached product (``_join``), and the trees and one-tree forests of a
+    row come from cached functions of interned arguments."""
+    parts: dict[tuple, int] = {(EMPTY_FOREST, EMPTY_FOREST, EMPTY_FOREST): 1}
     for child in tree.children:
         options = []
         for lc, qc, m, top, left, right in _cefm_parts(child):
             # cut the edge to the child: its root component joins L and
             # its quotient hangs below the quotient root
-            options.append((left.trees, (), right.trees, m))
+            options.append((left, EMPTY_FOREST, right, m))
             # keep it: the child's root component merges into the root's
-            options.append((lc, (top,), qc, m))
+            options.append((lc, _one_tree(top), qc, m))
         folded: dict[tuple, int] = {}
         for (l, c, q), m in parts.items():
             for la, ca, qa, mo in options:
-                key = (
-                    _by_serial(l + la) if la else l,
-                    _by_serial(c + ca) if ca else c,
-                    _by_serial(q + qa) if qa else q,
-                )
+                key = (_join(l, la), _join(c, ca), _join(q, qa))
                 folded[key] = folded.get(key, 0) + m * mo
         parts = folded
     rows = []
     for (l, c, q), m in parts.items():
-        top = RootedTree(c, tree.color)
-        right = Forest((RootedTree(q, tree.color),))
-        rows.append((l, q, m, top, Forest(l + (top,)), right))
+        top = _bplus(c, tree.color)
+        right = _one_tree(_bplus(q, tree.color))
+        rows.append((l, q, m, top, _join(l, _one_tree(top)), right))
     return tuple(rows)
 
 

@@ -26,13 +26,18 @@ one Fraction per power at the end.
 A map's values are computed once and held in its memo, ``_cache``.
 Every lookup (``__call__``, ``_factors``, ``tree_value``) reads the memo
 first; only a miss converts the argument, checks the truncation order
-and calls ``fn``. That memo, and the powers memo of each
-``convolution_series`` map, are plain dicts owned by one map, which die
-with it. Every module-wide memo of the exact engine is a cached function
-(``functools.cache``): ``_fraction`` here, the enumerations and products
-of ``forest_core``, and the coproducts and row tables of ``bseries_hopf``
-and ``lbseries``. Each can be inspected with ``cache_info()`` and
-emptied with ``cache_clear()``.
+and calls ``fn``. A B-series character also stores there its value on
+each nonempty forest it is asked for, the product of its tree values,
+so a second lookup of that forest is one dict hit; an infinitesimal map
+stores nothing for a forest, where its kind rule gives one tree value
+or 0, and nothing beyond the truncation order is stored. That memo,
+and the powers memo of each ``convolution_series`` map, are plain dicts
+owned by one map, which die with it. Every module-wide memo of the exact
+engine is a cached function (``functools.cache``): ``_fraction`` here,
+the enumerations and products of ``forest_core``, and the coproducts and
+row tables of ``bseries_hopf`` and ``lbseries``. Each can be inspected
+with ``cache_info()`` and emptied with ``cache_clear()``;
+``bflow.caches`` does both for all of them.
 """
 
 from __future__ import annotations

@@ -24,10 +24,11 @@ Every matrix product of the actions and of the commutator goes through
 dispatch, and is never a Python sum: BLAS sums in its own order, so a
 product written out in Python changes the last bits.
 
-The B-series layer loads only for an ``rkmk`` method, which resolves its
-tableau and default truncation there. scipy loads with the first
-exponential of an isospectral action with n != 3 or of an affine action;
-the other steppers need neither.
+An ``rkmk`` method reads its tableau and, for a builtin, its classical
+order from ``bflow.tableaus``; the B-series layer loads only to find the
+order of a tableau without one, when no truncation is given. scipy
+loads with the first exponential of an isospectral action with n != 3
+or of an affine action; the other steppers need neither.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 
 if TYPE_CHECKING:
-    from .bseries_hopf import RKTableau
+    from .tableaus import RKTableau
 
 
 # ---------------------------------------------------------------------------
@@ -461,14 +462,19 @@ def make_stepper(method: str, action: GroupAction, tableau=None, m=None, tol: fl
             return A.act(A.exp(K2 / 6.0 + K3 / 6.0 + K4 / 4.0 - K1 / 12.0), first)
 
     elif method == "rkmk" or method.startswith("rkmk:"):
-        from .bseries_hopf import builtin_tableau, order_of, rk_character
+        from .tableaus import builtin_tableau
 
         if tableau is None:
             if ":" not in method:
                 raise DomainError("rkmk needs a tableau: use rkmk:<name>")
             tableau = builtin_tableau(method.split(":", 1)[1])
         if m is None:
-            m = max(1, order_of(rk_character(tableau, 5), 5) - 1)
+            order = tableau.order
+            if order is None:
+                from .bseries_hopf import order_of, rk_character
+
+                order = order_of(rk_character(tableau, 5), 5)
+            m = max(1, order - 1)
         return _rkmk_stepper(tableau, A, m, tol)
     else:
         raise DomainError(

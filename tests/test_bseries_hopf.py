@@ -727,6 +727,9 @@ COPRODUCT_MEMOS = (
     bseries_hopf._antipode_tree,
     bseries_hopf._delta_bck_tree,
     bseries_hopf._forest_product,
+    bseries_hopf._join,
+    bseries_hopf._one_tree,
+    bseries_hopf._bplus,
 )
 
 
@@ -767,8 +770,8 @@ def test_coproduct_rows_hold_the_interned_trees():
             assert interned(t.left) and interned(t.right), (tree.serial, t.serial)
         for f, _ in antipode_bck(tree):
             assert interned(f), (tree.serial, f.serial)
-        for _, _, _, top, left, right in bseries_hopf._cefm_parts(tree):
-            assert interned(top) and interned(left) and interned(right), tree.serial
+        for l, q, _, top, left, right in bseries_hopf._cefm_parts(tree):
+            assert all(map(interned, (l, q, top, left, right))), tree.serial
     # the constructor returns the one shared object, whatever the order
     # of the children or members
     for tree in RANDOM_TREES:

@@ -753,3 +753,18 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["-h"])
         assert exc.value.code == 0
+
+
+def test_the_cache_registry_is_opt_in():
+    """Neither ``import bflow`` nor a command loads ``bflow.caches``."""
+    probe = (
+        "import sys, bflow\n"
+        "from bflow.cli import main\n"
+        "assert main(['coproduct', 'cefm', '--table', '3']) == 0\n"
+        "print('bflow.caches' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bflow.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.splitlines()[-1] == "False"

@@ -577,6 +577,42 @@ def test_memo_first_lookups_keep_the_miss_path():
     assert field._factors(EMPTY_FOREST) is None and field(EMPTY_FOREST) == 0
     with pytest.raises(DomainError, match="cannot evaluate coefficients on list"):
         field([DOT])
+
+
+def test_a_character_stores_its_forest_values():
+    # The first lookup of a forest stores the product of its tree values
+    # in the character's memo; later lookups read it and call fn no more.
+    calls = []
+
+    def fn(tree):
+        calls.append(tree)
+        return Fraction(tree.order + 2, 3 * len(tree.children) + 5)
+
+    alpha = BCoeff.character(fn, 4)
+    forest = parse_forest("[[]] [] []")
+    trees = forest.trees
+    want = fn(trees[0]) * fn(trees[1]) * fn(trees[2])
+    calls.clear()
+    assert alpha._factors(forest) == (want,)
+    assert alpha._cache[forest] == want
+    assert sorted(t.serial for t in calls) == ["[[]]", "[]"]
+    calls.clear()
+    assert alpha._factors(forest) == (want,) and alpha(forest) == want
+    assert alpha._factors(Forest((trees[0],))) == (alpha(trees[0]),)
+    assert not calls
+    # the empty forest gives no factors and is not stored
+    assert alpha._factors(EMPTY_FOREST) == () and alpha(EMPTY_FOREST) == 1
+    assert EMPTY_FOREST not in alpha._cache
+    # nothing beyond N is stored
+    for big in (parse_forest("[[]] [[]] []"), parse_forest("[[[[]]]] []")):
+        with pytest.raises(CapacityError, match="truncated at order 4, asked for order 5"):
+            alpha._factors(big)
+        assert big not in alpha._cache
+    assert max(x.order for x in alpha._cache) == 4
+    assert not calls
+    # an infinitesimal map stores nothing for a forest
+    field = BCoeff.infinitesimal(fn, 4)
+    assert field._factors(forest) is None and forest not in field._cache
     plain = BCoeff.plain({Forest((DOT,)): 2, EMPTY_FOREST: 3}, 3)
     assert plain.tree_value(DOT) == plain(DOT) == 2 and plain(EMPTY_FOREST) == 3
     assert plain(Forest((DOT, DOT))) == 0
@@ -743,3 +779,49 @@ def test_clearing_every_cache_is_safe():
     assert all(x is y for x, y in zip(basis, again, strict=True))
     assert got == want
     assert all(_interned(x) for s in got for x, _ in s)
+
+
+def test_the_cache_registry_reports_and_clears_every_memo():
+    """``bflow.caches`` lists the cached functions of the four layers once
+    each, reads their counts, and clears them without touching an intern
+    table: a recomputation gives equal sums over the same objects."""
+    from bflow import caches
+
+    walked = {
+        id(f)
+        for module in (forest_core, hopf, bseries_hopf, lbseries)
+        for f in vars(module).values()
+        if hasattr(f, "cache_clear")
+    }
+    listed = caches._cached_functions()
+    assert {id(f) for f in listed.values()} == walked and len(listed) == len(walked)
+    assert listed["bflow.bseries_hopf._join"] is bseries_hopf._join
+    assert listed["bflow.forest_core.tree_stats"] is forest_core.tree_stats
+
+    def compute():
+        trees = [t for n in range(1, 8) for t in enumerate_trees(n)]
+        words = [w for n in range(6) for w in enumerate_forests(n, planar=True)]
+        sums = [f(t) for f in (delta_bck, delta_cefm, antipode_bck) for t in trees]
+        sums += [f(w) for f in (delta_mkw, antipode_mkw) for w in words]
+        log = log_bck(rk_character(builtin_tableau("rk4"), 7), 7)
+        return trees + words, sums, [log(t) for t in trees]
+
+    tables = (forest_core.RootedTree, Forest, forest_core.PlanarTree, PlanarForest, BellWord)
+    basis, want, values = compute()
+    sizes = [len(cls._interned) for cls in tables]
+    before = caches.stats()
+    assert set(before) == set(listed)
+    assert all(set(s) == {"entries", "hits", "misses"} for s in before.values())
+    trees = [t for n in range(1, 8) for t in enumerate_trees(n)]
+    assert before["bflow.bseries_hopf._cefm_parts"]["entries"] >= len(trees)
+    assert before["bflow.bseries_hopf._join"]["hits"] > 0
+
+    caches.clear()
+    assert all(s == {"entries": 0, "hits": 0, "misses": 0} for s in caches.stats().values())
+    assert [len(cls._interned) for cls in tables] == sizes
+    again, got, values_again = compute()
+    assert all(x is y for x, y in zip(basis, again, strict=True))
+    assert got == want and values_again == values
+    assert all(_interned(x) for s in got for x, _ in s)
+    assert [len(cls._interned) for cls in tables] == sizes
+    assert caches.stats()["bflow.bseries_hopf._join"]["misses"] > 0

@@ -27,12 +27,14 @@ from scipy.linalg import expm
 
 from bflow import bseries_hopf, integrators, steppers
 from bflow.bseries_hopf import (
+    BUILTIN_TABLEAUS,
     BCoeff,
     RKTableau,
     builtin_tableau,
     convolve_bck,
     elementary_weights,
     exact_gamma,
+    order_of,
     order_report,
     rk_character,
     solve_modified,
@@ -866,6 +868,8 @@ class TestLgStepBasics:
         assert np.array_equal(by_name, by_parts)
 
     def test_rkmk_resolves_its_truncation_once_per_run(self, monkeypatch):
+        # A builtin tableau carries its classical order; a tableau without
+        # one has its order found once per run, not once per step.
         calls = []
 
         def counting(*args):
@@ -876,10 +880,35 @@ class TestLgStepBasics:
         monkeypatch.setattr(bseries_hopf, "rk_character", counting)
         p = rigid_body_problem()
         integrate("rkmk:rk4", p, 0.01, 50)
+        assert not calls
+        user = RKTableau(RK4.a, RK4.b, name="user rk4")
+        assert user.order is None
+        want = integrate("rkmk:rk4", p, 0.01, 50)[-1]
+        assert np.array_equal(integrate("rkmk", p, 0.01, 50, tableau=user)[-1], want)
         assert len(calls) == 1
         calls.clear()
-        convergence_order("rkmk:rk4", p, 1.0, [0.2, 0.1, 0.05])
+        convergence_order("rkmk", p, 1.0, [0.2, 0.1, 0.05], tableau=user)
         assert len(calls) == 1
+
+    def test_builtin_orders_are_the_order_conditions(self):
+        for tab in BUILTIN_TABLEAUS.values():
+            assert tab.order == order_of(rk_character(tab, 5), 5), tab.name
+        assert [BUILTIN_TABLEAUS[name].order for name in sorted(BUILTIN_TABLEAUS)] == [1, 2, 2, 4]
+
+    def test_rkmk_builds_without_the_hopf_layer(self):
+        probe = (
+            "import sys\n"
+            "from bflow.steppers import integrate, rigid_body_problem\n"
+            "integrate('rkmk:rk4', rigid_body_problem(), 0.1, 2)\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('bflow.')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(integrators.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        )
+        loaded = done.stdout.split()
+        assert "bflow.tableaus" in loaded
+        assert not {"bflow.bseries_hopf", "bflow.hopf"} & set(loaded), loaded
 
     def test_stepper_is_the_one_step_map_of_lg_step(self):
         p = rigid_body_problem()
