@@ -1,11 +1,13 @@
 """The integrate and converge subcommands of the command line frontend.
 
 They are the only commands that need numpy and the float steppers, so
-``bflow.cli`` imports this module when one of them runs. A Lie group
-method on a stock problem loads the float layer alone: the tableaus load
-for a classical tableau, ``--tableau`` or an rkmk method, the B-series
-layer only for an rkmk method on a tableau file without ``--m``, and the
-polynomial fields for ``--f``.
+``bflow.cli`` imports this module when one of them runs. ``integrate``
+runs every method, classical tableaus included, through one
+``steppers.integrate`` call; ``converge`` takes the Lie group methods
+only. A Lie group method on a stock problem loads the float layer
+alone: the tableaus load for a classical tableau, ``--tableau`` or an
+rkmk method, the B-series layer only for an rkmk method on a tableau
+file without ``--m``, and the polynomial fields for ``--f``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .steppers import (
     integrate,
     make_action,
     rigid_body_problem,
-    rk_step,
     toda_problem,
 )
 
@@ -113,15 +114,15 @@ def _invariant_tracker(kind, y0):
     raise DomainError(f"unknown invariant {kind!r}; choose norm or spectrum")
 
 
-def _builtin_tableau(method: str):
-    """The built-in classical tableau that method names, or None. The Lie
-    group method names are tested first, so that they never load the
+def _is_classical(method: str) -> bool:
+    """Whether method names a classical tableau: a builtin or custom. The
+    Lie group method names are tested first, so that they never load the
     tableaus."""
     if method in ("lie_euler", "lie_midpoint", "lie_rk4", "cf4") or method.startswith("rkmk"):
-        return None
+        return False
     from .tableaus import BUILTIN_TABLEAUS
 
-    return BUILTIN_TABLEAUS.get(method)
+    return method == "custom" or method in BUILTIN_TABLEAUS
 
 
 def _read_tableau(path):
@@ -132,32 +133,13 @@ def _read_tableau(path):
     return read_tableau(path)
 
 
-def _run_trajectory(args, problem):
-    method = args.method
-    tab = _builtin_tableau(method)
-    if tab is not None or (method == "custom" and args.tableau):
-        if problem.action.kind != "translation":
-            raise DomainError("classical methods integrate the translation action only")
-        if tab is None:
-            tab = _read_tableau(args.tableau)
-        field = problem.f
-        y = problem.y0.copy()
-        out = [y]
-        t = 0.0
-        for _ in range(args.steps):
-            y = rk_step(tab, lambda z: field(t, z), y, args.h)
-            t += args.h
-            out.append(y)
-        return out
-    tableau = _read_tableau(args.tableau)
-    return integrate(method, problem, args.h, args.steps, m=args.m, tableau=tableau)
-
-
 def integrate_command(args) -> int:
     problem = _build_problem(args)
     # A run that leaves the floats ends in one error line, not numpy warnings.
     with np.errstate(all="ignore"):
-        trajectory = _run_trajectory(args, problem)
+        trajectory = integrate(
+            args.method, problem, args.h, args.steps, m=args.m, tableau=_read_tableau(args.tableau)
+        )
     columns = ["step", "t"] + _state_columns(problem.y0)
     tracker = None
     if args.check_invariant:
@@ -176,7 +158,7 @@ def integrate_command(args) -> int:
 
 def converge_command(args) -> int:
     problem = _build_problem(args)
-    if _builtin_tableau(args.method) is not None:
+    if _is_classical(args.method):
         raise DomainError("converge drives the Lie group methods; see integrate")
     h_list = args.h
     tableau = _read_tableau(args.tableau)

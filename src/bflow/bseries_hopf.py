@@ -304,25 +304,21 @@ convolve_bck = convolve
 # ---------------------------------------------------------------------------
 
 
-def _stage_weights(tableau: RKTableau, tree: RootedTree, cache) -> tuple[Fraction, ...]:
+@functools.cache
+def _stage_weights(tableau: RKTableau, tree: RootedTree) -> tuple[Fraction, ...]:
     """The stage weights of a tree, sum_j a_ij prod over the children of
-    their stage weights at j, one ``exact_sum`` per stage; memoised in
-    ``cache``."""
-    out = cache.get(tree)
-    if out is None:
-        factors = [_stage_weights(tableau, child, cache) for child in tree.children]
-        out = cache[tree] = tuple(
-            exact_sum((1, (a, *(f[j] for f in factors))) for j, a in enumerate(row) if a)
-            for row in tableau.a
-        )
-    return out
+    their stage weights at j, one ``exact_sum`` per stage."""
+    factors = [_stage_weights(tableau, child) for child in tree.children]
+    return tuple(
+        exact_sum((1, (a, *(f[j] for f in factors))) for j, a in enumerate(row) if a)
+        for row in tableau.a
+    )
 
 
 def elementary_weights(tableau: RKTableau, tree: RootedTree) -> Fraction:
     """The elementary weight of a tree: sum over stage assignments, one
     ``exact_sum``."""
-    cache = tableau._weights
-    factors = [_stage_weights(tableau, child, cache) for child in tree.children]
+    factors = [_stage_weights(tableau, child) for child in tree.children]
     return exact_sum(
         (1, (b, *(f[j] for f in factors))) for j, b in enumerate(tableau.b) if b
     )

@@ -6,9 +6,11 @@ globals of ``forest_core``, ``hopf``, ``bseries_hopf`` or ``lbseries``.
 so a cold pass can be measured in one process. The intern tables of
 trees, forests and Bell words are constructors, not memos, and are never
 touched: a tree built after its table was emptied would equal nothing
-built before. The memos owned by one object (``Coeff._cache``,
-``RKTableau._weights``, the powers of a ``convolution_series`` map) die
-with it and are not listed.
+built before. The memos owned by one object (``Coeff._cache``, the
+powers of a ``convolution_series`` map) die with it and are not listed.
+The stage weights of Runge-Kutta tableaus are a cached function of the
+tableau and the tree, so ``clear()`` reaches those of the builtin
+tableaus too.
 
 Nothing in ``bflow`` imports this module; importing it loads all four
 layers.

@@ -34,8 +34,9 @@ or 0, and nothing beyond the truncation order is stored. That memo,
 and the powers memo of each ``convolution_series`` map, are plain dicts
 owned by one map, which die with it. Every module-wide memo of the exact
 engine is a cached function (``functools.cache``): ``_fraction`` here,
-the enumerations and products of ``forest_core``, and the coproducts and
-row tables of ``bseries_hopf`` and ``lbseries``. Each can be inspected
+the enumerations and products of ``forest_core``, the coproducts and
+row tables of ``bseries_hopf`` and ``lbseries``, and the stage weights of
+Runge-Kutta tableaus in ``bseries_hopf``. Each can be inspected
 with ``cache_info()`` and emptied with ``cache_clear()``;
 ``bflow.caches`` does both for all of them.
 """

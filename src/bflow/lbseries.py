@@ -549,54 +549,39 @@ def exact_flow_lb(N: int) -> LBCoeff:
     return LBCoeff.from_table(values, N, kind="infinitesimal")
 
 
+def _word_value(letters: Mapping[PlanarTree, Fraction], word) -> Fraction:
+    """The concatenation exponential of a frozen element with the given
+    letter values, on a word: the product over its letters divided by the
+    factorial of its length."""
+    out = Fraction(1)
+    for tree in word:
+        out *= letters.get(tree, Fraction(0))
+        if not out:
+            return out
+    return out / math.factorial(len(word))
+
+
 def _sigma_midpoint(N: int) -> dict[PlanarForest, Fraction]:
-    """Grade-by-grade solve of the midpoint fixed point: sigma equals
-    the half-step frozen exponential of sigma grafted onto the field,
-    i.e. sum over j of B+(sigma^j) / (2^j j!), concatenation powers."""
+    """The midpoint stage series: sigma is the field grafted onto the
+    half-step frozen exponential of sigma, so its value on B+(w) is the
+    concatenation exponential of sigma/2 on w. Solved order by order, since
+    the letters of w have lower order than B+(w)."""
     values: dict[PlanarForest, Fraction] = {}
-    for n in range(1, N + 1):
-        # concatenation powers of the truncated sigma, grade n - 1 part
-        total: dict[PlanarForest, Fraction] = {}
-        layer = {EMPTY_WORD: Fraction(1)}
-        fact = 1
-        for j in range(0, n):
-            if j:
-                fact *= j
-                new_layer: dict[PlanarForest, Fraction] = {}
-                for w, c in layer.items():
-                    for t, v in values.items():
-                        u = w * t
-                        if u.order <= n - 1:
-                            new_layer[u] = new_layer.get(u, Fraction(0)) + c * v
-                layer = new_layer
-            scale = Fraction(1, 2**j * fact)
-            for w, c in layer.items():
-                if w.order == n - 1:
-                    target = PlanarForest((PlanarTree(w.word),))
-                    total[target] = total.get(target, Fraction(0)) + scale * c
-        values.update(total)
+    halves: dict[PlanarTree, Fraction] = {}
+    for n in range(N):
+        for w in enumerate_forests(n, planar=True):
+            tree = PlanarTree(w.word)
+            value = _word_value(halves, w.word)
+            values[PlanarForest((tree,))] = value
+            halves[tree] = value / 2
     return values
 
 
 def _conc_exp_character(values: Mapping[PlanarForest, Fraction], N: int) -> LBCoeff:
     """Flow character of a frozen Lie-algebra element supported on
-    trees: the value on a word is the product over its letters divided
-    by the factorial of the length."""
-
+    trees, the concatenation exponential of its letter values."""
     letters = {w.word[0]: v for w, v in values.items() if len(w.word) == 1}
-
-    def fn(w: PlanarForest) -> Fraction:
-        out = Fraction(1)
-        for tree in w.word:
-            out *= letters.get(tree, Fraction(0))
-            if not out:
-                return out
-        fact = 1
-        for k in range(2, len(w.word) + 1):
-            fact *= k
-        return out / fact
-
-    return LBCoeff("character", N, fn)
+    return LBCoeff("character", N, lambda w: _word_value(letters, w.word))
 
 
 def method_series(method: str, representation: str, N: int) -> LBCoeff:

@@ -12,23 +12,32 @@ Algebra elements are numpy arrays: vectors for the rotation and
 translation actions, matrices for the isospectral action and for the
 affine action in its homogeneous embedding.
 
-``make_stepper`` resolves a Lie group method once, with its tableau's
-float coefficients and its dexpinv truncation, and returns the one-step
-map that ``integrate`` and ``convergence_order`` apply at every step. The
-so(3) kernels (Rodrigues, for the rotation and 3x3 isospectral actions,
-and the cross product), the 3x3 Toda field and the fixed-point residual
-are scalar code on Python floats, bit-identical to their numpy forms:
-elementwise float operations may leave numpy, matrix products may not.
-Every matrix product of the actions and of the commutator goes through
-``ndarray.dot``, which makes the BLAS call that ``@`` makes with less
-dispatch, and is never a Python sum: BLAS sums in its own order, so a
-product written out in Python changes the last bits.
+``make_stepper`` resolves a method once, with its tableau's float
+coefficients and its dexpinv truncation, and returns the one-step map
+that ``integrate`` and ``convergence_order`` apply at every step;
+``_states`` is the one trajectory loop. A classical tableau is a method
+of the translation action, where exp is the identity and the bracket
+vanishes. Classical and rkmk steppers share one stage solver,
+``_stages``: explicit tableaus sweep the stages in order, implicit ones
+iterate all of them at once through ``_fixed_point``, as lie_midpoint
+does, to the fixed tolerance ``_TOL``. ``rk_step`` and ``lg_step`` apply
+a stepper once.
 
-An ``rkmk`` method reads its tableau and, for a builtin, its classical
-order from ``bflow.tableaus``; the B-series layer loads only to find the
-order of a tableau without one, when no truncation is given. scipy
-loads with the first exponential of an isospectral action with n != 3
-or of an affine action; the other steppers need neither.
+The so(3) kernels (Rodrigues, for the rotation and 3x3 isospectral
+actions, and the cross product), the 3x3 Toda field and the fixed-point
+residual are scalar code on Python floats, bit-identical to their numpy
+forms: elementwise float operations may leave numpy, matrix products may
+not. Every matrix product of the actions and of the commutator goes
+through ``ndarray.dot``, which makes the BLAS call that ``@`` makes with
+less dispatch, and is never a Python sum: BLAS sums in its own order, so
+a product written out in Python changes the last bits.
+
+A classical or ``rkmk`` method reads its tableau and, for an rkmk
+builtin, its classical order from ``bflow.tableaus``; the B-series layer
+loads only to find the order of a tableau without one, when no
+truncation is given. scipy loads with the first exponential of an
+isospectral action with n != 3 or of an affine action; the other
+steppers need neither.
 """
 
 from __future__ import annotations
@@ -43,53 +52,6 @@ from .errors import ConvergenceError, DomainError
 
 if TYPE_CHECKING:
     from .tableaus import RKTableau
-
-
-# ---------------------------------------------------------------------------
-# Classical Runge-Kutta stepping (floats)
-# ---------------------------------------------------------------------------
-
-
-def rk_step(tableau: RKTableau, field, y, h: float, solver_tol: float = 1e-14):
-    """One Runge-Kutta step. Explicit tableaus sweep the stages in order,
-    one call of f per stage; implicit ones start every stage at f(y),
-    evaluated once, and iterate the stage fixed point to solver_tol
-    (scaled by the stage magnitude) through ``_fixed_point``, which raises
-    ConvergenceError after 100 iterations, or at the first sweep whose
-    shift is nan, when the stages have left the floats."""
-    from .integrators import PolyVectorField  # the exact layer, not loaded with this module
-
-    f = field.as_callable() if isinstance(field, PolyVectorField) else field
-    y = np.asarray(y, dtype=float)
-    s = tableau.s
-    a, b, _ = tableau.floats
-    if tableau.is_explicit:
-        K = []
-        for i in range(s):
-            yi = y.copy()
-            for j in range(i):
-                if a[i][j]:
-                    yi = yi + (h * a[i][j]) * K[j]
-            K.append(np.asarray(f(yi), dtype=float))
-    else:
-
-        def update(stacked):
-            new = []
-            for i in range(s):
-                yi = y.copy()
-                for j in range(s):
-                    if a[i][j]:
-                        yi = yi + (h * a[i][j]) * stacked[j]
-                new.append(np.asarray(f(yi), dtype=float))
-            return np.stack(new)
-
-        start = np.stack([np.asarray(f(y), dtype=float)] * s)
-        K = _fixed_point(update, start, solver_tol, "implicit stage iteration")
-    out = y.copy()
-    for j in range(s):
-        if b[j]:
-            out = out + (h * b[j]) * K[j]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +315,16 @@ def _residual(new, old) -> tuple[float, float]:
     return shift, max(1.0, max(values, default=0.0), -min(values, default=0.0))
 
 
+# the stage fixed points stop when a sweep moves no entry by more than
+# _TOL times the largest stage entry (at least 1)
+_TOL = 1e-14
+
+
 def _fixed_point(update, start, tol: float, label: str):
+    """Iterate ``update`` from ``start`` until a sweep's shift is at most
+    tol times its scale (see ``_residual``). Raises ConvergenceError with
+    the last shift after 100 sweeps, or at the first sweep whose shift is
+    nan, when the stages have left the floats."""
     value = start
     for _ in range(100):
         new = update(value)
@@ -371,7 +342,46 @@ def _fixed_point(update, start, tol: float, label: str):
     raise ConvergenceError(f"{label}: fixed point stalled", shift)
 
 
-def _rkmk_stepper(tableau: RKTableau, A: GroupAction, m: int, tol: float):
+def _stages(s: int, explicit: bool, stage, start, label: str):
+    """The stage values K of an s-stage tableau, where ``stage(i, K)``
+    computes stage i from K. An explicit tableau builds K in order, each
+    stage reading the ones before it; an implicit one iterates all s
+    stages at once from s copies of ``start`` through ``_fixed_point``."""
+    if explicit:
+        K = []
+        for i in range(s):
+            K.append(stage(i, K))
+        return K
+    return _fixed_point(
+        lambda K: np.stack([stage(i, K) for i in range(s)]), np.stack([start] * s), _TOL, label
+    )
+
+
+def _rk_stepper(tableau: RKTableau):
+    s = tableau.s
+    a, b, c = tableau.floats
+    explicit = tableau.is_explicit
+
+    def step(f, t, y, h):
+        def stage(i, K):
+            yi = y.copy()
+            for j in range(s):
+                if a[i][j]:
+                    yi = yi + (h * a[i][j]) * K[j]
+            return np.asarray(f(t + c[i] * h, yi), dtype=float)
+
+        start = None if explicit else np.asarray(f(t, y), dtype=float)
+        K = _stages(s, explicit, stage, start, "implicit stage iteration")
+        out = y.copy()
+        for j in range(s):
+            if b[j]:
+                out = out + (h * b[j]) * K[j]
+        return out
+
+    return step
+
+
+def _rkmk_stepper(tableau: RKTableau, A: GroupAction, m: int):
     s = tableau.s
     a, b, c = tableau.floats
     explicit = tableau.is_explicit
@@ -386,17 +396,7 @@ def _rkmk_stepper(tableau: RKTableau, A: GroupAction, m: int, tol: float):
                     U = U + a[i][j] * K[j]
             return dexpinv(U, h * f(t + c[i] * h, A.act(A.exp(U), y)), m, A.bracket)
 
-        if explicit:
-            K = []
-            for i in range(s):
-                K.append(stage(i, K))
-        else:
-
-            def update(stacked):
-                K = list(stacked)
-                return np.stack([stage(i, K) for i in range(s)])
-
-            K = list(_fixed_point(update, np.stack([zero] * s), tol, "rkmk stages"))
+        K = _stages(s, explicit, stage, zero, "rkmk stages")
         U = zero
         for j in range(s):
             if b[j]:
@@ -406,18 +406,21 @@ def _rkmk_stepper(tableau: RKTableau, A: GroupAction, m: int, tol: float):
     return step
 
 
-def make_stepper(method: str, action: GroupAction, tableau=None, m=None, tol: float = 1e-14):
-    """Build the one-step map ``step(f, t, y, h)`` of a Lie group method
-    on ``action``, for the equation y' = inf_act(f(t, y), y).
+def make_stepper(method: str, action: GroupAction, tableau=None, m=None):
+    """Build the one-step map ``step(f, t, y, h)`` of a method on
+    ``action``, for the equation y' = inf_act(f(t, y), y).
 
-    Methods: lie_euler, lie_midpoint (fixed point, tol scaled, max 100
-    iterations), lie_rk4 (the two-commutator version), cf4 (the
+    Lie group methods: lie_euler, lie_midpoint (a fixed point, see
+    ``_fixed_point``), lie_rk4 (the two-commutator version), cf4 (the
     commutator-free two-exponential update), and rkmk:<tableau name>
     (any tableau through dexpinv; pass ``tableau`` to override the name
     lookup and ``m`` to override the truncation, which defaults to the
-    classical order of the tableau minus one). The method, the tableau's
-    float coefficients and the truncation are resolved here, once; each
-    step calls f and the action's exp, act and bracket.
+    classical order of the tableau minus one). Classical methods, on the
+    translation action only: a builtin tableau name, which wins over
+    ``tableau``, or custom with ``tableau``; stage i is f at t + c_i h,
+    and an implicit tableau's stages start at f(t, y). The method, the
+    tableau's float coefficients and the truncation are resolved here,
+    once; each step calls f and the action's exp, act and bracket.
     """
     A = action
     if method == "lie_euler":
@@ -431,7 +434,7 @@ def make_stepper(method: str, action: GroupAction, tableau=None, m=None, tol: fl
             K = _fixed_point(
                 lambda K: h * f(t + h / 2.0, A.act(A.exp(K / 2.0), y)),
                 A.zero(),
-                tol,
+                _TOL,
                 "lie_midpoint",
             )
             return A.act(A.exp(K), y)
@@ -475,31 +478,49 @@ def make_stepper(method: str, action: GroupAction, tableau=None, m=None, tol: fl
 
                 order = order_of(rk_character(tableau, 5), 5)
             m = max(1, order - 1)
-        return _rkmk_stepper(tableau, A, m, tol)
+        return _rkmk_stepper(tableau, A, m)
     else:
-        raise DomainError(
-            f"unknown method {method!r}; choose lie_euler, lie_midpoint, lie_rk4, "
-            "cf4 or rkmk:<tableau>"
-        )
+        from .tableaus import BUILTIN_TABLEAUS
+
+        tableau = BUILTIN_TABLEAUS.get(method, tableau if method == "custom" else None)
+        if tableau is None:
+            raise DomainError(
+                f"unknown method {method!r}; choose lie_euler, lie_midpoint, lie_rk4, "
+                "cf4 or rkmk:<tableau>"
+            )
+        if A.kind != "translation":
+            raise DomainError("classical methods integrate the translation action only")
+        return _rk_stepper(tableau)
     return step
 
 
-def lg_step(method: str, problem: LGProblem, t, y, h, m=None, tableau=None, tol=1e-14):
-    """Advance one step of a Lie group method (see ``make_stepper`` for
+def lg_step(method: str, problem: LGProblem, t, y, h, m=None, tableau=None):
+    """Advance one step of a method (see ``make_stepper`` for
     the methods and options). The stepper is built afresh on each call;
     ``integrate`` builds it once per run."""
     if h <= 0:
         raise DomainError("step size must be positive")
-    step = make_stepper(method, problem.action, tableau=tableau, m=m, tol=tol)
+    step = make_stepper(method, problem.action, tableau=tableau, m=m)
     return step(problem.f, t, np.asarray(y, dtype=float), h)
 
 
-def _states(step, problem: LGProblem, h: float, steps: int, t0: float = 0.0):
-    """The problem's initial state, then the state after each step."""
+def rk_step(tableau: RKTableau, field, y, h: float):
+    """One Runge-Kutta step of y' = f(y), for a callable f or a
+    ``PolyVectorField``: the stepper of ``make_stepper`` for the tableau
+    on the translation action, applied once at t = 0."""
+    from .integrators import PolyVectorField  # the exact layer, not loaded with this module
+
+    f = field.as_callable() if isinstance(field, PolyVectorField) else field
+    return _rk_stepper(tableau)(lambda t, z: f(z), 0.0, np.asarray(y, dtype=float), h)
+
+
+def _states(step, problem: LGProblem, h: float, steps: int):
+    """The problem's initial state at t = 0, then the state after each
+    step."""
     f = problem.f
     y = problem.y0.copy()
     yield y
-    t = t0
+    t = 0.0
     for _ in range(steps):
         y = step(f, t, y, h)
         t += h
@@ -517,18 +538,18 @@ def integrate(
     problem: LGProblem,
     h: float,
     steps: int,
-    t0: float = 0.0,
     m=None,
     tableau=None,
 ) -> list[np.ndarray]:
-    """Run ``steps`` steps from the problem's initial state; returns the
-    trajectory including the initial state (steps + 1 entries)."""
+    """Run ``steps`` steps from the problem's initial state at t = 0;
+    returns the trajectory including the initial state (steps + 1
+    entries)."""
     if steps < 1:
         raise DomainError("need at least one step")
     if h <= 0:
         raise DomainError("step size must be positive")
     step = make_stepper(method, problem.action, tableau=tableau, m=m)
-    return list(_states(step, problem, h, steps, t0))
+    return list(_states(step, problem, h, steps))
 
 
 def convergence_order(

@@ -18,10 +18,9 @@ class RKTableau:
     ``order`` is its classical order where that is known data (the
     builtins), else None."""
 
-    __slots__ = ("name", "s", "a", "b", "c", "floats", "order", "_weights")
+    __slots__ = ("name", "s", "a", "b", "c", "floats", "order")
 
     def __init__(self, a, b, c=None, name: str = "", order: int | None = None):
-        self._weights: dict = {}
         self.a = tuple(tuple(Fraction(x) for x in row) for row in a)
         self.b = tuple(Fraction(x) for x in b)
         self.s = len(self.b)

@@ -547,9 +547,21 @@ def test_weights_match_the_fraction_loop():
             want = _elementary_weight_reference(tab, tree, cache)
             got = elementary_weights(tab, tree)
             assert type(got) is Fraction and got == want, (tab.a, tab.b, tree.serial)
-            stages = bseries_hopf._stage_weights(tab, tree, tab._weights)
+            stages = bseries_hopf._stage_weights(tab, tree)
             assert stages == _stage_weights_reference(tab, tree, cache), tree.serial
     assert any(not elementary_weights(tab, t) for tab in tableaus for t in trees)
+
+
+def test_the_cache_registry_clears_the_stage_weights_of_the_builtins():
+    # The builtin tableaus live for the process; their stage weights are
+    # a cached function, so a clear() leaves the next pass cold.
+    from bflow import caches
+
+    rk4 = rk_character(builtin_tableau("rk4"), 8)
+    convolve_bck(rk4, rk4, 8).table()
+    assert bseries_hopf._stage_weights.cache_info().currsize > 0
+    caches.clear()
+    assert bseries_hopf._stage_weights.cache_info().currsize == 0
 
 
 def test_implicit_midpoint_weights():

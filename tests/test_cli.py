@@ -635,6 +635,32 @@ class TestExitCodes:
         )
         assert code == 2 and "translation" in err
 
+    @pytest.mark.parametrize(
+        "steps,h,message",
+        [("2", "-0.1", "step size must be positive"), ("0", "0.1", "need at least one step")],
+        ids=["negative_h", "zero_steps"],
+    )
+    def test_classical_runs_check_their_steps(self, capsys, steps, h, message):
+        # checked as for every Lie group method: no rows, no header
+        code, out, err = run(
+            capsys,
+            "integrate", "--method", "rk4", "--action", "translation", "--f", "linear",
+            "--h", h, "--steps", steps,
+        )
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
+    def test_converge_rejects_a_custom_tableau(self, capsys, tmp_path):
+        path = tmp_path / "euler.txt"
+        path.write_text(EULER_TABLEAU_TEXT)
+        code, out, err = run(
+            capsys,
+            "converge", "--method", "custom", "--tableau", str(path), "--action", "translation",
+            "--f", "linear", "--h", "0.1,0.05,0.025",
+        )
+        assert code == 2 and out == ""
+        assert "converge drives the Lie group methods" in err
+
     def test_translation_requires_field(self, capsys):
         code, _, err = run(
             capsys,

@@ -1295,6 +1295,115 @@ def test_trajectories_match_the_reference_kernels_bit_for_bit(name, monkeypatch)
         assert np.array_equal(got[run], want), run
 
 
+# ``rk_step`` and the classical trajectory loop of ``bflow integrate`` as
+# they were written before classical tableaus became methods of
+# ``make_stepper``, verbatim: the reference for the one stage solver and
+# the one trajectory loop.
+
+
+def _rk_step_reference(tableau: RKTableau, field, y, h: float, solver_tol: float = 1e-14):
+    y = np.asarray(y, dtype=float)
+    s = tableau.s
+    a, b, _ = tableau.floats
+    if tableau.is_explicit:
+        K = []
+        for i in range(s):
+            yi = y.copy()
+            for j in range(i):
+                if a[i][j]:
+                    yi = yi + (h * a[i][j]) * K[j]
+            K.append(np.asarray(field(yi), dtype=float))
+    else:
+
+        def update(stacked):
+            new = []
+            for i in range(s):
+                yi = y.copy()
+                for j in range(s):
+                    if a[i][j]:
+                        yi = yi + (h * a[i][j]) * stacked[j]
+                new.append(np.asarray(field(yi), dtype=float))
+            return np.stack(new)
+
+        start = np.stack([np.asarray(field(y), dtype=float)] * s)
+        K = steppers._fixed_point(update, start, solver_tol, "implicit stage iteration")
+    out = y.copy()
+    for j in range(s):
+        if b[j]:
+            out = out + (h * b[j]) * K[j]
+    return out
+
+
+def _classical_loop_reference(tab, problem, h, steps):
+    field = problem.f
+    y = problem.y0.copy()
+    out = [y]
+    t = 0.0
+    for _ in range(steps):
+        y = _rk_step_reference(tab, lambda z: field(t, z), y, h)
+        t += h
+        out.append(y)
+    return out
+
+
+DIRK = RKTableau([[Fraction(1, 4), 0], [Fraction(1, 2), Fraction(1, 4)]], [Fraction(1, 2)] * 2)
+
+
+@pytest.mark.parametrize("method", [*BUILTIN_TABLEAUS, "custom"])
+def test_classical_trajectories_match_the_hand_loop_bit_for_bit(method):
+    # a builtin name wins over ``tableau``; custom runs the tableau given
+    problem = _damped_translation()
+    tab = BUILTIN_TABLEAUS.get(method, DIRK)
+    for h, steps in ((0.01, 500), (0.3, 60)):
+        got = np.array(integrate(method, problem, h, steps, tableau=DIRK))
+        want = np.array(_classical_loop_reference(tab, problem, h, steps))
+        assert np.isfinite(want).all(), (method, h)
+        assert np.array_equal(got, want), (method, h)
+        field = lambda z: problem.f(0.0, z)
+        for y in got[::50]:
+            assert np.array_equal(rk_step(tab, field, y, h), _rk_step_reference(tab, field, y, h))
+
+
+@pytest.mark.parametrize(
+    "method,order",
+    [("euler", 1), ("explicit_midpoint", 2), ("implicit_midpoint", 2), ("rk4", 4), ("custom", 2)],
+)
+def test_classical_stages_read_the_stage_times(method, order):
+    # y' = cos(t) + y/5: stage i must read f at t + c_i h, or every
+    # method falls to order 1
+    def f(t, y):
+        return np.cos(t) + y / 5.0
+
+    def exact(t):
+        # y(0) = 0: y = (25 sin t - 5 cos t + 5 e^(t/5)) / 26
+        return [(25.0 * math.sin(t) - 5.0 * math.cos(t) + 5.0 * math.exp(t / 5.0)) / 26.0]
+
+    problem = LGProblem(make_action("translation", 1), f, [0.0], reference=exact)
+    slope, _ = convergence_order(method, problem, 1.0, [0.2, 0.1, 0.05, 0.025], tableau=DIRK)
+    assert abs(slope - order) <= 0.2, (method, slope)
+
+
+def test_classical_methods_run_on_the_translation_action_only():
+    with pytest.raises(DomainError, match="^classical methods integrate the translation action only$"):
+        make_stepper("rk4", make_action("rotation_s2", 3))
+    with pytest.raises(DomainError, match="translation action only"):
+        make_stepper("custom", make_action("isospectral", 3), tableau=DIRK)
+
+
+def test_custom_without_a_tableau_is_an_unknown_method():
+    want = "unknown method 'custom'; choose lie_euler, lie_midpoint, lie_rk4, cf4 or rkmk:<tableau>"
+    with pytest.raises(DomainError) as exc:
+        make_stepper("custom", make_action("translation", 2))
+    assert str(exc.value) == want
+
+
+def test_the_steppers_take_no_tolerance_or_start_time():
+    import inspect
+
+    for fn in (make_stepper, lg_step, rk_step, integrate, convergence_order, steppers._states):
+        assert not {"tol", "solver_tol", "t0"} & set(inspect.signature(fn).parameters), fn
+
+
 def test_the_float_names_read_through_integrators_are_the_steppers():
     # every public name defined in the float layer, and nothing else
     defined = {

@@ -1129,6 +1129,45 @@ def test_midpoint_stage_fixed_point_via_grafting():
     assert total == sigma_sum
 
 
+def _sigma_midpoint_reference(N: int) -> dict[PlanarForest, Fraction]:
+    """The midpoint stage series as it was solved before, grade by grade
+    through the concatenation powers of the truncated sigma, layer by
+    layer: sigma = sum over j of B+(sigma^j) / (2^j j!)."""
+    values: dict[PlanarForest, Fraction] = {}
+    for n in range(1, N + 1):
+        # concatenation powers of the truncated sigma, grade n - 1 part
+        total: dict[PlanarForest, Fraction] = {}
+        layer = {EMPTY_WORD: Fraction(1)}
+        fact = 1
+        for j in range(0, n):
+            if j:
+                fact *= j
+                new_layer: dict[PlanarForest, Fraction] = {}
+                for w, c in layer.items():
+                    for t, v in values.items():
+                        u = w * t
+                        if u.order <= n - 1:
+                            new_layer[u] = new_layer.get(u, Fraction(0)) + c * v
+                layer = new_layer
+            scale = Fraction(1, 2**j * fact)
+            for w, c in layer.items():
+                if w.order == n - 1:
+                    target = PlanarForest((PlanarTree(w.word),))
+                    total[target] = total.get(target, Fraction(0)) + scale * c
+        values.update(total)
+    return values
+
+
+def test_midpoint_stage_closed_form_matches_the_power_layers():
+    # the closed form, the concatenation exponential of sigma/2 on the
+    # word under the root, against the layer-by-layer solve
+    for N in range(1, 9):
+        assert lbseries._sigma_midpoint(N) == _sigma_midpoint_reference(N), N
+    assert len(_sigma_midpoint_reference(8)) == sum(
+        len(enumerate_forests(n, planar=True)) for n in range(8)
+    )
+
+
 def test_midpoint_lie_form():
     type3 = method_series("lie_implicit_midpoint", "type3", 3)
     assert type3.kind == "infinitesimal"
