@@ -4,10 +4,12 @@ They are the only commands that need numpy and the float steppers, so
 ``bflow.cli`` imports this module when one of them runs. ``integrate``
 runs every method, classical tableaus included, through one
 ``steppers.integrate`` call; ``converge`` takes the Lie group methods
-only. A Lie group method on a stock problem loads the float layer
-alone: the tableaus load for a classical tableau, ``--tableau`` or an
-rkmk method, the B-series layer only for an rkmk method on a tableau
-file without ``--m``, and the polynomial fields for ``--f``.
+only, ``steppers._LIE_METHODS`` and rkmk, and refuses any other name
+before it loads the tableaus. A Lie group method on a stock problem
+loads the float layer alone: the tableaus load for a classical tableau,
+``--tableau`` or an rkmk method, the B-series layer only for an rkmk
+method on a tableau file without ``--m``, and the polynomial fields for
+``--f``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .steppers import (
+    _LIE_METHODS,
     LGProblem,
     affine_element,
     convergence_order,
@@ -114,17 +117,6 @@ def _invariant_tracker(kind, y0):
     raise DomainError(f"unknown invariant {kind!r}; choose norm or spectrum")
 
 
-def _is_classical(method: str) -> bool:
-    """Whether method names a classical tableau: a builtin or custom. The
-    Lie group method names are tested first, so that they never load the
-    tableaus."""
-    if method in ("lie_euler", "lie_midpoint", "lie_rk4", "cf4") or method.startswith("rkmk"):
-        return False
-    from .tableaus import BUILTIN_TABLEAUS
-
-    return method == "custom" or method in BUILTIN_TABLEAUS
-
-
 def _read_tableau(path):
     if not path:
         return None
@@ -158,7 +150,7 @@ def integrate_command(args) -> int:
 
 def converge_command(args) -> int:
     problem = _build_problem(args)
-    if _is_classical(args.method):
+    if not (args.method in _LIE_METHODS or args.method.startswith("rkmk")):
         raise DomainError("converge drives the Lie group methods; see integrate")
     h_list = args.h
     tableau = _read_tableau(args.tableau)

@@ -79,6 +79,7 @@ from .tableaus import (  # re-exported under their old names
 
 DOT = single()
 DOT_FOREST = Forest((DOT,))
+_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -244,30 +245,30 @@ class BCoeff(Coeff):
             return self._cached(EMPTY_FOREST)
         return Fraction(1 if self.kind == "character" else 0)
 
-    def _factors(self, x) -> tuple[Fraction, ...] | None:
+    def _kind_value(self, x) -> Fraction | None:
         """The kind rule: a tree gives its value; on a forest a character
         gives the product of its tree values, stored in the memo on the
-        first lookup (none on the empty forest), an infinitesimal map the
-        value of its one tree (None, for 0, on the unit and on products),
-        and a plain map its stored value."""
+        first lookup (1, not stored, on the empty forest), an
+        infinitesimal map the value of its one tree (None, for 0, on the
+        unit and on products), and a plain map its stored value."""
         value = self._cache.get(x)
         if value is not None:
-            return (value,)
+            return value
         if isinstance(x, RootedTree):
-            return (self.tree_value(x),)
+            return self.tree_value(x)
         if not isinstance(x, Forest):
             raise DomainError(f"cannot evaluate coefficients on {type(x).__name__}")
         if self.kind == "plain":
-            return (self._cached(x),)
+            return self._cached(x)
         if x.order > self.N:
             raise self._beyond(x)
         trees = x.trees
         if self.kind == "character":
             if not trees:
-                return ()
+                return _ONE
             value = self._cache[x] = functools.reduce(operator.mul, map(self._cached, trees))
-            return (value,)
-        return (self._cached(trees[0]),) if len(trees) == 1 else None
+            return value
+        return self._cached(trees[0]) if len(trees) == 1 else None
 
 
 def _as_fn(values, key=lambda x: x):
@@ -426,13 +427,13 @@ def substitute_b(alpha: BCoeff, beta: BCoeff, N: int) -> BCoeff:
             f"substitution to order {N} needs both maps at that order "
             f"(got {alpha.N} and {beta.N})"
         )
-    component, right = alpha.tree_value, beta._factors
+    component, right = alpha.tree_value, beta._kind_value
 
     def terms(x):
         for t, c in delta_cefm(x):
             b = right(t.right)
             if b is not None:
-                yield c.numerator, (*map(component, t.left.trees), *b)
+                yield c.numerator, (*map(component, t.left.trees), b)
 
     def fn(x) -> Fraction:
         # x is a tree, or a forest when beta is plain

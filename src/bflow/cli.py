@@ -20,9 +20,9 @@ from fractions import Fraction
 from .algebra import render_sum
 from .errors import CapacityError, DomainError, ParseError
 from .forest_core import (
+    _check_capacity,
     enumerate_forests,
     enumerate_trees,
-    max_order,
     parse_forest,
     parse_tree,
     tree_stats,
@@ -251,11 +251,9 @@ def build_parser() -> _Parser:
     p.add_argument("--table", type=int, metavar="N", help="all basis elements up to N")
     p.set_defaults(fn=cmd_coproduct)
 
-    def add_character_options(p, which="builtin"):
-        p.add_argument(f"--{which}", help="builtin tableau name")
-        p.add_argument(
-            f"--{which.replace('builtin', 'tableau')}", help="tableau file", metavar="FILE"
-        )
+    def add_character_options(p):
+        p.add_argument("--builtin", help="builtin tableau name")
+        p.add_argument("--tableau", help="tableau file", metavar="FILE")
         p.add_argument("-N", type=int, required=True)
 
     p = sub.add_parser("compose", help="coefficients of one method after another")
@@ -341,11 +339,8 @@ def main(argv=None) -> int:
         # fail before any output when a truncation order exceeds the cap
         for attr in ("N", "table"):
             value = getattr(args, attr, None)
-            if value is not None and value > max_order():
-                raise CapacityError(
-                    f"order {value} exceeds the configured cap {max_order()}; "
-                    "raise BF_MAX_ORDER to go higher"
-                )
+            if value is not None:
+                _check_capacity(value)
         return args.fn(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

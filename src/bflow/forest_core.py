@@ -292,11 +292,9 @@ def forest_sigma(forest: Forest) -> int:
 
 @functools.cache
 def _trees(n: int, planar: bool) -> tuple[Tree, ...]:
-    if planar:
-        return tuple(sorted(map(bplus, _planar_forests(n - 1)), key=_SERIAL))
-    if n == 1:
-        return (single(),)
-    return tuple(sorted(set(map(bplus, _nonplanar_forests(n - 1))), key=_SERIAL))
+    # bplus is injective on interned forests, so no tree comes twice
+    forests = _planar_forests(n - 1) if planar else _nonplanar_forests(n - 1)
+    return tuple(sorted(map(bplus, forests), key=_SERIAL))
 
 
 @functools.cache

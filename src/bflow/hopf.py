@@ -12,10 +12,11 @@ coefficient-map base, ``convolve`` the one convolution and
 ``lbseries.LBCoeff`` bring the basis, the coproduct and the kind rule.
 
 Values are Fractions, but sums of products of them are not added as
-Fractions. A coefficient map splits a value into the factors of its kind
-rule (``Coeff._factors``), every coproduct multiplicity is an integer,
-and ``exact_sum`` adds the integer numerators of all the terms of one
-value over one common denominator, building a single Fraction per value.
+Fractions. A coefficient map gives one value per lookup, the value its
+kind rule makes at a basis element (``Coeff._kind_value``), every
+coproduct multiplicity is an integer, and ``exact_sum`` adds the integer
+numerators of all the terms of one value over one common denominator,
+building a single Fraction per value.
 Convolution, substitution, the modified-field solve, and the planar
 ``dynkin_apply``, ``q_apply`` and ``lb_substitute`` all sum through it.
 The exp/log series keeps the same integer arithmetic in its own loop:
@@ -24,7 +25,7 @@ integer total and common denominator of every power at once, and builds
 one Fraction per power at the end.
 
 A map's values are computed once and held in its memo, ``_cache``.
-Every lookup (``__call__``, ``_factors``, ``tree_value``) reads the memo
+Every lookup (``__call__``, ``_kind_value``, ``tree_value``) reads the memo
 first; only a miss converts the argument, checks the truncation order
 and calls ``fn``. A B-series character also stores there its value on
 each nonempty forest it is asked for, the product of its tree values,
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -56,7 +56,6 @@ from .forest_core import enumerate_forests
 KINDS = ("character", "infinitesimal", "plain")
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def exact_sum(terms: Iterable[tuple[int, Iterable[Fraction]]], divisor: int = 1) -> Fraction:
@@ -101,10 +100,10 @@ class Coeff:
     A ``character`` is 1 on the empty forest and multiplicative, an
     ``infinitesimal`` map is 0 on the empty forest and on products, and a
     ``plain`` map claims nothing. ``fn`` gives the values the subclass
-    stores, each computed once; its ``_factors`` (the kind rule) gives the
-    stored values whose product is the value at a basis element, or None
-    where the kind rule makes it 0. Values are defined up to the
-    truncation order ``N``; anything of higher order raises CapacityError.
+    stores, each computed once; its ``_kind_value`` (the kind rule) gives
+    the value at a basis element, or None where the kind rule makes it 0.
+    Values are defined up to the truncation order ``N``; anything of
+    higher order raises CapacityError.
     """
 
     __slots__ = ("kind", "N", "_fn", "_cache")
@@ -136,14 +135,12 @@ class Coeff:
             self._cache[x] = value
         return value
 
-    def _factors(self, x) -> tuple[Fraction, ...] | None:
+    def _kind_value(self, x) -> Fraction | None:
         raise NotImplementedError
 
     def _value(self, x) -> Fraction:
-        factors = self._factors(x)
-        if factors is None:
-            return _ZERO
-        return functools.reduce(operator.mul, factors) if factors else _ONE
+        value = self._kind_value(x)
+        return _ZERO if value is None else value
 
     def __call__(self, x) -> Fraction:
         # a sum is never a key, and hashing one hashes every term
@@ -182,7 +179,7 @@ def convolve(alpha: Coeff, beta: Coeff, N: int) -> Coeff:
             f"(got {alpha.N} and {beta.N})"
         )
 
-    left, right = alpha._factors, beta._factors
+    left, right = alpha._kind_value, beta._kind_value
 
     def terms(x):
         for (l, r), c in cls.coproduct(x):
@@ -190,7 +187,7 @@ def convolve(alpha: Coeff, beta: Coeff, N: int) -> Coeff:
             if a is not None:
                 b = right(r)
                 if b is not None:
-                    yield c.numerator, a + b
+                    yield c.numerator, (a, b)
 
     def fn(x) -> Fraction:
         return exact_sum(terms(x))
@@ -214,7 +211,7 @@ def convolution_series(x: Coeff, coeffs: list[Fraction], kind: str, N: int) -> C
     is built per power, at the end. The memo of powers belongs to the
     returned map.
     """
-    coproduct, factors, as_forest = type(x).coproduct, x._factors, x.basis._of
+    coproduct, value, as_forest = type(x).coproduct, x._kind_value, x.basis._of
     memo: dict = {}
 
     def powers(w) -> list[Fraction]:
@@ -225,13 +222,10 @@ def convolution_series(x: Coeff, coeffs: list[Fraction], kind: str, N: int) -> C
             for (l, r), c in coproduct(w):
                 if not (l.order and r.order):
                     continue
-                f = factors(r)
+                f = value(r)
                 if f is None:
                     continue
-                num, den = c.numerator, 1
-                for g in f:
-                    num *= g.numerator
-                    den *= g.denominator
+                num, den = c.numerator * f.numerator, f.denominator
                 if not num:
                     continue
                 for j, p in enumerate(powers(l)):

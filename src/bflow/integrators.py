@@ -34,6 +34,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from .algebra import FormalSum
 from .errors import DomainError
 from .forest_core import Forest, RootedTree, bplus, enumerate_trees, single, tree_stats
 
@@ -206,6 +207,17 @@ def elementary_differential(tree: RootedTree, field: PolyVectorField, y) -> list
     return list(_differentials(field, y)(tree))
 
 
+def _tree_terms(alpha: BCoeff, differential: Callable, h, N: int, shift: int):
+    """(h^(|t|-shift) alpha(t)/sigma(t), F(t)) for each tree t of order 1
+    to N where alpha(t) is not 0, in enumeration order."""
+    for n in range(1, N + 1):
+        hn = h ** (n - shift)
+        for tree in enumerate_trees(n):
+            c = alpha.tree_value(tree)
+            if c:
+                yield hn * c / tree_stats(tree)[1], differential(tree)
+
+
 def eval_bseries(alpha: BCoeff, field: PolyVectorField, y, h, N: int) -> list:
     """Evaluate the truncated series: alpha(1) y plus, for every tree of
     order at most N, h^|t| alpha(t)/sigma(t) times the elementary
@@ -218,18 +230,10 @@ def eval_bseries(alpha: BCoeff, field: PolyVectorField, y, h, N: int) -> list:
             f"(map truncated at {alpha.N})"
         )
     differential = _differentials(field, y)
-    hval = _exact(h)
     unit = alpha.unit_value()
     acc = [unit * _exact(v) for v in y]
-    for n in range(1, N + 1):
-        hn = hval**n
-        for tree in enumerate_trees(n):
-            c = alpha.tree_value(tree)
-            if not c:
-                continue
-            weight = hn * c / tree_stats(tree)[1]
-            vec = differential(tree)
-            acc = [a + weight * v for a, v in zip(acc, vec)]
+    for weight, vec in _tree_terms(alpha, differential, _exact(h), N, 0):
+        acc = [a + weight * v for a, v in zip(acc, vec)]
     return [_exact(a) for a in acc]
 
 
@@ -247,16 +251,9 @@ def modified_field(beta: BCoeff, field: PolyVectorField, h, N: int) -> PolyVecto
             f"field construction to order {N} needs coefficients at that order"
         )
     hval = _exact(h)
-    differential = field._state_differentials()
     exprs = [0] * field.n
-    for n in range(1, N + 1):
-        for tree in enumerate_trees(n):
-            c = beta.tree_value(tree)
-            if not c:
-                continue
-            weight = hval ** (n - 1) * c / tree_stats(tree)[1]
-            vec = differential(tree)
-            exprs = [e + weight * v for e, v in zip(exprs, vec)]
+    for weight, vec in _tree_terms(beta, field._state_differentials(), hval, N, 1):
+        exprs = [e + weight * v for e, v in zip(exprs, vec)]
     free = () if isinstance(hval, Fraction) else hval.free
     params = field.params + tuple(p for p in free if p not in field.syms + field.params)
     return PolyVectorField(exprs, field.syms, params)
@@ -266,7 +263,7 @@ def modified_field(beta: BCoeff, field: PolyVectorField, h, N: int) -> PolyVecto
 # The Taylor oracle
 # ---------------------------------------------------------------------------
 #
-# A series is a dict {tree: Fraction} for the deviation of a state from the
+# A series is a FormalSum over trees for the deviation of a state from the
 # base point y, the tree standing for its elementary differential over a
 # generic field (derivative tensors as opaque symmetric slots, which is why
 # non-planar trees are the right bookkeeping) and carrying the h-power equal
@@ -275,15 +272,14 @@ def modified_field(beta: BCoeff, field: PolyVectorField, h, N: int) -> PolyVecto
 # multiset under a fresh root, weighted by prod c^k / k!.
 
 
-def _expand_field(series: dict, N: int) -> dict:
-    out = {single(): Fraction(1)}
-    items = [(t, c) for t, c in sorted(series.items(), key=lambda kv: kv[0].order) if c]
+def _expand_field(series: FormalSum, N: int) -> FormalSum:
+    terms = [(single(), Fraction(1))]
+    items = sorted(series, key=lambda kv: kv[0].order)
 
     def rec(idx: int, budget: int, chosen: list, coeff: Fraction) -> None:
         if idx == len(items):
             if chosen:
-                t = bplus(Forest(tuple(chosen)))
-                out[t] = out.get(t, Fraction(0)) + coeff
+                terms.append((bplus(Forest(tuple(chosen))), coeff))
             return
         tree, c = items[idx]
         rec(idx + 1, budget, chosen, coeff)
@@ -296,40 +292,22 @@ def _expand_field(series: dict, N: int) -> dict:
             used += tree.order
 
     rec(0, N - 1, [], Fraction(1))
-    return out
+    return FormalSum(terms)
 
 
-def _merge(*parts) -> dict:
-    out: dict = {}
-    for scale, series in parts:
-        if not scale:
-            continue
-        for t, c in series.items():
-            v = out.get(t, Fraction(0)) + scale * c
-            if v:
-                out[t] = v
-            elif t in out:
-                del out[t]
-    return out
-
-
-def _rk_deviation(tableau: RKTableau, base: dict, N: int) -> dict:
+def _rk_deviation(tableau: RKTableau, base: FormalSum, N: int) -> FormalSum:
     """Deviation series of one step started at y + base, truncated at N.
 
     Stages are solved by structural fixed point: each sweep recomputes
     every stage from the previous sweep's values, and the iteration must
     reach a sweep that changes nothing.
     """
-    s = tableau.s
-    stages: list[dict] = [{} for _ in range(s)]
-    for _ in range(N + s + 2):
-        expanded = [_expand_field(_merge((1, base), (1, st)), N) for st in stages]
-        new_stages = [
-            _merge(*[(tableau.a[i][j], expanded[j]) for j in range(s)])
-            for i in range(s)
-        ]
+    stages = [FormalSum()] * tableau.s
+    for _ in range(N + tableau.s + 2):
+        expanded = [_expand_field(base + st, N) for st in stages]
+        new_stages = [FormalSum(zip(expanded, row)) for row in tableau.a]
         if new_stages == stages:
-            return _merge((1, base), *[(tableau.b[j], expanded[j]) for j in range(s)])
+            return base + FormalSum(zip(expanded, tableau.b))
         stages = new_stages
     raise DomainError(
         f"stage expansion of {tableau.name or 'tableau'} did not stabilize "
@@ -337,37 +315,35 @@ def _rk_deviation(tableau: RKTableau, base: dict, N: int) -> dict:
     )
 
 
-def _oracle_cap(N: int) -> None:
+def _taylor_character(tableaus: Sequence[RKTableau], N: int) -> BCoeff:
+    """The character of one step of each tableau in turn, all with the
+    same h, expanded around the original point: the tree coefficients of
+    the Taylor series times sigma, undoing the B-series normalization."""
+    from .bseries_hopf import BCoeff
+
     if N > 5:
         raise DomainError(f"the Taylor oracle is capped at order 5, got {N}")
+    series = FormalSum()
+    for tableau in tableaus:
+        series = _rk_deviation(tableau, series, N)
+    return BCoeff.character({t: c * tree_stats(t)[1] for t, c in series}, N)
 
 
 def rk_taylor_oracle(tableau: RKTableau, N: int) -> BCoeff:
     """Brute-force character of a Runge-Kutta map.
 
     Expands the map over a generic polynomial field and reads the tree
-    coefficients straight off the Taylor series (times sigma, undoing the
-    B-series normalization). Shares no code with elementary_weights.
+    coefficients straight off the Taylor series. Shares no code with
+    elementary_weights.
     """
-    from .bseries_hopf import BCoeff
-
-    _oracle_cap(N)
-    final = _rk_deviation(tableau, {}, N)
-    table = {t: c * tree_stats(t)[1] for t, c in final.items()}
-    return BCoeff.character(lambda t: table.get(t, Fraction(0)), N)
+    return _taylor_character((tableau,), N)
 
 
 def composed_taylor_oracle(first: RKTableau, second: RKTableau, N: int) -> BCoeff:
     """Taylor character of the composed map: a step of ``first``, then a
     step of ``second`` with the same h, expanded around the original
     point."""
-    from .bseries_hopf import BCoeff
-
-    _oracle_cap(N)
-    once = _rk_deviation(first, {}, N)
-    final = _rk_deviation(second, once, N)
-    table = {t: c * tree_stats(t)[1] for t, c in final.items()}
-    return BCoeff.character(lambda t: table.get(t, Fraction(0)), N)
+    return _taylor_character((first, second), N)
 
 
 def bell_frechet_word(word) -> str:

@@ -174,14 +174,10 @@ class LBCoeff(Coeff):
     def from_function(cls, fn, N: int, kind: str = "plain") -> "LBCoeff":
         return cls(kind, N, fn)
 
-    def _value(self, x) -> Fraction:
-        value = self._cache.get(x)
-        return self._cached(_as_word(x)) if value is None else value
-
-    def _factors(self, x) -> tuple[Fraction]:
+    def _kind_value(self, x) -> Fraction:
         # values are stored per word, so the kind rule is the word value
         value = self._cache.get(x)
-        return (self._cached(_as_word(x)) if value is None else value,)
+        return self._cached(_as_word(x)) if value is None else value
 
     def validate(self) -> None:
         """Check the claimed kind on the words up to the truncation order,
@@ -450,12 +446,12 @@ def dynkin_apply(alpha: LBCoeff, N: int) -> LBCoeff:
         raise DomainError("the Dynkin form is defined for characters")
     if alpha.N < N:
         raise DomainError(f"character truncated at {alpha.N}, need {N}")
-    factors = alpha._factors
+    value = alpha._kind_value
 
     def fn(w: PlanarForest) -> Fraction:
         if not w.word:
             return Fraction(0)
-        return exact_sum(((c, factors(u)) for u, c in _dynkin_rows(w)), w.order)
+        return exact_sum(((c, (value(u),)) for u, c in _dynkin_rows(w)), w.order)
 
     return LBCoeff("infinitesimal", N, fn)
 
@@ -674,14 +670,14 @@ def lb_substitute(alpha, beta: LBCoeff, N: int) -> LBCoeff:
         raise DomainError("substitution needs a field: alpha(1) must be 0")
     if beta.N < N:
         raise DomainError(f"series truncated at {beta.N}, need {N}")
-    factors = beta._factors
+    value = beta._kind_value
 
     def terms(w: PlanarForest):
         for u, weights in _astar_rows(w):
-            f = factors(u)
-            if all(f):
+            b = value(u)
+            if b:
                 for c, values in _products(alpha, weights):
-                    values.extend(f)
+                    values.append(b)
                     yield c, values
 
     def fn(w: PlanarForest) -> Fraction:

@@ -406,6 +406,10 @@ def _rkmk_stepper(tableau: RKTableau, A: GroupAction, m: int):
     return step
 
 
+# The Lie group methods with a fixed scheme; rkmk:<tableau> is the other one.
+_LIE_METHODS = ("lie_euler", "lie_midpoint", "lie_rk4", "cf4")
+
+
 def make_stepper(method: str, action: GroupAction, tableau=None, m=None):
     """Build the one-step map ``step(f, t, y, h)`` of a method on
     ``action``, for the equation y' = inf_act(f(t, y), y).
@@ -418,11 +422,15 @@ def make_stepper(method: str, action: GroupAction, tableau=None, m=None):
     classical order of the tableau minus one). Classical methods, on the
     translation action only: a builtin tableau name, which wins over
     ``tableau``, or custom with ``tableau``; stage i is f at t + c_i h,
-    and an implicit tableau's stages start at f(t, y). The method, the
-    tableau's float coefficients and the truncation are resolved here,
-    once; each step calls f and the action's exp, act and bracket.
+    and an implicit tableau's stages start at f(t, y). The methods of
+    ``_LIE_METHODS`` refuse ``tableau`` and ``m``, and a classical one
+    refuses ``m``, rather than drop them. The method, the tableau's float
+    coefficients and the truncation are resolved here, once; each step
+    calls f and the action's exp, act and bracket.
     """
     A = action
+    if method in _LIE_METHODS and (tableau is not None or m is not None):
+        raise DomainError(f"{method} takes neither a tableau nor m; rkmk:<tableau> takes both")
     if method == "lie_euler":
 
         def step(f, t, y, h):
@@ -485,9 +493,10 @@ def make_stepper(method: str, action: GroupAction, tableau=None, m=None):
         tableau = BUILTIN_TABLEAUS.get(method, tableau if method == "custom" else None)
         if tableau is None:
             raise DomainError(
-                f"unknown method {method!r}; choose lie_euler, lie_midpoint, lie_rk4, "
-                "cf4 or rkmk:<tableau>"
+                f"unknown method {method!r}; choose {', '.join(_LIE_METHODS)} or rkmk:<tableau>"
             )
+        if m is not None:
+            raise DomainError(f"the classical method {method} takes no m; rkmk:<tableau> does")
         if A.kind != "translation":
             raise DomainError("classical methods integrate the translation action only")
         return _rk_stepper(tableau)

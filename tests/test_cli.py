@@ -474,13 +474,13 @@ _EXACT_LAYER = ("bflow.bseries_hopf", "bflow.hopf", "bflow.integrators", "bflow.
             "from bflow.cli import main\n"
             "assert main(['integrate', '--method', 'lie_rk4', '--action', 'rotation',\n"
             "             '--h', '0.1', '--steps', '3']) == 0",
-            _EXACT_LAYER + ("scipy", "sympy"),
+            _EXACT_LAYER + ("bflow.tableaus", "scipy", "sympy"),
         ),
         (
             "from bflow.cli import main\n"
             "assert main(['converge', '--method', 'lie_rk4', '--action', 'rotation',\n"
             "             '--h', '0.2,0.1,0.05']) == 0",
-            _EXACT_LAYER + ("scipy", "sympy"),
+            _EXACT_LAYER + ("bflow.tableaus", "scipy", "sympy"),
         ),
         (
             "from bflow.cli import main; main(['coproduct', 'bck', '--table', '3'])",
@@ -649,6 +649,32 @@ class TestExitCodes:
         )
         assert code == 2 and out == ""
         assert err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ("--method", "lie_rk4", "--action", "rotation", "-m", "7"),
+                "lie_rk4 takes neither a tableau nor m; rkmk:<tableau> takes both",
+            ),
+            (
+                ("--method", "rk4", "--action", "translation", "--f", "linear", "-m", "3"),
+                "the classical method rk4 takes no m; rkmk:<tableau> does",
+            ),
+        ],
+        ids=["lie_rk4_m", "rk4_m"],
+    )
+    def test_an_option_the_method_drops_is_refused(self, capsys, argv, message):
+        code, out, err = run(capsys, "integrate", *argv, "--h", "0.1", "--steps", "2")
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
+    def test_converge_rejects_a_name_outside_the_lie_methods(self, capsys):
+        code, out, err = run(
+            capsys, "converge", "--method", "nope", "--action", "rotation", "--h", "0.1,0.05,0.025"
+        )
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: converge drives the Lie group methods; see integrate"]
 
     def test_converge_rejects_a_custom_tableau(self, capsys, tmp_path):
         path = tmp_path / "euler.txt"

@@ -427,9 +427,9 @@ def test_the_kernel_adds_no_fractions(monkeypatch, no_fraction_sums):
 
 def series_reference(x: Coeff, coeffs: list[Fraction], kind: str, N: int) -> Coeff:
     """The exp/log series as it was summed before the one-pass kernel:
-    the rows (c, factors of x(right), powers of left) of Delta(w) are
-    collected once, then each power is its own ``exact_sum`` over them."""
-    coproduct, factors, as_forest = type(x).coproduct, x._factors, x.basis._of
+    the rows (c, x(right), powers of left) of Delta(w) are collected
+    once, then each power is its own ``exact_sum`` over them."""
+    coproduct, value, as_forest = type(x).coproduct, x._kind_value, x.basis._of
     memo: dict = {}
 
     def powers(w) -> list[Fraction]:
@@ -438,11 +438,11 @@ def series_reference(x: Coeff, coeffs: list[Fraction], kind: str, N: int) -> Coe
             rows = []
             for t, c in coproduct(w):
                 if t.left.order and t.right.order:
-                    f = factors(t.right)
+                    f = value(t.right)
                     if f is not None:
                         rows.append((c.numerator, f, powers(t.left)))
             out = [x._value(w)] + [
-                exact_sum((c, f + (p[k - 1],)) for c, f, p in rows if k <= len(p))
+                exact_sum((c, (f, p[k - 1])) for c, f, p in rows if k <= len(p))
                 for k in range(1, w.order)
             ]
             memo[w] = out
@@ -545,14 +545,14 @@ def test_memo_first_lookups_keep_the_miss_path():
         with pytest.raises(CapacityError, match="truncated at order 4, asked for order 5"):
             flow(probe)
         with pytest.raises(CapacityError, match="truncated at order 4, asked for order 5"):
-            flow._factors(probe)
+            flow._kind_value(probe)
     fresh = q_apply(exact_flow_lb(4), 4)
     for n in range(1, 5):
         for t in enumerate_trees(n, planar=True):
             word = PlanarForest((t,))
             # asked as a tree first on the fresh map, after its word on the full one
             assert fresh(t) == flow(t) == table[word]
-            assert fresh._factors(t) == flow._factors(t) == (table[word],)
+            assert fresh._kind_value(t) == flow._kind_value(t) == table[word]
             assert t not in fresh._cache
     with pytest.raises(DomainError, match="cannot evaluate coefficients on list"):
         flow([deep])
@@ -571,10 +571,10 @@ def test_memo_first_lookups_keep_the_miss_path():
     field.table()
     for f in enumerate_forests(3):
         if len(f.trees) > 1:
-            assert field._factors(f) is None and field(f) == 0, f.serial
+            assert field._kind_value(f) is None and field(f) == 0, f.serial
         else:
-            assert field._factors(f) == (field(f.trees[0]),), f.serial
-    assert field._factors(EMPTY_FOREST) is None and field(EMPTY_FOREST) == 0
+            assert field._kind_value(f) == field(f.trees[0]), f.serial
+    assert field._kind_value(EMPTY_FOREST) is None and field(EMPTY_FOREST) == 0
     with pytest.raises(DomainError, match="cannot evaluate coefficients on list"):
         field([DOT])
 
@@ -593,26 +593,26 @@ def test_a_character_stores_its_forest_values():
     trees = forest.trees
     want = fn(trees[0]) * fn(trees[1]) * fn(trees[2])
     calls.clear()
-    assert alpha._factors(forest) == (want,)
+    assert alpha._kind_value(forest) == want
     assert alpha._cache[forest] == want
     assert sorted(t.serial for t in calls) == ["[[]]", "[]"]
     calls.clear()
-    assert alpha._factors(forest) == (want,) and alpha(forest) == want
-    assert alpha._factors(Forest((trees[0],))) == (alpha(trees[0]),)
+    assert alpha._kind_value(forest) == want and alpha(forest) == want
+    assert alpha._kind_value(Forest((trees[0],))) == alpha(trees[0])
     assert not calls
-    # the empty forest gives no factors and is not stored
-    assert alpha._factors(EMPTY_FOREST) == () and alpha(EMPTY_FOREST) == 1
+    # the empty forest gives 1 and is not stored
+    assert alpha._kind_value(EMPTY_FOREST) == 1 and alpha(EMPTY_FOREST) == 1
     assert EMPTY_FOREST not in alpha._cache
     # nothing beyond N is stored
     for big in (parse_forest("[[]] [[]] []"), parse_forest("[[[[]]]] []")):
         with pytest.raises(CapacityError, match="truncated at order 4, asked for order 5"):
-            alpha._factors(big)
+            alpha._kind_value(big)
         assert big not in alpha._cache
     assert max(x.order for x in alpha._cache) == 4
     assert not calls
     # an infinitesimal map stores nothing for a forest
     field = BCoeff.infinitesimal(fn, 4)
-    assert field._factors(forest) is None and forest not in field._cache
+    assert field._kind_value(forest) is None and forest not in field._cache
     plain = BCoeff.plain({Forest((DOT,)): 2, EMPTY_FOREST: 3}, 3)
     assert plain.tree_value(DOT) == plain(DOT) == 2 and plain(EMPTY_FOREST) == 3
     assert plain(Forest((DOT, DOT))) == 0

@@ -1397,6 +1397,34 @@ def test_custom_without_a_tableau_is_an_unknown_method():
     assert str(exc.value) == want
 
 
+@pytest.mark.parametrize("method", steppers._LIE_METHODS)
+def test_a_fixed_lie_method_refuses_a_tableau_and_m(method):
+    # it has no tableau and no dexpinv truncation, so either option would be dropped
+    action = make_action("rotation", 3)
+    want = f"^{method} takes neither a tableau nor m; rkmk:<tableau> takes both$"
+    for kwargs in ({"m": 3}, {"tableau": RK4}, {"m": 3, "tableau": RK4}):
+        with pytest.raises(DomainError, match=want):
+            make_stepper(method, action, **kwargs)
+    problem = rigid_body_problem()
+    with pytest.raises(DomainError, match=want):
+        lg_step(method, problem, 0.0, problem.y0, 0.1, m=3)
+    with pytest.raises(DomainError, match=want):
+        integrate(method, problem, 0.1, 2, tableau=RK4)
+    with pytest.raises(DomainError, match=want):
+        convergence_order(method, problem, 1.0, [0.2, 0.1, 0.05], m=3)
+    make_stepper(method, action)
+
+
+def test_a_classical_method_refuses_m():
+    action = make_action("translation", 2)
+    for method, tableau in (("rk4", None), ("rk4", DIRK), ("custom", DIRK)):
+        with pytest.raises(DomainError, match=f"^the classical method {method} takes no m;"):
+            make_stepper(method, action, tableau=tableau, m=3)
+    # a builtin name still wins over a tableau, and rkmk still takes both
+    make_stepper("rk4", action, tableau=DIRK)
+    make_stepper("rkmk", make_action("rotation", 3), tableau=RK4, m=3)
+
+
 def test_the_steppers_take_no_tolerance_or_start_time():
     import inspect
 
