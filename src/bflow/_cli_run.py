@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DomainError
 from .steppers import (
     _LIE_METHODS,
+    _refuse_options,
     LGProblem,
     affine_element,
     convergence_order,
@@ -117,12 +118,16 @@ def _invariant_tracker(kind, y0):
     raise DomainError(f"unknown invariant {kind!r}; choose norm or spectrum")
 
 
-def _read_tableau(path):
-    if not path:
+def _read_tableau(args):
+    """The ``--tableau`` file, read only after the method is known to take
+    it: a fixed Lie group method refuses the option before the file is
+    opened, so the error names the refusal whatever the file holds."""
+    if not args.tableau:
         return None
+    _refuse_options(args.method, args.tableau, args.m)
     from .tableaus import read_tableau
 
-    return read_tableau(path)
+    return read_tableau(args.tableau)
 
 
 def integrate_command(args) -> int:
@@ -130,7 +135,7 @@ def integrate_command(args) -> int:
     # A run that leaves the floats ends in one error line, not numpy warnings.
     with np.errstate(all="ignore"):
         trajectory = integrate(
-            args.method, problem, args.h, args.steps, m=args.m, tableau=_read_tableau(args.tableau)
+            args.method, problem, args.h, args.steps, m=args.m, tableau=_read_tableau(args)
         )
     columns = ["step", "t"] + _state_columns(problem.y0)
     tracker = None
@@ -153,7 +158,7 @@ def converge_command(args) -> int:
     if not (args.method in _LIE_METHODS or args.method.startswith("rkmk")):
         raise DomainError("converge drives the Lie group methods; see integrate")
     h_list = args.h
-    tableau = _read_tableau(args.tableau)
+    tableau = _read_tableau(args)
     with np.errstate(all="ignore"):
         slope, rows = convergence_order(
             args.method, problem, args.t_end, h_list, m=args.m, tableau=tableau

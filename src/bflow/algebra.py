@@ -206,15 +206,33 @@ def tensor_sum(pairs: Iterable[tuple[Any, Any, Scalar]]) -> FormalSum:
 
 
 def render_sum(fs: FormalSum, sort_key: Callable[[Any], Any]) -> str:
-    """Serialize a sum as ``coeff * basis`` terms joined by `` + ``.
+    """Serialize a sum as ``coeff * basis`` terms joined by `` + ``, in the
+    order of ``sort_key``.
 
-    A unit coefficient is left implicit. The zero sum renders as ``0``.
+    A basis element is written as its ``serial``, or as ``str`` of it
+    when it has none or an empty one; a ``Tensor`` as the two sides so
+    written, joined by `` (x) ``. A coefficient is written from its
+    numerator and denominator, read once: ``n/d``, or ``n`` when d is 1,
+    and a unit coefficient is left implicit. The zero sum renders as
+    ``0``.
     """
     if not fs:
         return "0"
+    terms = fs._terms
     parts = []
-    for basis in sorted(fs._terms, key=sort_key):
-        coeff = fs._terms[basis]
-        serial = getattr(basis, "serial", None) or str(basis)
-        parts.append(serial if coeff == 1 else f"{coeff} * {serial}")
+    for basis in sorted(terms, key=sort_key):
+        if type(basis) is Tensor:
+            left, right = basis
+            serial = (
+                f"{getattr(left, 'serial', None) or str(left)} (x) "
+                f"{getattr(right, 'serial', None) or str(right)}"
+            )
+        else:
+            serial = getattr(basis, "serial", None) or str(basis)
+        num, den = terms[basis].as_integer_ratio()
+        if den != 1:
+            serial = f"{num}/{den} * {serial}"
+        elif num != 1:
+            serial = f"{num} * {serial}"
+        parts.append(serial)
     return " + ".join(parts)

@@ -254,6 +254,8 @@ class BCoeff(Coeff):
         value = self._cache.get(x)
         if value is not None:
             return value
+        if x is EMPTY_FOREST and self.kind == "character":
+            return _ONE
         if isinstance(x, RootedTree):
             return self.tree_value(x)
         if not isinstance(x, Forest):
@@ -264,8 +266,6 @@ class BCoeff(Coeff):
             raise self._beyond(x)
         trees = x.trees
         if self.kind == "character":
-            if not trees:
-                return _ONE
             value = self._cache[x] = functools.reduce(operator.mul, map(self._cached, trees))
             return value
         return self._cached(trees[0]) if len(trees) == 1 else None

@@ -19,10 +19,12 @@ numerators of all the terms of one value over one common denominator,
 building a single Fraction per value.
 Convolution, substitution, the modified-field solve, and the planar
 ``dynkin_apply``, ``q_apply`` and ``lb_substitute`` all sum through it.
-The exp/log series keeps the same integer arithmetic in its own loop:
-one pass over the coproduct of a forest adds each row into the running
-integer total and common denominator of every power at once, and builds
-one Fraction per power at the end.
+The exp/log series keeps the same integer arithmetic in its own loop,
+and never makes a Fraction of a power: the powers x^{*k}(w) of a forest
+are int numerators over one int denominator. One pass over the
+coproduct of the forest adds each row into the numerators of every
+power at once, and a value sums its powers on ints into the one
+Fraction it returns.
 
 A map's values are computed once and held in its memo, ``_cache``.
 Every lookup (``__call__``, ``_kind_value``, ``tree_value``) reads the memo
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -203,50 +206,64 @@ def convolution_series(x: Coeff, coeffs: list[Fraction], kind: str, N: int) -> C
     x is read only on nonempty forests, as if it vanished on the empty
     one, so x^{*k} vanishes below order k and x^{*k}(w) = sum c
     x^{*(k-1)}(left) x(right) over the terms of Delta(w) with both sides
-    nonempty. The powers x^{*1}(w), ..., x^{*|w|}(w) are filled in one
+    nonempty. No power is a Fraction: the powers x^{*1}(w), ...,
+    x^{*|w|}(w) are held as a tuple of int numerators over one int
+    denominator, reduced by the gcd of them all. They are filled in one
     integer pass over Delta(w): each row whose c x(right) is not 0 is
-    read once, and c x(right) x^{*j}(left) is added, for every j at
-    once, into the integer total of power j + 1 over that power's common
-    denominator, rescaled to the lcm as ``exact_sum`` does. One Fraction
-    is built per power, at the end. The memo of powers belongs to the
-    returned map.
+    read once, the common denominator grows to the lcm with the row's
+    (the numerators rescaled, as ``exact_sum`` does), and c x(right)
+    x^{*j}(left) is added to the numerator of power j + 1 for every j at
+    once. A value is the dot product of these numerators with coeffs[1:]
+    over their own common denominator, the one Fraction it builds. The
+    memo of powers belongs to the returned map.
     """
-    coproduct, value, as_forest = type(x).coproduct, x._kind_value, x.basis._of
+    as_forest = x.basis._of
+    # coeffs[1:] as integer weights over one common denominator
+    unit = math.lcm(*(c.denominator for c in coeffs[1:]))
+    weights = [c.numerator * (unit // c.denominator) for c in coeffs[1:]]
     memo: dict = {}
-
-    def powers(w) -> list[Fraction]:
-        out = memo.get(w)
-        if out is None:
-            # totals[j] / scales[j] is x^{*(j+2)}(w)
-            totals, scales = [0] * (w.order - 1), [1] * (w.order - 1)
-            for (l, r), c in coproduct(w):
-                if not (l.order and r.order):
-                    continue
-                f = value(r)
-                if f is None:
-                    continue
-                num, den = c.numerator * f.numerator, f.denominator
-                if not num:
-                    continue
-                for j, p in enumerate(powers(l)):
-                    pnum = num * p.numerator
-                    if pnum:
-                        pden = den * p.denominator
-                        scale = scales[j]
-                        if scale % pden:
-                            grown = math.lcm(scale, pden)
-                            totals[j] *= grown // scale
-                            scales[j] = scale = grown
-                        totals[j] += pnum * (scale // pden)
-            out = memo[w] = [x._value(w), *map(Fraction, totals, scales)]
-        return out
 
     def fn(w) -> Fraction:
         if not w.order:
             return coeffs[0]
-        return exact_sum((1, (a, p)) for a, p in zip(coeffs[1:], powers(as_forest(w))))
+        w = as_forest(w)
+        nums, scale = memo.get(w) or _powers(x, memo, w)
+        return Fraction(sum(map(operator.mul, weights, nums)), unit * scale)
 
     return type(x)(kind, N, fn)
+
+
+def _powers(x: Coeff, memo: dict, w) -> tuple[tuple[int, ...], int]:
+    """The powers of x at the forest w for ``convolution_series``, filled
+    into memo with those of the left sides they need. A module function
+    and not a closure that calls itself, which would be a reference cycle:
+    the memo dies with its map, not at the next garbage collection."""
+    value = x._kind_value
+    num, scale = x._value(w).as_integer_ratio()
+    # totals[k - 1] / scale is x^{*k}(w)
+    totals = [num] + [0] * (w.order - 1)
+    for (l, r), c in x.coproduct(w):
+        if not (l.order and r.order):
+            continue
+        f = value(r)
+        if f is None:
+            continue
+        num, den = f.as_integer_ratio()
+        if not num:
+            continue
+        nums, pden = memo.get(l) or _powers(x, memo, l)
+        den *= pden
+        if scale % den:
+            grown = math.lcm(scale, den)
+            up = grown // scale
+            totals = [t * up for t in totals]
+            scale = grown
+        num *= c.numerator * (scale // den)
+        for j, p in enumerate(nums, 1):
+            totals[j] += num * p
+    common = math.gcd(scale, *totals)
+    out = memo[w] = (tuple(t // common for t in totals), scale // common)
+    return out
 
 
 def convolution_log(alpha: Coeff, N: int) -> Coeff:

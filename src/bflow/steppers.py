@@ -274,16 +274,24 @@ def dexpinv(U, K, m: int, bracket=None):
     first m terms of sum_k B_k/k! ad_U^k(K). The default bracket is the
     matrix commutator; vector-shaped algebras pass their own. The result
     is a new array, never K itself."""
+    _check_truncation(m)
+    K = np.asarray(K, dtype=float)
+    if m == 1:
+        return K.copy()
+    return _dexpinv(np.asarray(U, dtype=float), K, m, _commutator if bracket is None else bracket)
+
+
+def _check_truncation(m: int) -> None:
     if m < 1:
         raise DomainError("dexpinv needs at least one term")
     if m > len(_DEXPINV_WEIGHTS):
         raise DomainError(f"dexpinv truncation capped at {len(_DEXPINV_WEIGHTS)} terms")
-    if bracket is None:
-        bracket = _commutator
-    U = np.asarray(U, dtype=float)
-    acc = term = np.asarray(K, dtype=float)
-    if m == 1:
-        return acc.copy()
+
+
+def _dexpinv(U, K, m: int, bracket):
+    """``dexpinv`` on float arrays U and K, m already checked: K itself
+    when m is 1, else a new array."""
+    acc = term = K
     # B_1 is nonzero, so the first term replaces acc by a new array
     for k in range(1, m):
         term = bracket(U, term)
@@ -382,25 +390,27 @@ def _rk_stepper(tableau: RKTableau):
 
 
 def _rkmk_stepper(tableau: RKTableau, A: GroupAction, m: int):
+    _check_truncation(m)
     s = tableau.s
     a, b, c = tableau.floats
     explicit = tableau.is_explicit
+    # the nonzero (j, a_ij) of each stage and (j, b_j) of the update, in order
+    rows = [[(j, a_ij) for j, a_ij in enumerate(a[i]) if a_ij] for i in range(s)]
+    weights = [(j, b_j) for j, b_j in enumerate(b) if b_j]
     # no step writes into an algebra element, so every sum starts from one zero
     zero = A.zero()
 
     def step(f, t, y, h):
         def stage(i, K):
             U = zero
-            for j in range(s):
-                if a[i][j]:
-                    U = U + a[i][j] * K[j]
-            return dexpinv(U, h * f(t + c[i] * h, A.act(A.exp(U), y)), m, A.bracket)
+            for j, a_ij in rows[i]:
+                U = U + a_ij * K[j]
+            return _dexpinv(U, h * f(t + c[i] * h, A.act(A.exp(U), y)), m, A.bracket)
 
         K = _stages(s, explicit, stage, zero, "rkmk stages")
         U = zero
-        for j in range(s):
-            if b[j]:
-                U = U + b[j] * K[j]
+        for j, b_j in weights:
+            U = U + b_j * K[j]
         return A.act(A.exp(U), y)
 
     return step
@@ -408,6 +418,15 @@ def _rkmk_stepper(tableau: RKTableau, A: GroupAction, m: int):
 
 # The Lie group methods with a fixed scheme; rkmk:<tableau> is the other one.
 _LIE_METHODS = ("lie_euler", "lie_midpoint", "lie_rk4", "cf4")
+
+
+def _refuse_options(method: str, tableau, m) -> None:
+    """Raise DomainError when a method of ``_LIE_METHODS`` is given a
+    tableau or m, either of which it would drop; a tableau may be given
+    as anything that is not None, such as the name of a file not yet
+    read."""
+    if method in _LIE_METHODS and (tableau is not None or m is not None):
+        raise DomainError(f"{method} takes neither a tableau nor m; rkmk:<tableau> takes both")
 
 
 def make_stepper(method: str, action: GroupAction, tableau=None, m=None):
@@ -429,8 +448,7 @@ def make_stepper(method: str, action: GroupAction, tableau=None, m=None):
     calls f and the action's exp, act and bracket.
     """
     A = action
-    if method in _LIE_METHODS and (tableau is not None or m is not None):
-        raise DomainError(f"{method} takes neither a tableau nor m; rkmk:<tableau> takes both")
+    _refuse_options(method, tableau, m)
     if method == "lie_euler":
 
         def step(f, t, y, h):
@@ -462,13 +480,14 @@ def make_stepper(method: str, action: GroupAction, tableau=None, m=None):
     elif method == "cf4":
 
         def step(f, t, y, h):
-            # Exponentials are applied in the order written: the half step of
-            # K1 reaches the fourth stage point first, and the update applies
-            # its first exponential before its second.
+            # Exponentials are applied in the order written: the fourth stage
+            # point starts from the half step of K1, the second stage point,
+            # and the update applies its first exponential before its second.
             K1 = h * f(t, y)
-            K2 = h * f(t + h / 2.0, A.act(A.exp(K1 / 2.0), y))
+            half = A.act(A.exp(K1 / 2.0), y)
+            K2 = h * f(t + h / 2.0, half)
             K3 = h * f(t + h / 2.0, A.act(A.exp(K2 / 2.0), y))
-            K4 = h * f(t + h, A.act(A.exp(K3 - K1 / 2.0), A.act(A.exp(K1 / 2.0), y)))
+            K4 = h * f(t + h, A.act(A.exp(K3 - K1 / 2.0), half))
             first = A.act(A.exp(K1 / 4.0 + K2 / 6.0 + K3 / 6.0 - K4 / 12.0), y)
             return A.act(A.exp(K2 / 6.0 + K3 / 6.0 + K4 / 4.0 - K1 / 12.0), first)
 

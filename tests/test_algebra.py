@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from bflow import (
     render_sum,
     tensor_sum,
 )
-from bflow.lbseries import antipode_mkw, delta_mkw, eulerian_apply, exact_flow_lb, q_apply
+from bflow.lbseries import BellWord, antipode_mkw, delta_mkw, eulerian_apply, exact_flow_lb, q_apply
 
 
 def test_zero_terms_are_pruned():
@@ -127,3 +128,91 @@ def test_render_sum():
     text = render_sum(s, sort_key=lambda b: b)
     assert text == "a + -1/2 * bb + 3 * c"
     assert render_sum(FormalSum.zero(), sort_key=lambda b: b) == "0"
+
+
+def render_sum_reference(fs: FormalSum, sort_key) -> str:
+    """``render_sum`` as it was written before it formatted coefficients
+    from their integers and built a Tensor's serial inline, verbatim:
+    ``Fraction.__eq__`` and ``Fraction.__str__`` per term, and
+    ``Tensor.serial``."""
+    if not fs:
+        return "0"
+    parts = []
+    for basis in sorted(fs._terms, key=sort_key):
+        coeff = fs._terms[basis]
+        serial = getattr(basis, "serial", None) or str(basis)
+        parts.append(serial if coeff == 1 else f"{coeff} * {serial}")
+    return " + ".join(parts)
+
+
+class _Plain:
+    """A basis element with no serial, written as its str."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __str__(self):
+        return f"<{self.name}>"
+
+    __repr__ = __str__
+
+
+class _Unnamed(_Plain):
+    """A basis element whose serial is empty, so its str is written."""
+
+    serial = ""
+
+
+def _random_sums(rng: random.Random) -> list:
+    forests = [f for n in range(5) for f in enumerate_forests(n)]
+    words = [w for n in range(5) for w in enumerate_forests(n, planar=True)]
+    bells = [BellWord(w) for w in ((), (1,), (2,), (1, 1), (3, 1), (1, 2, 1))]
+    odd = [_Plain("p"), _Plain("q"), _Unnamed("u"), _Unnamed("v")]
+    sides = {
+        "forests": (forests, forests),
+        "words": (words, words),
+        "bells": (bells, bells),
+        "odd": (odd, forests + odd),
+    }
+
+    def coeff():
+        kind = rng.randrange(5)
+        if kind == 0:
+            return 1
+        if kind == 1:
+            return -1
+        if kind == 2:
+            return rng.choice([2, -3, 12, -40, 10**20])
+        return Fraction(rng.choice([1, -1, 5, -7, 3**30]), rng.choice([2, 3, 9, 14, 7**25]))
+
+    sums = []
+    for _ in range(12):
+        for left, right in sides.values():
+            sums.append(
+                FormalSum(
+                    (Tensor(rng.choice(left), rng.choice(right)), coeff())
+                    for _ in range(rng.randrange(1, 30))
+                )
+            )
+        for basis in (forests, words, bells, odd):
+            sums.append(FormalSum((rng.choice(basis), coeff()) for _ in range(rng.randrange(1, 30))))
+    return sums
+
+
+def test_render_sum_matches_the_fraction_formatting():
+    rng = random.Random("render-sum")
+    sums = _random_sums(rng) + [FormalSum.zero(), FormalSum([("a", 3), ("a", -3)])]
+    coefficients = {c for s in sums for _, c in s}
+    # unit, negative unit, integral and fractional coefficients, both signs
+    assert {1, -1} <= coefficients
+    assert any(c.denominator == 1 and abs(c) > 1 for c in coefficients)
+    assert any(c.denominator > 1 and c > 0 for c in coefficients)
+    assert any(c.denominator > 1 and c < 0 for c in coefficients)
+    for s in sums:
+        for key in (repr, str):
+            assert render_sum(s, sort_key=key) == render_sum_reference(s, sort_key=key)
+    assert render_sum(FormalSum.zero(), sort_key=repr) == "0"
+    tensors = [s for s in sums if s and isinstance(next(iter(s))[0], Tensor)]
+    texts = [render_sum(s, sort_key=repr) for s in tensors]
+    assert any("<u>" in t for t in texts) and any("<p>" in t for t in texts)
+    assert all(" (x) " in t for t in texts)

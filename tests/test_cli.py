@@ -669,6 +669,26 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.splitlines() == [f"error: {message}"]
 
+    @pytest.mark.parametrize("command", ["integrate", "converge"])
+    @pytest.mark.parametrize("content", ["bad\n", None], ids=["one_line_file", "missing_file"])
+    def test_a_tableau_file_for_a_fixed_lie_method_is_refused_unread(
+        self, capsys, tmp_path, command, content
+    ):
+        # the refusal comes before the file is read, so neither a parse
+        # error nor the OS error of a missing file shows
+        path = tmp_path / "bad.txt"
+        if content is not None:
+            path.write_text(content)
+        h = ("--h", "0.1", "--steps", "2") if command == "integrate" else ("--h", "0.1,0.05")
+        code, out, err = run(
+            capsys, command, "--method", "lie_rk4", "--action", "rotation", *h,
+            "--tableau", str(path),
+        )
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "error: lie_rk4 takes neither a tableau nor m; rkmk:<tableau> takes both"
+        ]
+
     def test_converge_rejects_a_name_outside_the_lie_methods(self, capsys):
         code, out, err = run(
             capsys, "converge", "--method", "nope", "--action", "rotation", "--h", "0.1,0.05,0.025"

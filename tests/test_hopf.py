@@ -22,6 +22,7 @@ cached functions, and the last test empties every one of them.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import math
@@ -529,6 +530,75 @@ def test_zero_rows_leave_the_left_powers_unread():
     rights = {t.right for t, _ in delta_mkw(w) if t.left.order and t.right.order}
     assert lefts - rights, "every left side is also a right side: the check has no teeth"
     assert set(read) <= {EMPTY_WORD, w} | rights
+
+
+def test_the_series_builds_one_fraction_per_value(monkeypatch):
+    # The powers are integer pairs: with the input's values computed
+    # beforehand, every Fraction ``hopf`` builds is a value the series
+    # maps return, one per value they compute, and the tables are the
+    # ones the per-power series gives.
+    built = []
+
+    class Counted(Fraction):
+        __slots__ = ()
+
+        def __new__(cls, *args):
+            built.append(args)
+            return super().__new__(cls, *args)
+
+    alpha = q_apply(exact_flow_lb(6), 6)
+    rk4 = rk_character(builtin_tableau("rk4"), 7)
+    alpha.table(), rk4.table()
+    for f in enumerate_forests(7):
+        rk4(f)
+    # the maps are built first: their series coefficients are no values
+    log = eulerian_apply(alpha, 6)
+    back = gl_exp(log, 6)
+    field = log_bck(rk4, 7)
+    with monkeypatch.context() as m:
+        m.setattr(hopf, "Fraction", Counted)
+        planar = back.table()
+        planar_built = len(built)
+        pruning = field.table()
+    assert 0 < planar_built <= len(log._cache) + len(back._cache)
+    assert 0 < len(built) - planar_built <= len(field._cache)
+    assert planar == alpha.table()
+    assert planar == series_reference(log, exp_coeffs(6), "character", 6).table()
+    assert pruning == series_reference(rk4, log_coeffs(7), "infinitesimal", 7).table()
+    assert len(planar) == 197 and len(pruning) == 200
+
+
+def test_a_series_map_dies_with_its_last_reference():
+    # the memo of powers is in no reference cycle, so dropping the maps
+    # frees it at once and leaves nothing to the cyclic garbage collector
+    alpha = q_apply(exact_flow_lb(5), 5)
+    rk4 = rk_character(builtin_tableau("rk4"), 5)
+    alpha.table(), rk4.table()
+    gl_exp(eulerian_apply(alpha, 5), 5).table(), exp_bck(log_bck(rk4, 5), 5).table()
+    gc.collect()
+    gc.disable()
+    try:
+        log = eulerian_apply(alpha, 5)
+        back = gl_exp(log, 5)
+        field = log_bck(rk4, 5)
+        again = exp_bck(field, 5)
+        assert back.table() == alpha.table()
+        assert all(again(t) == rk4(t) for t in TREES)
+        del log, back, field, again
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_character_gives_the_empty_forest_its_unit_at_once(monkeypatch):
+    # 1 right after the memo miss: no type test, no kind or order check,
+    # and nothing stored
+    alpha = rk_character(builtin_tableau("rk4"), 4)
+    monkeypatch.setattr(bseries_hopf, "RootedTree", None)
+    monkeypatch.setattr(bseries_hopf, "Forest", None)
+    assert alpha._kind_value(EMPTY_FOREST) == 1
+    assert alpha(EMPTY_FOREST) == 1
+    assert EMPTY_FOREST not in alpha._cache
 
 
 # ---------------------------------------------------------------------------

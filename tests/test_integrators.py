@@ -1224,7 +1224,7 @@ REFERENCE_KERNELS = {
     "_rodrigues": _rodrigues_reference,
     "_so3_exp": _so3_exp_reference,
     "_cross": _cross_reference,
-    "dexpinv": _dexpinv_reference,
+    "_dexpinv": _dexpinv_reference,
     "_fixed_point": _fixed_point_reference,
     "_commutator": _commutator_reference,
     "make_action": _make_action_reference,
@@ -1362,6 +1362,131 @@ def test_classical_trajectories_match_the_hand_loop_bit_for_bit(method):
         field = lambda z: problem.f(0.0, z)
         for y in got[::50]:
             assert np.array_equal(rk_step(tab, field, y, h), _rk_step_reference(tab, field, y, h))
+
+
+# The cf4 step and ``_rkmk_stepper`` as they were written before cf4 reused
+# its half-step point and rkmk read its tableau's nonzero coefficients from
+# precomputed pairs, verbatim: the reference for both, bit for bit.
+
+
+def _cf4_reference(A: GroupAction):
+    def step(f, t, y, h):
+        # Exponentials are applied in the order written: the half step of
+        # K1 reaches the fourth stage point first, and the update applies
+        # its first exponential before its second.
+        K1 = h * f(t, y)
+        K2 = h * f(t + h / 2.0, A.act(A.exp(K1 / 2.0), y))
+        K3 = h * f(t + h / 2.0, A.act(A.exp(K2 / 2.0), y))
+        K4 = h * f(t + h, A.act(A.exp(K3 - K1 / 2.0), A.act(A.exp(K1 / 2.0), y)))
+        first = A.act(A.exp(K1 / 4.0 + K2 / 6.0 + K3 / 6.0 - K4 / 12.0), y)
+        return A.act(A.exp(K2 / 6.0 + K3 / 6.0 + K4 / 4.0 - K1 / 12.0), first)
+
+    return step
+
+
+def _rkmk_stepper_reference(tableau: RKTableau, A: GroupAction, m: int):
+    s = tableau.s
+    a, b, c = tableau.floats
+    explicit = tableau.is_explicit
+    # no step writes into an algebra element, so every sum starts from one zero
+    zero = A.zero()
+
+    def step(f, t, y, h):
+        def stage(i, K):
+            U = zero
+            for j in range(s):
+                if a[i][j]:
+                    U = U + a[i][j] * K[j]
+            return dexpinv(U, h * f(t + c[i] * h, A.act(A.exp(U), y)), m, A.bracket)
+
+        K = steppers._stages(s, explicit, stage, zero, "rkmk stages")
+        U = zero
+        for j in range(s):
+            if b[j]:
+                U = U + b[j] * K[j]
+        return A.act(A.exp(U), y)
+
+    return step
+
+
+STEPPER_REFERENCE_PROBLEMS = {
+    "rigid_body": rigid_body_problem,
+    # a negative zero in the state, whose sign bit the steps must keep alike
+    "rigid_body_negative_zero": lambda: rigid_body_problem(y0=(0.8, 0.6, -0.0)),
+    "toda": toda_problem,
+    "toda_4": _toda_4,
+    "affine": _cli_affine,
+    "time_dependent_rotation": _time_dependent_rotation,
+}
+
+# Kutta's 3/8 rule: stages that sum two and three terms
+RULE_38 = RKTableau(
+    [[0, 0, 0, 0], [Fraction(1, 3), 0, 0, 0], [Fraction(-1, 3), 1, 0, 0], [1, -1, 1, 0]],
+    [Fraction(1, 8), Fraction(3, 8), Fraction(3, 8), Fraction(1, 8)],
+)
+
+# rkmk on each tableau shape: explicit with a zero a_ij (rk4), a zero b_j
+# (explicit_midpoint), one stage and m = 1 (euler), implicit (implicit
+# midpoint, and the two-stage DIRK above), stages of several terms, and a
+# truncation given
+RKMK_REFERENCE_RUNS = (
+    ("rkmk:rk4", None, None),
+    ("rkmk:explicit_midpoint", None, None),
+    ("rkmk:euler", None, None),
+    ("rkmk:implicit_midpoint", None, None),
+    ("rkmk:rk4", None, 6),
+    ("rkmk", RULE_38, 3),
+    ("rkmk", DIRK, 2),
+)
+
+
+@pytest.mark.parametrize("name", STEPPER_REFERENCE_PROBLEMS)
+def test_cf4_and_rkmk_match_their_reference_steppers_bit_for_bit(name):
+    problem = STEPPER_REFERENCE_PROBLEMS[name]()
+    A = problem.action
+    for h, steps in ((0.01, 200), (0.3, 50)):
+        runs = [("cf4", integrate("cf4", problem, h, steps), _cf4_reference(A))]
+        for method, tableau, m in RKMK_REFERENCE_RUNS:
+            if tableau is None:
+                tableau = builtin_tableau(method.split(":")[1])
+                got = integrate(method, problem, h, steps, m=m)
+                m = m or max(1, tableau.order - 1)
+            else:
+                got = integrate(method, problem, h, steps, m=m, tableau=tableau)
+            runs.append((f"{method}:{m}", got, _rkmk_stepper_reference(tableau, A, m)))
+        for label, got, reference in runs:
+            got = np.array(got)
+            want = np.array(list(steppers._states(reference, problem, h, steps)))
+            assert np.isfinite(want).all(), (label, h)
+            assert np.array_equal(got, want), (label, h)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (label, h)
+    if name == "rigid_body_negative_zero":
+        assert np.signbit(problem.y0[2])
+
+
+def test_cf4_takes_five_exponentials_per_step():
+    # the fourth stage point starts from the second one, not from a second
+    # exponential of K1 / 2
+    calls = []
+    base = rigid_body_problem()
+    a = base.action
+
+    def exp(v):
+        calls.append(v)
+        return a.exp(v)
+
+    action = GroupAction(a.kind, a.n, a.algebra_dim, a.bracket, exp, a.act, a.inf_act, a.zero())
+    problem = LGProblem(action, base.f, base.y0)
+    got = integrate("cf4", problem, 0.1, 4)
+    assert len(calls) == 5 * 4
+    assert np.array_equal(np.array(got), np.array(integrate("cf4", base, 0.1, 4)))
+
+
+def test_rkmk_checks_its_truncation_when_built():
+    A = make_action("rotation_s2", 3)
+    for m, message in ((0, "at least one term"), (11, "capped at 10 terms")):
+        with pytest.raises(DomainError, match=message):
+            make_stepper("rkmk:rk4", A, m=m)
 
 
 @pytest.mark.parametrize(
