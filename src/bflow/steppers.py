@@ -32,6 +32,13 @@ through ``ndarray.dot``, which makes the BLAS call that ``@`` makes with
 less dispatch, and is never a Python sum: BLAS sums in its own order, so
 a product written out in Python changes the last bits.
 
+The constants that scale an algebra element in a Lie group stepper (the
+divisors of the fixed methods, an rkmk tableau's coefficients, the
+dexpinv weights, and the step size of each step's ``h * f`` products) are
+float64 0-d arrays, made once. A ufunc converts a Python float operand
+into an array on every call; a 0-d array it takes as it is, and the
+arithmetic and the bits are the same. Stage times stay Python floats.
+
 A classical or ``rkmk`` method reads its tableau and, for an rkmk
 builtin, its classical order from ``bflow.tableaus``; the B-series layer
 loads only to find the order of a tableau without one, when no
@@ -74,7 +81,8 @@ def _rodrigues_xyz(x: float, y: float, z: float) -> np.ndarray:
     """I + sin(t)/t V + (1 - cos t)/t^2 V^2 for the skew matrix V of
     v = (x, y, z), with t = |v|, the second weight taken as
     (sin(t/2)/(t/2))^2 / 2, which stays accurate as t -> 0."""
-    t2 = x * x + y * y + z * z
+    xx, yy, zz = x * x, y * y, z * z
+    t2 = xx + yy + zz
     theta = math.sqrt(t2)
     if theta < 1e-3:
         # sin(u)/u = 1 - u^2/6 + u^4/120 - ...; the first omitted term is
@@ -83,15 +91,22 @@ def _rodrigues_xyz(x: float, y: float, z: float) -> np.ndarray:
         half = 1.0 - t2 / 24.0 * (1.0 - t2 / 80.0)
     else:
         a = math.sin(theta) / theta
-        half = math.sin(0.5 * theta) / (0.5 * theta)
+        half_theta = 0.5 * theta
+        half = math.sin(half_theta) / half_theta
     b = 0.5 * half * half
-    bxy, bxz, byz = b * x * y, b * x * z, b * y * z
-    return np.array(
+    # each product below is formed once, as the same IEEE operation on
+    # the same operands as in the written-out entries
+    bx = b * x
+    bxy, bxz, byz = bx * y, bx * z, b * y * z
+    ax, ay, az = a * x, a * y, a * z
+    return np.fromiter(
         (
-            1.0 - b * (y * y + z * z), bxy - a * z, bxz + a * y,
-            bxy + a * z, 1.0 - b * (x * x + z * z), byz - a * x,
-            bxz - a * y, byz + a * x, 1.0 - b * (x * x + y * y),
-        )
+            1.0 - b * (yy + zz), bxy - az, bxz + ay,
+            bxy + az, 1.0 - b * (xx + zz), byz - ax,
+            bxz - ay, byz + ax, 1.0 - b * (xx + yy),
+        ),
+        float,
+        9,
     ).reshape(3, 3)
 
 
@@ -262,9 +277,10 @@ class LGProblem:
 # ---------------------------------------------------------------------------
 
 # B_k/k! for the Bernoulli numbers B_0..B_9: the float weights of the terms
-# of dexpinv, the same floats as float(B_k) / k! from the Fractions
+# of dexpinv, the same floats as float(B_k) / k! from the Fractions, held
+# as float64 0-d arrays like every constant that scales an algebra element
 _DEXPINV_WEIGHTS = tuple(
-    float(Fraction(b)) / math.factorial(k)
+    np.array(float(Fraction(b)) / math.factorial(k))
     for k, b in enumerate((1, "-1/2", "1/6", 0, "-1/30", 0, "1/42", 0, "-1/30", 0))
 )
 
@@ -394,27 +410,36 @@ def _rkmk_stepper(tableau: RKTableau, A: GroupAction, m: int):
     s = tableau.s
     a, b, c = tableau.floats
     explicit = tableau.is_explicit
-    # the nonzero (j, a_ij) of each stage and (j, b_j) of the update, in order
-    rows = [[(j, a_ij) for j, a_ij in enumerate(a[i]) if a_ij] for i in range(s)]
-    weights = [(j, b_j) for j, b_j in enumerate(b) if b_j]
+    # the nonzero (j, a_ij) of each stage and (j, b_j) of the update, in
+    # order, each coefficient a float64 0-d array
+    rows = [[(j, np.array(a_ij)) for j, a_ij in enumerate(a[i]) if a_ij] for i in range(s)]
+    weights = [(j, np.array(b_j)) for j, b_j in enumerate(b) if b_j]
     # no step writes into an algebra element, so every sum starts from one zero
     zero = A.zero()
+    exp, act, bracket = A.exp, A.act, A.bracket
 
     def step(f, t, y, h):
+        dt = np.array(h, dtype=float)
+
         def stage(i, K):
             U = zero
             for j, a_ij in rows[i]:
                 U = U + a_ij * K[j]
-            return _dexpinv(U, h * f(t + c[i] * h, A.act(A.exp(U), y)), m, A.bracket)
+            return _dexpinv(U, dt * f(t + c[i] * h, act(exp(U), y)), m, bracket)
 
         K = _stages(s, explicit, stage, zero, "rkmk stages")
         U = zero
         for j, b_j in weights:
             U = U + b_j * K[j]
-        return A.act(A.exp(U), y)
+        return act(exp(U), y)
 
     return step
 
+
+# The divisors of the fixed Lie group steps, as float64 0-d arrays
+_TWO, _THREE, _FOUR, _SIX, _EIGHT, _TWELVE = (
+    np.array(d) for d in (2.0, 3.0, 4.0, 6.0, 8.0, 12.0)
+)
 
 # The Lie group methods with a fixed scheme; rkmk:<tableau> is the other one.
 _LIE_METHODS = ("lie_euler", "lie_midpoint", "lie_rk4", "cf4")
@@ -422,11 +447,18 @@ _LIE_METHODS = ("lie_euler", "lie_midpoint", "lie_rk4", "cf4")
 
 def _refuse_options(method: str, tableau, m) -> None:
     """Raise DomainError when a method of ``_LIE_METHODS`` is given a
-    tableau or m, either of which it would drop; a tableau may be given
-    as anything that is not None, such as the name of a file not yet
-    read."""
-    if method in _LIE_METHODS and (tableau is not None or m is not None):
-        raise DomainError(f"{method} takes neither a tableau nor m; rkmk:<tableau> takes both")
+    tableau or m, or a builtin classical method a tableau, any of which it
+    would drop; a tableau may be given as anything that is not None, such
+    as the name of a file not yet read. The tableaus load only to look up
+    a name given with a tableau."""
+    if method in _LIE_METHODS:
+        if tableau is not None or m is not None:
+            raise DomainError(f"{method} takes neither a tableau nor m; rkmk:<tableau> takes both")
+    elif tableau is not None:
+        from .tableaus import BUILTIN_TABLEAUS
+
+        if method in BUILTIN_TABLEAUS:
+            raise DomainError(f"the classical method {method} takes no tableau; custom does")
 
 
 def make_stepper(method: str, action: GroupAction, tableau=None, m=None):
@@ -439,43 +471,48 @@ def make_stepper(method: str, action: GroupAction, tableau=None, m=None):
     (any tableau through dexpinv; pass ``tableau`` to override the name
     lookup and ``m`` to override the truncation, which defaults to the
     classical order of the tableau minus one). Classical methods, on the
-    translation action only: a builtin tableau name, which wins over
-    ``tableau``, or custom with ``tableau``; stage i is f at t + c_i h,
-    and an implicit tableau's stages start at f(t, y). The methods of
-    ``_LIE_METHODS`` refuse ``tableau`` and ``m``, and a classical one
-    refuses ``m``, rather than drop them. The method, the tableau's float
-    coefficients and the truncation are resolved here, once; each step
-    calls f and the action's exp, act and bracket.
+    translation action only: a builtin tableau name, or custom with
+    ``tableau``; stage i is f at t + c_i h, and an implicit tableau's
+    stages start at f(t, y). The methods of ``_LIE_METHODS`` refuse
+    ``tableau`` and ``m``, a builtin classical one ``tableau`` and ``m``,
+    and custom ``m``, rather than drop them. The method, the tableau's float
+    coefficients and the truncation are resolved here, once, and so are
+    the action's exp, act and bracket, which each step calls with f.
     """
     A = action
     _refuse_options(method, tableau, m)
+    exp, act, bracket = A.exp, A.act, A.bracket
+    # each fixed step scales f by its step size as a float64 0-d array, dt,
+    # and reads f at stage times that are Python floats
     if method == "lie_euler":
 
         def step(f, t, y, h):
-            return A.act(A.exp(h * f(t, y)), y)
+            return act(exp(np.array(h, dtype=float) * f(t, y)), y)
 
     elif method == "lie_midpoint":
+        # no step writes into an algebra element, so every fixed point
+        # starts from one zero
+        zero = A.zero()
 
         def step(f, t, y, h):
+            dt, t_half = np.array(h, dtype=float), t + h / 2.0
             K = _fixed_point(
-                lambda K: h * f(t + h / 2.0, A.act(A.exp(K / 2.0), y)),
-                A.zero(),
-                _TOL,
-                "lie_midpoint",
+                lambda K: dt * f(t_half, act(exp(K / _TWO), y)), zero, _TOL, "lie_midpoint"
             )
-            return A.act(A.exp(K), y)
+            return act(exp(K), y)
 
     elif method == "lie_rk4":
 
         def step(f, t, y, h):
             # Two commutators in total: one correcting the third stage, one
             # correcting the update exponent.
-            K1 = h * f(t, y)
-            K2 = h * f(t + h / 2.0, A.act(A.exp(K1 / 2.0), y))
-            K3 = h * f(t + h / 2.0, A.act(A.exp(K2 / 2.0 - A.bracket(K1, K2) / 8.0), y))
-            K4 = h * f(t + h, A.act(A.exp(K3), y))
-            U = K1 / 6.0 + K2 / 3.0 + K3 / 3.0 + K4 / 6.0 - A.bracket(K1, K4) / 12.0
-            return A.act(A.exp(U), y)
+            dt, t_half = np.array(h, dtype=float), t + h / 2.0
+            K1 = dt * f(t, y)
+            K2 = dt * f(t_half, act(exp(K1 / _TWO), y))
+            K3 = dt * f(t_half, act(exp(K2 / _TWO - bracket(K1, K2) / _EIGHT), y))
+            K4 = dt * f(t + h, act(exp(K3), y))
+            U = K1 / _SIX + K2 / _THREE + K3 / _THREE + K4 / _SIX - bracket(K1, K4) / _TWELVE
+            return act(exp(U), y)
 
     elif method == "cf4":
 
@@ -483,13 +520,14 @@ def make_stepper(method: str, action: GroupAction, tableau=None, m=None):
             # Exponentials are applied in the order written: the fourth stage
             # point starts from the half step of K1, the second stage point,
             # and the update applies its first exponential before its second.
-            K1 = h * f(t, y)
-            half = A.act(A.exp(K1 / 2.0), y)
-            K2 = h * f(t + h / 2.0, half)
-            K3 = h * f(t + h / 2.0, A.act(A.exp(K2 / 2.0), y))
-            K4 = h * f(t + h, A.act(A.exp(K3 - K1 / 2.0), half))
-            first = A.act(A.exp(K1 / 4.0 + K2 / 6.0 + K3 / 6.0 - K4 / 12.0), y)
-            return A.act(A.exp(K2 / 6.0 + K3 / 6.0 + K4 / 4.0 - K1 / 12.0), first)
+            dt, t_half = np.array(h, dtype=float), t + h / 2.0
+            K1 = dt * f(t, y)
+            half = act(exp(K1 / _TWO), y)
+            K2 = dt * f(t_half, half)
+            K3 = dt * f(t_half, act(exp(K2 / _TWO), y))
+            K4 = dt * f(t + h, act(exp(K3 - K1 / _TWO), half))
+            first = act(exp(K1 / _FOUR + K2 / _SIX + K3 / _SIX - K4 / _TWELVE), y)
+            return act(exp(K2 / _SIX + K3 / _SIX + K4 / _FOUR - K1 / _TWELVE), first)
 
     elif method == "rkmk" or method.startswith("rkmk:"):
         from .tableaus import builtin_tableau
@@ -509,6 +547,7 @@ def make_stepper(method: str, action: GroupAction, tableau=None, m=None):
     else:
         from .tableaus import BUILTIN_TABLEAUS
 
+        # _refuse_options has refused a tableau given with a builtin name
         tableau = BUILTIN_TABLEAUS.get(method, tableau if method == "custom" else None)
         if tableau is None:
             raise DomainError(
@@ -661,8 +700,10 @@ def toda_problem(y0=None) -> LGProblem:
             # the masked difference below, entry by entry in its float ops
             # (x - 0.0 above the diagonal, 0.0 - x below): the same bits
             (_, y01, y02), (y10, _, y12), (y20, y21, _) = y.tolist()
-            return np.array(
-                (0.0, y01 - 0.0, y02 - 0.0, 0.0 - y10, 0.0, y12 - 0.0, 0.0 - y20, 0.0 - y21, 0.0)
+            return np.fromiter(
+                (0.0, y01 - 0.0, y02 - 0.0, 0.0 - y10, 0.0, y12 - 0.0, 0.0 - y20, 0.0 - y21, 0.0),
+                float,
+                9,
             ).reshape(3, 3)
 
     else:

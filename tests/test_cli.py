@@ -661,33 +661,56 @@ class TestExitCodes:
                 ("--method", "rk4", "--action", "translation", "--f", "linear", "-m", "3"),
                 "the classical method rk4 takes no m; rkmk:<tableau> does",
             ),
+            (
+                (
+                    "--method", "rk4", "--action", "translation", "--f", "linear",
+                    "--tableau", "no-such-tableau.txt",
+                ),
+                "the classical method rk4 takes no tableau; custom does",
+            ),
         ],
-        ids=["lie_rk4_m", "rk4_m"],
+        ids=["lie_rk4_m", "rk4_m", "rk4_tableau"],
     )
     def test_an_option_the_method_drops_is_refused(self, capsys, argv, message):
         code, out, err = run(capsys, "integrate", *argv, "--h", "0.1", "--steps", "2")
         assert code == 2 and out == ""
         assert err.splitlines() == [f"error: {message}"]
 
-    @pytest.mark.parametrize("command", ["integrate", "converge"])
+    @pytest.mark.parametrize(
+        "command,problem,message",
+        [
+            (
+                "integrate",
+                ("--method", "lie_rk4", "--action", "rotation"),
+                "lie_rk4 takes neither a tableau nor m; rkmk:<tableau> takes both",
+            ),
+            (
+                "converge",
+                ("--method", "lie_rk4", "--action", "rotation"),
+                "lie_rk4 takes neither a tableau nor m; rkmk:<tableau> takes both",
+            ),
+            (
+                "integrate",
+                ("--method", "rk4", "--action", "translation", "--f", "linear"),
+                "the classical method rk4 takes no tableau; custom does",
+            ),
+        ],
+        ids=["integrate", "converge", "integrate_rk4"],
+    )
     @pytest.mark.parametrize("content", ["bad\n", None], ids=["one_line_file", "missing_file"])
     def test_a_tableau_file_for_a_fixed_lie_method_is_refused_unread(
-        self, capsys, tmp_path, command, content
+        self, capsys, tmp_path, command, problem, message, content
     ):
         # the refusal comes before the file is read, so neither a parse
-        # error nor the OS error of a missing file shows
+        # error nor the OS error of a missing file shows; a builtin
+        # classical method refuses it the same way
         path = tmp_path / "bad.txt"
         if content is not None:
             path.write_text(content)
         h = ("--h", "0.1", "--steps", "2") if command == "integrate" else ("--h", "0.1,0.05")
-        code, out, err = run(
-            capsys, command, "--method", "lie_rk4", "--action", "rotation", *h,
-            "--tableau", str(path),
-        )
+        code, out, err = run(capsys, command, *problem, *h, "--tableau", str(path))
         assert code == 2 and out == ""
-        assert err.splitlines() == [
-            "error: lie_rk4 takes neither a tableau nor m; rkmk:<tableau> takes both"
-        ]
+        assert err.splitlines() == [f"error: {message}"]
 
     def test_converge_rejects_a_name_outside_the_lie_methods(self, capsys):
         code, out, err = run(

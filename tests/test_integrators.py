@@ -1123,6 +1123,60 @@ def test_dexpinv_matches_the_fraction_weights_bit_for_bit():
                 assert np.array_equal(dexpinv(u, k, m, bracket), _dexpinv_reference(u, k, m, bracket))
 
 
+def _kernel_vectors(rng) -> list[np.ndarray]:
+    """3-vectors for the so(3) kernels: the zero vector and its signed
+    forms, |v| spread from 1e-9 to 10 with some entries -0.0, and |v| a
+    few ulps either side of the Rodrigues branch point 1e-3."""
+    out = [np.zeros(3), np.array([-0.0, 0.0, -0.0]), np.array([-0.0, -0.0, -0.0])]
+    for _ in range(400):
+        v = rng.normal(size=3)
+        v *= 10.0 ** rng.uniform(-9, 1) / np.linalg.norm(v)
+        v[rng.random(3) < 0.2] = -0.0
+        out.append(v)
+    below = above = 1e-3
+    for _ in range(8):
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, 1.0)
+        unit = rng.normal(size=3)
+        unit[rng.integers(3)] = -0.0
+        unit /= np.linalg.norm(unit)
+        out.extend(theta * unit for theta in (below, 1e-3, above))
+    return out
+
+
+def _theta(v) -> float:
+    # |v| as the Rodrigues kernel computes it
+    x, y, z = v.tolist()
+    return math.sqrt(x * x + y * y + z * z)
+
+
+def test_the_so3_kernels_and_the_toda_field_match_their_references_byte_for_byte():
+    # both Rodrigues branches: theta < 1e-3 runs in every lie_midpoint and
+    # rkmk step (the exponential of the zero start) and late in the Toda
+    # runs, whose off-diagonal entries decay
+    rng = np.random.default_rng(67)
+    vectors = _kernel_vectors(rng)
+    thetas = [_theta(v) for v in vectors]
+    assert any(1e-3 - 1e-15 < theta < 1e-3 for theta in thetas)
+    assert any(1e-3 <= theta < 1e-3 + 1e-15 for theta in thetas)
+    toda, masked = toda_problem().f, _masked_toda_field(3)
+    for v in vectors:
+        u = vectors[rng.integers(len(vectors))]
+        # a 3x3 matrix whose skew part has hat-vector v, with a symmetric
+        # part of either sign and some entries -0.0
+        S = rng.normal(size=(3, 3))
+        V = _hat(v) + 1e-3 * rng.normal() * (S + S.T)
+        V[rng.random((3, 3)) < 0.2] = -0.0
+        for got, want in (
+            (steppers._rodrigues(v), _rodrigues_reference(v)),
+            (steppers._so3_exp(V), _so3_exp_reference(V)),
+            (steppers._so3_exp(_hat(v)), _so3_exp_reference(_hat(v))),
+            (steppers._cross(u, v), _cross_reference(u, v)),
+            (toda(0.0, V), masked(0.0, V)),
+        ):
+            assert got.shape == want.shape and got.dtype == want.dtype, v
+            assert got.tobytes() == want.tobytes(), v
+
+
 # make_action and the commutator with their products written as ``@``,
 # verbatim, as the reference for ``ndarray.dot``: both make the same BLAS
 # call, so the results must agree bit for bit. The kernels are read from
@@ -1351,11 +1405,12 @@ DIRK = RKTableau([[Fraction(1, 4), 0], [Fraction(1, 2), Fraction(1, 4)]], [Fract
 
 @pytest.mark.parametrize("method", [*BUILTIN_TABLEAUS, "custom"])
 def test_classical_trajectories_match_the_hand_loop_bit_for_bit(method):
-    # a builtin name wins over ``tableau``; custom runs the tableau given
+    # a builtin name runs its own tableau; custom runs the tableau given
     problem = _damped_translation()
     tab = BUILTIN_TABLEAUS.get(method, DIRK)
+    tableau = DIRK if method == "custom" else None
     for h, steps in ((0.01, 500), (0.3, 60)):
-        got = np.array(integrate(method, problem, h, steps, tableau=DIRK))
+        got = np.array(integrate(method, problem, h, steps, tableau=tableau))
         want = np.array(_classical_loop_reference(tab, problem, h, steps))
         assert np.isfinite(want).all(), (method, h)
         assert np.array_equal(got, want), (method, h)
@@ -1366,7 +1421,45 @@ def test_classical_trajectories_match_the_hand_loop_bit_for_bit(method):
 
 # The cf4 step and ``_rkmk_stepper`` as they were written before cf4 reused
 # its half-step point and rkmk read its tableau's nonzero coefficients from
-# precomputed pairs, verbatim: the reference for both, bit for bit.
+# precomputed pairs, and the lie_euler, lie_midpoint and lie_rk4 steps as
+# they were written before the steppers held their constants as float64 0-d
+# arrays and bound the action's callables once, verbatim: Python-float
+# constants, and A.exp, A.act and A.bracket looked up on every call. The
+# reference for all five, bit for bit.
+
+
+def _lie_euler_reference(A: GroupAction):
+    def step(f, t, y, h):
+        return A.act(A.exp(h * f(t, y)), y)
+
+    return step
+
+
+def _lie_midpoint_reference(A: GroupAction):
+    def step(f, t, y, h):
+        K = steppers._fixed_point(
+            lambda K: h * f(t + h / 2.0, A.act(A.exp(K / 2.0), y)),
+            A.zero(),
+            steppers._TOL,
+            "lie_midpoint",
+        )
+        return A.act(A.exp(K), y)
+
+    return step
+
+
+def _lie_rk4_reference(A: GroupAction):
+    def step(f, t, y, h):
+        # Two commutators in total: one correcting the third stage, one
+        # correcting the update exponent.
+        K1 = h * f(t, y)
+        K2 = h * f(t + h / 2.0, A.act(A.exp(K1 / 2.0), y))
+        K3 = h * f(t + h / 2.0, A.act(A.exp(K2 / 2.0 - A.bracket(K1, K2) / 8.0), y))
+        K4 = h * f(t + h, A.act(A.exp(K3), y))
+        U = K1 / 6.0 + K2 / 3.0 + K3 / 3.0 + K4 / 6.0 - A.bracket(K1, K4) / 12.0
+        return A.act(A.exp(U), y)
+
+    return step
 
 
 def _cf4_reference(A: GroupAction):
@@ -1445,7 +1538,15 @@ def test_cf4_and_rkmk_match_their_reference_steppers_bit_for_bit(name):
     problem = STEPPER_REFERENCE_PROBLEMS[name]()
     A = problem.action
     for h, steps in ((0.01, 200), (0.3, 50)):
-        runs = [("cf4", integrate("cf4", problem, h, steps), _cf4_reference(A))]
+        runs = [
+            (method, integrate(method, problem, h, steps), reference(A))
+            for method, reference in (
+                ("lie_euler", _lie_euler_reference),
+                ("lie_midpoint", _lie_midpoint_reference),
+                ("lie_rk4", _lie_rk4_reference),
+                ("cf4", _cf4_reference),
+            )
+        ]
         for method, tableau, m in RKMK_REFERENCE_RUNS:
             if tableau is None:
                 tableau = builtin_tableau(method.split(":")[1])
@@ -1504,7 +1605,8 @@ def test_classical_stages_read_the_stage_times(method, order):
         return [(25.0 * math.sin(t) - 5.0 * math.cos(t) + 5.0 * math.exp(t / 5.0)) / 26.0]
 
     problem = LGProblem(make_action("translation", 1), f, [0.0], reference=exact)
-    slope, _ = convergence_order(method, problem, 1.0, [0.2, 0.1, 0.05, 0.025], tableau=DIRK)
+    tableau = DIRK if method == "custom" else None
+    slope, _ = convergence_order(method, problem, 1.0, [0.2, 0.1, 0.05, 0.025], tableau=tableau)
     assert abs(slope - order) <= 0.2, (method, slope)
 
 
@@ -1542,11 +1644,15 @@ def test_a_fixed_lie_method_refuses_a_tableau_and_m(method):
 
 def test_a_classical_method_refuses_m():
     action = make_action("translation", 2)
-    for method, tableau in (("rk4", None), ("rk4", DIRK), ("custom", DIRK)):
+    for method, tableau in (("rk4", None), ("custom", DIRK)):
         with pytest.raises(DomainError, match=f"^the classical method {method} takes no m;"):
             make_stepper(method, action, tableau=tableau, m=3)
-    # a builtin name still wins over a tableau, and rkmk still takes both
-    make_stepper("rk4", action, tableau=DIRK)
+    # a builtin name refuses a tableau it would drop, with or without m;
+    # custom and rkmk still take one
+    for m in (None, 3):
+        with pytest.raises(DomainError, match="^the classical method rk4 takes no tableau; custom does$"):
+            make_stepper("rk4", action, tableau=DIRK, m=m)
+    make_stepper("custom", action, tableau=DIRK)
     make_stepper("rkmk", make_action("rotation", 3), tableau=RK4, m=3)
 
 
