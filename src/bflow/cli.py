@@ -6,12 +6,20 @@ the numerical side (integrate, converge). Output is plain text, TSV, or
 CSV, with every listing in a canonical sort so runs are byte-stable.
 
 Exit codes: 0 on success, 1 on usage or parse errors, 2 on domain
-errors (unknown names, unsupported combinations, capacity limits).
+errors (unknown names, unsupported combinations, capacity limits). A
+negative order (``-N``, ``--table``) is a usage error, refused before
+any output.
+
+``main`` parses with one parser per process, built on its first call:
+the parser keeps no state between calls, since every default is
+immutable and argparse makes a new help formatter each time it formats
+help.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import re
 import sys
@@ -46,6 +54,17 @@ def _numbers(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {text!r}"
         ) from None
+
+
+def _whole_number(text: str) -> int:
+    """argparse type for a truncation order: a whole number >= 0."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a whole number >= 0, got {text!r}")
 
 
 def _tensor_key(t):
@@ -235,12 +254,13 @@ def cmd_converge(args) -> int:
     return converge_command(args)
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="bflow", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("trees", help="list trees or forests with their statistics")
-    p.add_argument("-N", type=int, required=True, help="maximum order")
+    p.add_argument("-N", type=_whole_number, required=True, help="maximum order")
     p.add_argument("--planar", action="store_true")
     p.add_argument("--forests", action="store_true")
     p.set_defaults(fn=cmd_trees)
@@ -248,20 +268,20 @@ def build_parser() -> _Parser:
     p = sub.add_parser("coproduct", help="print a coproduct, or a table of them")
     p.add_argument("algebra", choices=sorted(_COPRODUCTS))
     p.add_argument("element", nargs="?", help="serialized element")
-    p.add_argument("--table", type=int, metavar="N", help="all basis elements up to N")
+    p.add_argument("--table", type=_whole_number, metavar="N", help="all basis elements up to N")
     p.set_defaults(fn=cmd_coproduct)
 
     def add_character_options(p):
         p.add_argument("--builtin", help="builtin tableau name")
         p.add_argument("--tableau", help="tableau file", metavar="FILE")
-        p.add_argument("-N", type=int, required=True)
+        p.add_argument("-N", type=_whole_number, required=True)
 
     p = sub.add_parser("compose", help="coefficients of one method after another")
     p.add_argument("--first", help="builtin name of the first step")
     p.add_argument("--second", help="builtin name of the second step")
     p.add_argument("--tableau-first", dest="tableau_first", metavar="FILE")
     p.add_argument("--tableau-second", dest="tableau_second", metavar="FILE")
-    p.add_argument("-N", type=int, required=True)
+    p.add_argument("-N", type=_whole_number, required=True)
     p.set_defaults(fn=cmd_compose)
 
     p = sub.add_parser("substitute", help="substitute a solved modified field into a series")
@@ -287,7 +307,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("series", help="word coefficients of a Lie-Butcher method")
     p.add_argument("--method", required=True)
     p.add_argument("--rep", choices=["type1", "type3"], required=True)
-    p.add_argument("-N", type=int, required=True)
+    p.add_argument("-N", type=_whole_number, required=True)
     p.set_defaults(fn=cmd_series)
 
     def add_run_options(p):

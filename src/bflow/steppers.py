@@ -561,12 +561,21 @@ def make_stepper(method: str, action: GroupAction, tableau=None, m=None):
     return step
 
 
+def _check_positive(value, name: str) -> None:
+    """Refuse a step size or end time that is not a positive finite
+    number. nan fails neither ``<= 0`` nor ``> 0``; the second test
+    catches it."""
+    if value <= 0:
+        raise DomainError(f"{name} must be positive")
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+
+
 def lg_step(method: str, problem: LGProblem, t, y, h, m=None, tableau=None):
     """Advance one step of a method (see ``make_stepper`` for
     the methods and options). The stepper is built afresh on each call;
     ``integrate`` builds it once per run."""
-    if h <= 0:
-        raise DomainError("step size must be positive")
+    _check_positive(h, "step size")
     step = make_stepper(method, problem.action, tableau=tableau, m=m)
     return step(problem.f, t, np.asarray(y, dtype=float), h)
 
@@ -613,8 +622,7 @@ def integrate(
     entries)."""
     if steps < 1:
         raise DomainError("need at least one step")
-    if h <= 0:
-        raise DomainError("step size must be positive")
+    _check_positive(h, "step size")
     step = make_stepper(method, problem.action, tableau=tableau, m=m)
     return list(_states(step, problem, h, steps))
 
@@ -637,12 +645,12 @@ def convergence_order(
     """
     if len(h_list) < 3:
         raise DomainError("order measurement needs at least three step sizes")
+    _check_positive(t_end, "t_end")
     runs = []
     for h in h_list:
-        if h <= 0:
-            raise DomainError("step size must be positive")
-        raw = t_end / h
-        steps = round(raw)
+        _check_positive(h, "step size")
+        raw = t_end / h  # inf for a subnormal h
+        steps = round(raw) if math.isfinite(raw) else 0
         if steps < 1 or abs(raw - steps) > 1e-9:
             raise DomainError(f"t_end is not a whole number of steps of {h}")
         runs.append((h, steps))

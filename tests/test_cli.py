@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import bflow
+from bflow import cli
 from bflow.algebra import render_sum
 from bflow.bseries_hopf import builtin_tableau, convolve_bck, rk_character
 from bflow.cli import main
@@ -29,6 +30,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _fresh_run(*argv):
+    """Exit code, stdout and stderr of ``python -m bflow.cli`` in a new
+    process."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bflow.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "bflow.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 class TestAlgebraCommands:
@@ -603,6 +614,9 @@ def test_field_layer_runs_with_sympy_blocked(capsys):
     assert "\n".join(lines[4:]) + "\n" == out
 
 
+_CONVERGE = ("converge", "--h", "0.1,0.05,0.025")
+
+
 class TestExitCodes:
     def test_missing_subcommand_is_usage(self, capsys):
         code, _, err = run(capsys)
@@ -761,35 +775,25 @@ class TestExitCodes:
 
     def test_implicit_stages_blowing_up_print_one_error_line(self):
         # In a fresh process, where numpy's warnings reach stderr unfiltered.
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bflow.__file__)))
-        done = subprocess.run(
-            [
-                sys.executable, "-m", "bflow.cli",
-                "integrate", "--method", "implicit_midpoint", "--action", "translation",
-                "--f", "y0^2-0.3*y1,y1/3-y0*y1+1/7", "--h", "0.1", "--steps", "40",
-            ],
-            capture_output=True, text=True, env=env,
+        code, out, err = _fresh_run(
+            "integrate", "--method", "implicit_midpoint", "--action", "translation",
+            "--f", "y0^2-0.3*y1,y1/3-y0*y1+1/7", "--h", "0.1", "--steps", "40",
         )
-        assert done.returncode == 2 and done.stdout == ""
-        lines = done.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
 
     @pytest.mark.parametrize("method", ["lie_midpoint", "rkmk:implicit_midpoint"])
     def test_lie_stages_overflowing_print_one_error_line(self, method):
         # The first sweep of y0^2 from 1e200 is inf, against a scale of
         # inf: an error, not a trajectory of inf.
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bflow.__file__)))
-        done = subprocess.run(
-            [
-                sys.executable, "-m", "bflow.cli",
-                "integrate", "--method", method, "--action", "translation",
-                "--f", "y0^2", "--y0", "1e200", "--h", "1", "--steps", "2",
-            ],
-            capture_output=True, text=True, env=env,
+        code, out, err = _fresh_run(
+            "integrate", "--method", method, "--action", "translation",
+            "--f", "y0^2", "--y0", "1e200", "--h", "1", "--steps", "2",
         )
-        assert done.returncode == 2 and done.stdout == ""
-        lines = done.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
         assert method.split(":")[0] in lines[0] and "residual nan" in lines[0]
 
     def test_wrong_y0_length_is_domain(self, capsys):
@@ -840,6 +844,64 @@ class TestExitCodes:
         )
         assert code == 2 and "positive" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("trees", "-N", "-1"),
+            ("coproduct", "bck", "--table", "-2"),
+            ("coproduct", "mkw", "--table", "-1"),
+            ("series", "--method", "exponential_euler", "--rep", "type1", "-N", "-1"),
+            ("compose", "--first", "rk4", "--second", "rk4", "-N", "-1"),
+            ("substitute", "--builtin", "rk4", "--mode", "backward_error", "-N", "-3"),
+            ("geometric", "--builtin", "rk4", "--kind", "symplectic", "-N", "-1"),
+        ],
+        ids=["trees", "bck_table", "mkw_table", "series", "compose", "substitute", "geometric"],
+    )
+    def test_a_negative_order_is_usage(self, capsys, argv):
+        # refused by the parser, so no command prints a row or a verdict
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            f"usage error: argument {argv[-2]}: expected a whole number >= 0, got {argv[-1]!r}"
+        ]
+
+    def test_order_zero_prints_the_unit_rows_only(self, capsys):
+        assert run(capsys, "coproduct", "fdb", "--table", "0")[:2] == (0, "1\t1 (x) 1\n")
+        assert run(capsys, "coproduct", "bck", "--table", "0")[:2] == (0, "")
+        assert run(capsys, "trees", "-N", "0")[:2] == (0, "")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (_CONVERGE + ("--t-end", "nan"), "t_end must be finite, got nan"),
+            (_CONVERGE + ("--t-end", "inf"), "t_end must be finite, got inf"),
+            (_CONVERGE + ("--t-end", "0"), "t_end must be positive"),
+            (_CONVERGE + ("--t-end", "-1"), "t_end must be positive"),
+            (("converge", "--h", "nan,0.05,0.025"), "step size must be finite, got nan"),
+            (("converge", "--h", "0.1,inf,0.025"), "step size must be finite, got inf"),
+            (("converge", "--h", "0.1,-0.05,0.025"), "step size must be positive"),
+            (
+                ("converge", "--h", "5e-324,0.05,0.025"),
+                "t_end is not a whole number of steps of 5e-324",
+            ),
+            (("integrate", "--h", "nan", "--steps", "2"), "step size must be finite, got nan"),
+            (("integrate", "--h", "inf", "--steps", "2"), "step size must be finite, got inf"),
+        ],
+        ids=[
+            "t_end_nan", "t_end_inf", "t_end_zero", "t_end_negative", "h_nan", "h_inf",
+            "h_negative", "h_subnormal", "integrate_h_nan", "integrate_h_inf",
+        ],
+    )
+    def test_a_step_size_or_end_time_off_the_positive_floats_is_domain(
+        self, capsys, argv, message
+    ):
+        command, *rest = argv
+        code, out, err = run(
+            capsys, command, "--method", "lie_euler", "--action", "rotation", *rest
+        )
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
     def test_bad_choice_is_usage(self, capsys):
         code, _, err = run(capsys, "coproduct", "nope", "[]")
         assert code == 1
@@ -848,6 +910,77 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["-h"])
         assert exc.value.code == 0
+
+
+_ROTATION = ("integrate", "--method", "lie_euler", "--action", "rotation", "--h", "0.1")
+
+
+class TestOneParserPerProcess:
+    """``main`` parses every call with the parser its first call built; a
+    call must not see what an earlier one in the same process parsed."""
+
+    @pytest.mark.parametrize(
+        "calls",
+        [
+            (
+                ("converge", "--method", "lie_euler", "--action", "rotation",
+                 "--h", "0.1,0.05,0.025", "--t-end", "2.0"),
+                ("converge", "--method", "lie_euler", "--action", "rotation",
+                 "--h", "0.1,0.05,0.025"),
+            ),
+            (_ROTATION + ("--steps", "3", "--y0=-0.6,0.8,0"), _ROTATION + ("--steps", "3")),
+            (
+                _ROTATION + ("--steps", "3", "--check-invariant", "norm"),
+                _ROTATION + ("--steps", "3"),
+            ),
+            (("trees", "-N", "3", "--planar"), ("trees", "-N", "3")),
+            (
+                ("integrate", "--method", "lie_euler", "--action", "bogus", "--h", "0.1",
+                 "--steps", "3"),
+                _ROTATION + ("--steps", "3"),
+            ),
+        ],
+        ids=["t_end", "y0", "check_invariant", "planar", "usage_error"],
+    )
+    def test_each_call_prints_what_a_fresh_process_prints(self, capsys, calls):
+        for argv in calls:
+            assert run(capsys, *argv) == _fresh_run(*argv), argv
+
+    def test_help_twice_prints_the_same_bytes(self, capsys, monkeypatch):
+        # argparse wraps help to the terminal width, read from COLUMNS first
+        monkeypatch.setenv("COLUMNS", "80")
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] == _fresh_run("--help")[1]
+
+    def test_main_builds_no_parser_after_its_first_call(self, capsys, monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        assert main(["trees", "-N", "2"]) == 0
+        first = len(built)
+        assert first > 1  # the top-level parser and one per subcommand
+        for argv in (
+            ["coproduct", "bck", "--table", "2"],
+            ["trees", "-N", "-1"],
+            ["integrate", "--method", "lie_euler", "--action", "bogus", "--h", "1", "--steps", "1"],
+            ["series", "--method", "exponential_euler", "--rep", "type1", "-N", "2"],
+        ):
+            main(argv)
+        with pytest.raises(SystemExit):
+            main(["integrate", "--help"])
+        capsys.readouterr()
+        assert len(built) == first
 
 
 def test_the_cache_registry_is_opt_in():

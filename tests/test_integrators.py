@@ -856,6 +856,44 @@ class TestLgStepBasics:
         with pytest.raises(DomainError):
             lg_step("lie_euler", p, 0.0, p.y0, 0.0)
 
+    @pytest.mark.parametrize(
+        "h,message",
+        [
+            (-math.inf, "step size must be positive"),
+            (math.nan, "step size must be finite, got nan"),
+            (math.inf, "step size must be finite, got inf"),
+        ],
+        ids=["minus_inf", "nan", "inf"],
+    )
+    def test_every_float_entry_refuses_a_step_size_off_the_positive_floats(self, h, message):
+        p = rigid_body_problem()
+        for call in (
+            lambda: lg_step("lie_euler", p, 0.0, p.y0, h),
+            lambda: integrate("lie_euler", p, h, 2),
+            lambda: convergence_order("lie_euler", p, 1.0, [0.1, h, 0.025]),
+        ):
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                call()
+
+    @pytest.mark.parametrize(
+        "t_end,message",
+        [
+            (0.0, "t_end must be positive"),
+            (-1.0, "t_end must be positive"),
+            (math.nan, "t_end must be finite, got nan"),
+            (math.inf, "t_end must be finite, got inf"),
+        ],
+        ids=["zero", "negative", "nan", "inf"],
+    )
+    def test_convergence_order_refuses_an_end_time_off_the_positive_floats(self, t_end, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            convergence_order("lie_euler", rigid_body_problem(), t_end, [0.1, 0.05, 0.025])
+
+    def test_convergence_order_refuses_a_step_too_small_to_count(self):
+        # t_end / 5e-324 is inf, which no whole number of steps equals
+        with pytest.raises(DomainError, match="^t_end is not a whole number of steps of 5e-324$"):
+            convergence_order("lie_euler", rigid_body_problem(), 1.0, [5e-324, 0.05, 0.025])
+
     def test_rkmk_needs_a_tableau(self):
         p = rigid_body_problem()
         with pytest.raises(DomainError):
